@@ -64,17 +64,34 @@ def _write_csv(path: str, header: str, rows, trailer: str | None = None) -> None
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _manifest(out_dir: str, subcommand: str, args_repr: dict, seed) -> None:
-    config = {k: v for k, v in args_repr.items() if k != "fn"}
-    payload = json.dumps(config, sort_keys=True, default=str)
+# Arguments that never change an output file: where the input and the
+# output live, and how the work is chunked.  The input file's bytes are
+# hashed instead of its path.
+_NOT_HASHED = {"kernel", "config", "out", "threads", "fn", "subcommand"}
+# Subcommands whose output depends on --seed.
+_SEEDED = {"model", "estimate", "sweep"}
+
+
+def _config_hash(args) -> str:
+    source = getattr(args, "kernel", None) or args.config
+    with open(source, "rb") as fh:
+        content = hashlib.sha256(fh.read()).hexdigest()
+    skip = _NOT_HASHED if args.subcommand in _SEEDED else _NOT_HASHED | {"seed"}
+    config = {k: v for k, v in vars(args).items() if k not in skip}
+    payload = json.dumps({"subcommand": args.subcommand, "input_sha256": content,
+                          "args": config}, sort_keys=True, default=str)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _manifest(args, seed) -> None:
     manifest = {
-        "subcommand": subcommand,
-        "config_hash": hashlib.sha256(payload.encode()).hexdigest(),
+        "subcommand": args.subcommand,
+        "config_hash": _config_hash(args),
         "seed": seed,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_atomic(os.path.join(out_dir, "manifest.json"),
+    _write_atomic(os.path.join(args.out, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -144,6 +161,17 @@ def _parse_grid(arg: str) -> list[int]:
     return [int(p) for p in arg.split(",")]
 
 
+def _parse_plan(arg: str) -> int | None:
+    """None for 'uniform', t0 for 'dirac:<t0>'."""
+    if arg == "uniform":
+        return None
+    kind, _, t0 = arg.partition(":")
+    if kind == "dirac" and t0.isdigit():
+        return int(t0)
+    raise ValueError(
+        f"--plan must be 'uniform' or 'dirac:<t0>' with an integer t0 >= 0, not {arg!r}")
+
+
 def _report_csv(out_path: str, report) -> None:
     trailer = (f"# name={report.name} constant={_fmt(report.constant)} "
                f"rate={_fmt(report.rate)} max_violation={_fmt(report.max_violation)}")
@@ -158,7 +186,7 @@ def cmd_model(args) -> int:
     K = models.build(spec)
     os.makedirs(args.out, exist_ok=True)
     write_kernel(K, os.path.join(args.out, "kernel.txt"))
-    _manifest(args.out, "model", vars(args), spec.seed)
+    _manifest(args, spec.seed)
     return EXIT_OK
 
 
@@ -173,7 +201,7 @@ def cmd_spectral(args) -> int:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     _write_atomic(os.path.join(args.out, "spectral.csv"), "\n".join(lines) + "\n")
-    _manifest(args.out, "spectral", vars(args), args.seed)
+    _manifest(args, args.seed)
     return EXIT_OK
 
 
@@ -193,7 +221,7 @@ def cmd_verify(args) -> int:
     _report_csv(os.path.join(args.out, "eta_bound.csv"), eta_rep)
     _report_csv(os.path.join(args.out, "qproc_approx.csv"), q_rep)
     _report_csv(os.path.join(args.out, "q_mixing.csv"), mix_rep)
-    _manifest(args.out, "verify", vars(args), args.seed)
+    _manifest(args, args.seed)
     bad = [r.name for r in (eta_rep, q_rep, mix_rep)
            if r.max_violation > 1.0 + VIOLATION_SLACK]
     if bad:
@@ -203,16 +231,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ergodic(args) -> int:
+    t0 = _parse_plan(args.plan)
     K = _load_kernel(args)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
     Ts = _parse_grid(args.T_grid)
     os.makedirs(args.out, exist_ok=True)
-    if args.plan == "uniform":
+    violated = False
+    if t0 is None:
         rep = ergodic.verify_ergodic_theorem(K, S, f, Ts)
         rows = [(T, obs, bound, ratio) for (_, T, obs, bound, ratio) in rep.rows]
+        violated = rep.max_violation > 1.0 + VIOLATION_SLACK
     else:
-        t0 = int(args.plan.split(":", 1)[1])
         gamma, gamma_prime = qprocess.fitted_rates(K, S)
         beta_f = float(S.beta @ f)
         f_inf = float(np.max(np.abs(f))) or 1.0
@@ -227,7 +257,10 @@ def cmd_ergodic(args) -> int:
             env = f_inf * (math.exp(-gamma_prime * t0) + math.exp(-gamma * (T - t0)))
             rows.append((T, err, env, err / env if env > 0 else 0.0))
     _write_csv(os.path.join(args.out, "ergodic.csv"), "time,error,bound,ratio", rows)
-    _manifest(args.out, "ergodic", vars(args), args.seed)
+    _manifest(args, args.seed)
+    if violated:
+        print("bound violated on validation grid: ergodic_theorem", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     return EXIT_OK
 
 
@@ -262,7 +295,7 @@ def cmd_estimate(args) -> int:
     row = (args.N, T, t0, batch.N_T, est, se, exact, abs(est - exact), predicted)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "estimate.csv"), _SWEEP_HEADER, [row])
-    _manifest(args.out, "estimate", vars(args), args.seed)
+    _manifest(args, args.seed)
     return EXIT_OK
 
 
@@ -282,7 +315,7 @@ def cmd_sweep(args) -> int:
     ]
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "sweep.csv"), _SWEEP_HEADER, csv_rows)
-    _manifest(args.out, "sweep", vars(args), args.seed)
+    _manifest(args, args.seed)
     if any(r.flagged for r in rows):
         print("some sweep rows went extinct in every replication", file=sys.stderr)
     return EXIT_OK
@@ -297,7 +330,7 @@ def cmd_converse(args) -> int:
                f"delta={_fmt(rep.delta)}")
     _write_csv(os.path.join(args.out, "converse.csv"), "T,sup_pair_tv,envelope",
                rows, trailer)
-    _manifest(args.out, "converse", vars(args), args.seed)
+    _manifest(args, args.seed)
     if not rep.certified:
         print("contraction not certified within the search limits", file=sys.stderr)
         return EXIT_NOT_CERTIFIED

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp, mpf
 
-from . import xprec
+from .deflation import Deflation
 from .kernels import SubStochasticKernel, bridge_marginals, tv_distance
 from .qprocess import QKernel
 from .spectral import compute_spectral, fit_decay
@@ -126,26 +125,15 @@ def certify_converse(
 
     # Decay of the pair supremum of the conditioned evolution along T,
     # probed on the lattice T1 + k t1 (where the floor in the envelope is
-    # exact), in extended precision since the true values decay below the
-    # double-precision noise floor.
-    curve_Ts = list(range(T1, T_max + 1, t1))
-    pilot = -math.log(max(delta, 1e-6)) / t1
-    dps = xprec.working_dps(1.2 * max(pilot, 0.2), T_max)
-    decay_curve = []
-    with mp.workdps(dps):
-        A = xprec.to_mp(K.entries)
-        floor = mpf(10) ** (-(dps - 15))
-        want = set(curve_Ts)
-        for T, rows in xprec.conditioned_rows(A, max(curve_Ts)):
-            if T in want:
-                worst = mpf(0)
-                for i in range(K.n):
-                    for j in range(i + 1, K.n):
-                        worst = max(worst, xprec.tv(rows[i], rows[j]))
-                decay_curve.append((T, float(worst if worst >= floor else mpf(0))))
+    # exact), from the deflated rows, since the true values decay below the
+    # double-precision noise floor of a stepwise product.
+    curve_Ts = set(range(T1, T_max + 1, t1))
+    core = Deflation(K, S)
+    decay_curve = [(T, math.exp(core.conditioned_pair_tv(D)))
+                   for T, D in enumerate(core.rows(max(curve_Ts))) if T in curve_Ts]
     report = ContractionReport(
         t1=t1, T1=T1, delta=delta, decay_curve=decay_curve, certified=True,
-        probed=probed, details={"t1_max": t1_max, "T_max": T_max, "dps": dps},
+        probed=probed, details={"t1_max": t1_max, "T_max": T_max},
     )
     report.details["envelope_ok"] = all(
         v <= report.envelope(T) * (1.0 + 1e-9) for T, v in decay_curve
@@ -179,64 +167,23 @@ def hypothesis_check(K: SubStochasticKernel, Q: QKernel, t_grid, T_grid) -> Hypo
     The marginal curve at horizon T takes the supremum over probed lags
     t <= T (so ``t_grid`` should stay well below the horizons in
     ``T_grid``); the coupling curve is indexed by the lag alone.  Both
-    are computed in extended precision and flagged if they fail to decay.
+    come from the deflated propagation and are flagged if they fail to
+    decay.
     """
     ts = sorted({int(t) for t in t_grid})
     Ts = sorted({int(T) for T in T_grid})
     if not ts or not Ts or ts[0] < 1 or Ts[0] < 1:
         raise ValueError("grids must contain integers >= 1")
-    n = K.n
-    t_max = ts[-1]
-    T_max = Ts[-1]
-
-    rows_d = np.eye(n)
-    pilot_series = []
-    for t in range(1, min(T_max, 25) + 1):
-        rows_d = rows_d @ Q.entries
-        worst = max(
-            0.5 * np.abs(rows_d[i] - rows_d[j]).sum()
-            for i in range(n) for j in range(i + 1, n)
-        ) if n > 1 else 0.0
-        if worst > 1e-12:
-            pilot_series.append((t, worst))
-    try:
-        pilot = max(fit_decay(pilot_series).gamma, 1e-3) if len(pilot_series) >= 3 else 1.0
-    except ValueError:
-        pilot = 1.0
-    dps = xprec.working_dps(1.2 * pilot, T_max + t_max)
-    floor_exp = -(dps - 15)
-
-    marginal = {}
-    coupling = {}
+    core = Deflation(K, Q.triple)
     t_set = set(ts)
-    with mp.workdps(dps):
-        A = xprec.to_mp(K.entries)
-        alpha, rho, eta = xprec.power_pair(A, dps)
-        Qmp = xprec.h_transform(A, rho, eta)
-        floor = mpf(10) ** floor_exp
-        qrows_at = {}
-        for t, qrows in xprec.stochastic_rows(Qmp, t_max):
-            if t in t_set:
-                qrows_at[t] = [row[:] for row in qrows]
-                worst = mpf(0)
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        worst = max(worst, xprec.tv(qrows[i], qrows[j]))
-                coupling[t] = float(worst if worst >= floor else mpf(0))
-        surv = xprec.survival_vectors(A, T_max)
-        prows_at = {}
-        for t, prows in xprec.conditioned_rows(A, t_max):
-            if t in t_set:
-                prows_at[t] = [row[:] for row in prows]
-        for T in Ts:
-            worst = mpf(0)
-            for t in ts:
-                if t > T:
-                    continue
-                for x in range(n):
-                    b = xprec.bridge_row(prows_at[t][x], surv[T - t])
-                    worst = max(worst, xprec.tv(b, qrows_at[t][x]))
-            marginal[T] = float(worst if worst >= floor else mpf(0))
+    rows_at = {t: D for t, D in enumerate(core.rows(ts[-1])) if t in t_set}
+    coupling = {t: math.exp(core.q_pair_tv(rows_at[t])) for t in ts}
+    surv = list(core.survival(Ts[-1]))
+    marginal = {
+        T: math.exp(max((core.bridge_gap(rows_at[t], surv[T - t]) for t in ts if t <= T),
+                        default=-math.inf))
+        for T in Ts
+    }
 
     marginal_curve = [(T, marginal[T]) for T in Ts]
     coupling_curve = [(t, coupling[t]) for t in ts]

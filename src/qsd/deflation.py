@@ -1,0 +1,228 @@
+"""Perron-deflated propagation in double precision.
+
+A primitive killed kernel splits as ``K^t = rho^t eta (x) alpha + R^t`` with
+``alpha R = 0`` and ``R eta = 0``.  Every quantity the bound reports measure
+is a deviation living wholly in ``R^t``, and computing it as the difference
+of two nearly equal propagated laws loses all of its digits once it falls
+below double-precision resolution.  This module carries the deviations
+themselves:
+
+* the rows ``D_t[x] = delta_x K^t / (rho^t eta(x)) - alpha``, started at
+  ``D_0 = diag(1/eta) - 1 (x) alpha``;
+* the survival deviation ``e_t = K^t 1 / rho^t - eta``, started at
+  ``e_0 = 1 - eta``.
+
+Each step multiplies by ``K/rho``, projects off the Perron direction
+(``D <- D - (D eta) (x) alpha``, ``e <- e - (alpha . e) eta``) and moves the
+binary exponent of the largest entry into a carried integer scale, so no
+step cancels and no value underflows.  An all-zero deviation stays exactly
+zero.  Every observable is closed-form in ``D_t`` and ``e_t`` and is
+returned as its natural logarithm (``-inf`` for an exact zero), so grids
+far past ``e^-700`` stay representable.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = ["Deflation", "Deviation"]
+
+LN2 = math.log(2.0)
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+@dataclass(frozen=True)
+class Deviation:
+    """The array ``hat * 2**exp``; ``max |hat|`` lies in [1/2, 1) unless hat is 0."""
+
+    exp: int
+    hat: np.ndarray
+
+    @property
+    def value(self) -> np.ndarray:
+        """The deviation itself (entries below ~1e-308 underflow to 0)."""
+        return np.ldexp(self.hat, self.exp)
+
+
+def _rescaled(v: np.ndarray, exp: int) -> Deviation:
+    top = float(np.max(np.abs(v)))
+    if top == 0.0:  # an exact zero stays exactly zero
+        return Deviation(exp, v)
+    k = math.frexp(top)[1]
+    return Deviation(exp + k, np.ldexp(v, -k))
+
+
+def _log_half_l1(exp: int, rows: np.ndarray) -> float:
+    """ln of the largest half-L1 norm among ``rows * 2**exp``."""
+    worst = 0.5 * float(np.abs(rows).sum(axis=-1).max())
+    return _log(worst) + exp * LN2
+
+
+def _log_pair_half_l1(exp: int, rows: np.ndarray) -> float:
+    """ln of the largest half-L1 distance between two rows of ``rows * 2**exp``."""
+    worst = 0.0
+    for i in range(len(rows) - 1):
+        worst = max(worst, 0.5 * float(np.abs(rows[i + 1:] - rows[i]).sum(axis=1).max()))
+    return _log(worst) + exp * LN2
+
+
+def _residual(K: np.ndarray, alpha: np.ndarray, rho: float, eta: np.ndarray) -> float:
+    return max(float(np.max(np.abs(alpha @ K - rho * alpha))),
+               float(np.max(np.abs(K @ eta - rho * eta))) / float(np.max(eta)))
+
+
+def _refine_triple(K: np.ndarray, triple):
+    """(alpha, rho, eta) refined by up to three steps of inverse iteration
+    with a Rayleigh shift.
+
+    Starts from ``triple`` and keeps a step only while it lowers the
+    eigen-residual, so a triple that is already exact (residual 0) is
+    returned bit for bit.  alpha sums to 1 and alpha . eta = 1.
+    """
+    alpha, rho, eta = triple.alpha, float(triple.rho), triple.eta
+    best = _residual(K, alpha, rho, eta)
+    eye = np.eye(K.shape[0])
+    for _ in range(3):
+        if best == 0.0:
+            break
+        try:
+            a = np.linalg.solve((K - rho * eye).T, alpha)
+            h = np.linalg.solve(K - rho * eye, eta)
+        except np.linalg.LinAlgError:  # the shift is an exact eigenvalue
+            break
+        a = a / a.sum()
+        h = h / (a @ h)
+        r = float(a @ K @ h)
+        res = _residual(K, a, r, h)
+        if not res < best:
+            break
+        alpha, rho, eta, best = a, r, h, res
+    return alpha, rho, eta
+
+
+class Deflation:
+    """Deviation propagation and observables for one kernel.
+
+    ``triple`` is refined once by inverse iteration; ``alpha``, ``rho``,
+    ``eta`` and ``beta = alpha * eta`` below are the refined values.
+    """
+
+    def __init__(self, K, triple):
+        self.alpha, self.rho, self.eta = _refine_triple(K.entries, triple)
+        self.beta = self.alpha * self.eta
+        self.step = K.entries / self.rho
+
+    # -- propagation ---------------------------------------------------------
+    def _project_rows(self, D: np.ndarray, exp: int) -> Deviation:
+        return _rescaled(D - np.outer(D @ self.eta, self.alpha), exp)
+
+    def _project_survival(self, e: np.ndarray, exp: int) -> Deviation:
+        return _rescaled(e - (self.alpha @ e) * self.eta, exp)
+
+    def rows(self, t_max: int):
+        """Yield D_0 .. D_{t_max}."""
+        D = self._project_rows(np.diag(1.0 / self.eta) - self.alpha[None, :], 0)
+        yield D
+        for _ in range(t_max):
+            D = self._project_rows(D.hat @ self.step, D.exp)
+            yield D
+
+    def survival(self, t_max: int):
+        """Yield e_0 .. e_{t_max}."""
+        e = self._project_survival(1.0 - self.eta, 0)
+        yield e
+        for _ in range(t_max):
+            e = self._project_survival(self.step @ e.hat, e.exp)
+            yield e
+
+    # -- observables (natural logs) ------------------------------------------
+    def _conditioned(self, D: Deviation) -> np.ndarray:
+        """Row x: (law of X_t | X_0 = x, survival to t) - alpha, over 2**D.exp.
+
+        The law is (alpha + d)/(1 + d . 1), so its gap to alpha is
+        (d - alpha (d . 1)) / (1 + d . 1).
+        """
+        mass = 1.0 + D.value.sum(axis=1)
+        return (D.hat - np.outer(D.hat.sum(axis=1), self.alpha)) / mass[:, None]
+
+    def conditioned_tv(self, D: Deviation) -> float:
+        """ln sup_x TV(law of X_t | survival, alpha)."""
+        return _log_half_l1(D.exp, self._conditioned(D))
+
+    def conditioned_pair_tv(self, D: Deviation) -> float:
+        """ln sup_{x,y} TV between the conditioned laws from x and from y."""
+        return _log_pair_half_l1(D.exp, self._conditioned(D))
+
+    def q_tv(self, D: Deviation) -> float:
+        """ln sup_x TV(Q^t(x, .), beta); Q^t(x, .) - beta = D_t[x] * eta."""
+        return _log_half_l1(D.exp, D.hat * self.eta)
+
+    def q_pair_tv(self, D: Deviation) -> float:
+        """ln sup_{x,y} TV(Q^t(x, .), Q^t(y, .))."""
+        return _log_pair_half_l1(D.exp, D.hat * self.eta)
+
+    def eta_defect(self, e: Deviation) -> float:
+        """ln sup_x |eta_t(x) - eta(x)| / eta_t(x), with eta_t = eta + e_t."""
+        return _log(float(np.max(np.abs(e.hat) / (self.eta + e.value)))) + e.exp * LN2
+
+    def bridge_gap(self, D: Deviation, e: Deviation) -> float:
+        """ln sup_x TV(law of X_t | survival past t + lag, Q^t(x, .)).
+
+        With d = D_t[x] and e = e_lag the bridge law minus Q^t(x, .) is
+        [(alpha + d) e - (d . e)(alpha + d) eta] / (1 + d . e).
+        At t = 0 both laws are the point mass at x and this formula returns
+        rounding noise in place of the exact 0.
+        """
+        P = self.alpha + D.value
+        r = D.value @ e.hat
+        gap = (P * e.hat - r[:, None] * P * self.eta) / (1.0 + np.ldexp(r, e.exp))[:, None]
+        return _log_half_l1(e.exp, gap)
+
+    def path_gap(self, t: int, e_lag: Deviation, e_T: Deviation) -> float:
+        """ln sup_x TV between the laws of the path (X_1..X_t) from x given
+        survival past T = t + lag and under Q, by enumerating all n^t paths.
+
+        Path by path the difference of the two laws is the path's weight
+        under K/rho times
+        [eta(x) e_lag(end) - eta(end) e_T(x)] / (eta(x) (eta(x) + e_T(x))).
+        """
+        n = len(self.eta)
+        worst = -math.inf
+        for x in range(n):
+            w, ends = np.ones(1), np.array([x])
+            for _ in range(t):
+                w = (w[:, None] * self.step[ends]).ravel()
+                ends = np.tile(np.arange(n), len(ends))
+            gap = w * np.abs(self.eta[x] * e_lag.hat[ends]
+                             - self.eta[ends] * np.ldexp(e_T.hat[x], e_T.exp - e_lag.exp))
+            tv = 0.5 * float(gap.sum()) / (self.eta[x] * (self.eta[x] + e_T.value[x]))
+            worst = max(worst, _log(tv) + e_lag.exp * LN2)
+        return worst
+
+    def plan_error(self, f: np.ndarray, atoms) -> float:
+        """ln sup_x |sum_w w E_x(f(X_t) | survival past T) - beta(f)|.
+
+        ``atoms`` holds (w, D_t, e_(T-t)) per plan atom.  Per atom the
+        conditional expectation minus beta(f) is
+        [(alpha e).f + (d eta).f + (d e).f - (d . e) beta(f)] / (1 + d . e),
+        summed at a common binary scale.  Both laws have mass 1, so f is
+        first shifted by its midrange, which leaves the error unchanged and
+        keeps it exactly 0 for a constant f.
+        """
+        f = f - 0.5 * (f.max() + f.min())
+        beta_f = float(self.beta @ f)
+        top = max(max(D.exp, e.exp) for _, D, e in atoms)
+        total = 0.0
+        for w, D, e in atoms:
+            r = D.hat @ e.hat
+            lag_term = np.ldexp(float((self.alpha * e.hat) @ f), e.exp - top)
+            t_term = np.ldexp((D.hat * self.eta) @ f, D.exp - top)
+            both = np.ldexp((D.hat * e.hat) @ f - r * beta_f, D.exp + e.exp - top)
+            total = total + w * (lag_term + t_term + both) / (1.0 + np.ldexp(r, D.exp + e.exp))
+        return _log(float(np.max(np.abs(total)))) + top * LN2

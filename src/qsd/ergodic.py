@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpf
 
-from . import xprec
+from .deflation import Deflation, _log
 from .kernels import SubStochasticKernel
-from .qprocess import BoundReport, _ratio, _split_half
+from .qprocess import BoundReport, _fit_validate, _split_half
 from .spectral import SpectralTriple
 
 __all__ = [
@@ -132,30 +131,6 @@ def envelope_grid_minimizer(gamma: float, gamma_prime: float, T: int) -> int:
     )
 
 
-def _mp_atom_values(A, f_mp, plan: SamplingPlan, n: int):
-    """Extended-precision version of the per-atom conditional expectations,
-    for every starting state at once.  Returns dict t -> list over x."""
-    times = sorted({t for t, _ in plan.atoms})
-    surv = xprec.survival_vectors(A, plan.T)
-    rows = [[mpf(1) if j == i else mpf(0) for j in range(n)] for i in range(n)]
-    out = {}
-    pos = 0
-    for t in times:
-        while pos < t:
-            for i in range(n):
-                nxt = [sum(rows[i][k] * A[k, j] for k in range(n)) for j in range(n)]
-                mass = sum(nxt)
-                rows[i] = [v / mass for v in nxt]
-            pos += 1
-        vals = []
-        for i in range(n):
-            w = [rows[i][j] * surv[plan.T - t][j] for j in range(n)]
-            mass = sum(w)
-            vals.append(sum(w[j] * f_mp[j] for j in range(n)) / mass)
-        out[t] = vals
-    return out
-
-
 def verify_general_bound(
     K: SubStochasticKernel,
     S: SpectralTriple,
@@ -172,10 +147,10 @@ def verify_general_bound(
     constant is fitted on ``fit_plans`` and validated on
     ``validation_plans``.
 
-    Internally both the expectation and the reference beta(f) are
-    evaluated in extended precision from the same refined spectral pair:
-    the point of the report is the conditioning error alone, which on a
-    deep grid sits far below the double-precision spectral residual.
+    Both the expectation and the reference beta(f) come from the deflated
+    propagation of :mod:`qsd.deflation`, with the same refined spectral
+    pair: the point of the report is the conditioning error alone, which
+    on a deep grid sits far below the double-precision spectral residual.
     """
     eta_report, mixing_report = reports
     gamma = eta_report.rate
@@ -188,13 +163,8 @@ def verify_general_bound(
     if not fit_plans or not validation_plans:
         raise ValueError("need both fit and validation plans")
     f_inf = float(np.max(np.abs(f)))
-    n = K.n
 
     finite_rates = math.isfinite(gamma) and math.isfinite(gamma_prime)
-    T_max = max(p.T for p in fit_plans + validation_plans)
-    rate_for_dps = min(gamma, gamma_prime) if finite_rates else 1.0
-    dps = xprec.working_dps(1.2 * rate_for_dps, T_max + 10)
-    floor = mpf(10) ** (-(dps - 15))
 
     def envelope(plan: SamplingPlan) -> float:
         if not finite_rates:
@@ -204,45 +174,28 @@ def verify_general_bound(
             for t, w in plan.atoms
         )
 
-    tagged = [("fit", p) for p in fit_plans] + [("val", p) for p in validation_plans]
-    observed = []
-    with mp.workdps(dps):
-        A = xprec.to_mp(K.entries)
-        alpha, _, eta = xprec.power_pair(A, dps)
-        f_mp = [mpf(float(v)) for v in f]
-        beta_f = sum(alpha[i] * eta[i] * f_mp[i] for i in range(n))
-        for tag, plan in tagged:
-            vals = _mp_atom_values(A, f_mp, plan, n)
-            worst = mpf(0)
-            for x in range(n):
-                tot = sum(mpf(w) * vals[t][x] for t, w in plan.atoms)
-                worst = max(worst, abs(tot - beta_f))
-            observed.append((tag, plan, mpf(0) if worst < floor else worst))
+    plans = fit_plans + validation_plans
+    T_max = max(p.T for p in plans)
+    core = Deflation(K, S)
+    rows_at = list(core.rows(T_max))
+    surv = list(core.survival(T_max))
+    observed = [core.plan_error(f, [(w, rows_at[t], surv[p.T - t]) for t, w in p.atoms])
+                for p in plans]
 
-    details = {"gamma": gamma, "gamma_prime": gamma_prime, "dps": dps}
-    fit_Ts = [p.T for tag, p, _ in observed if tag == "fit"]
+    details = {"gamma": gamma, "gamma_prime": gamma_prime}
+    fit_Ts = [p.T for p in fit_plans]
+    rate = min(gamma, gamma_prime)
 
-    if all(v == 0 for _, _, v in observed) or not finite_rates:
-        rows = [(_plan_time(p), p.T, float(v), 0.0, 0.0) for _, p, v in observed]
-        return BoundReport("general_bound", constant=0.0,
-                           rate=min(gamma, gamma_prime), grid=fit_Ts,
+    if all(v == -math.inf for v in observed) or not finite_rates:
+        rows = [(_plan_time(p), p.T, math.exp(v), 0.0, 0.0) for p, v in zip(plans, observed)]
+        return BoundReport("general_bound", constant=0.0, rate=rate, grid=fit_Ts,
                            max_violation=0.0, rows=rows, details=details)
 
-    a3 = max(
-        float(v) / envelope(p) for tag, p, v in observed
-        if tag == "fit" and envelope(p) > 0
-    )
-    rows = []
-    max_violation = 0.0
-    for tag, p, v in observed:
-        bound = a3 * envelope(p)
-        ratio = _ratio(float(v), bound)
-        if tag == "val":
-            max_violation = max(max_violation, ratio)
-        rows.append((_plan_time(p), p.T, float(v), bound, ratio))
-    return BoundReport("general_bound", constant=a3, rate=min(gamma, gamma_prime),
-                       grid=fit_Ts, max_violation=max_violation,
-                       rows=rows, details=details)
+    points = [(i, _plan_time(p), p.T, math.exp(v), v, _log(envelope(p)))
+              for i, (p, v) in enumerate(zip(plans, observed))]
+    n_fit = len(fit_plans)
+    return _fit_validate("general_bound", rate, fit_Ts, points, set(range(n_fit)),
+                         set(range(n_fit, len(plans))), details)
 
 
 def _plan_time(plan: SamplingPlan):
@@ -278,27 +231,13 @@ def verify_ergodic_theorem(
         )
 
     fit_Ts, val_Ts = _split_half(Ts)
-    val_set = set(val_Ts)
     scaled = {T: T * errors[T] / f_inf if f_inf > 0 else 0.0 for T in Ts}
-    a4 = max(scaled[T] for T in fit_Ts)
-    rows = []
-    max_violation = 0.0
-    non_increasing = True
-    prev = None
-    for T in Ts:
-        bound = a4 * f_inf / T
-        ratio = _ratio(errors[T], bound)
-        if T in val_set:
-            max_violation = max(max_violation, ratio)
-            if prev is not None and scaled[T] > prev + 1e-9:
-                non_increasing = False
-            prev = scaled[T]
-        rows.append((None, T, errors[T], bound, ratio))
+    non_increasing = all(scaled[b] <= scaled[a] + 1e-9 for a, b in zip(val_Ts, val_Ts[1:]))
     details = {
         "fit_grid": fit_Ts,
         "validation_grid": val_Ts,
         "non_increasing_on_validation": non_increasing,
         "beta_f": beta_f,
     }
-    return BoundReport("ergodic_theorem", constant=a4, rate=0.0, grid=Ts,
-                       max_violation=max_violation, rows=rows, details=details)
+    points = [(T, None, T, errors[T], _log(errors[T]), _log(f_inf / T)) for T in Ts]
+    return _fit_validate("ergodic_theorem", 0.0, Ts, points, set(fit_Ts), set(val_Ts), details)

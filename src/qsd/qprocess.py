@@ -15,23 +15,22 @@ bound reports:
 
 Each report fits its constant on the first half of the supplied time
 range and validates it on the second half, so a report never certifies
-itself on the data that produced it.  Observed values are computed in
-extended precision (see :mod:`qsd.xprec`): on these grids the true
-quantities decay far below double-precision resolution.
+itself on the data that produced it.  Observed values come from the
+deflated propagation of :mod:`qsd.deflation` and are fitted in log space:
+on these grids the true quantities decay far below double-precision
+resolution, and past e^-700 below the range of a double.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp, mpf
 
-from . import xprec
+from .deflation import Deflation
 from .kernels import SubStochasticKernel
-from .spectral import DecayFit, SpectralTriple, fit_decay
+from .spectral import DecayFit, SpectralTriple, fit_log_decay
 
 __all__ = [
     "BoundReport",
@@ -105,19 +104,15 @@ def build_q_kernel(K: SubStochasticKernel, S: SpectralTriple) -> QKernel:
     return QKernel(entries=Q, source=K, triple=S)
 
 
-def _pilot_rate(series) -> float:
-    """Crude double-precision decay rate for choosing a working precision."""
-    pts = [(t, v) for t, v in series if v > 1e-12]
-    if len(pts) < 3:
-        return 1.0
+def _exp(x: float) -> float:
     try:
-        return max(fit_decay(pts).gamma, 1e-3)
-    except ValueError:
-        return 1.0
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _tail_rate_fit(points) -> DecayFit:
-    """Rate fit on the tail half of a (t, value) series.
+    """Rate fit on the tail half of a (t, ln value) series.
 
     Early times carry subdominant-eigenvalue transients; the envelope
     rearrangement multiplies any rate bias by e^(gamma t), so the rate
@@ -125,10 +120,10 @@ def _tail_rate_fit(points) -> DecayFit:
     """
     ts = [t for t, _ in points]
     mid = (min(ts) + max(ts)) / 2.0
-    tail = [(t, v) for t, v in points if t > mid and v > 0]
+    tail = [(t, v) for t, v in points if t > mid and v > -math.inf]
     if len(tail) < 3:
-        tail = [(t, v) for t, v in points if v > 0]
-    return fit_decay(tail)
+        tail = [(t, v) for t, v in points if v > -math.inf]
+    return fit_log_decay(tail)
 
 
 def _split_half(values):
@@ -142,10 +137,40 @@ def _split_half(values):
     return fit, val
 
 
-def _ratio(observed: float, bound: float) -> float:
-    if bound > 0.0:
-        return observed / bound
-    return 0.0 if observed == 0.0 else math.inf
+def _fit_validate(name: str, rate: float, grid, points, fit, val, details) -> BoundReport:
+    """Fit one envelope constant in log space, validate it, build the report.
+
+    ``points`` holds (key, t, T, observed, ln observed, ln envelope) per
+    probed point; ``fit`` and ``val`` are the keys of the fitting and the
+    validation points.  The constant is the smallest C with
+    observed <= C * envelope on the fit points (a point whose observation
+    or envelope is exactly 0 constrains nothing), and ``max_violation`` the
+    largest observed/bound ratio on the validation points.  Ratios are
+    taken in log space, so observations far below the range of a double
+    still validate.
+    """
+    log_c = max((lo - le for key, _, _, _, lo, le in points
+                 if key in fit and lo > -math.inf and le > -math.inf), default=-math.inf)
+    rows = []
+    max_violation = 0.0
+    for key, t, T, obs, lo, le in points:
+        log_bound = log_c + le
+        if log_bound > -math.inf:
+            ratio = _exp(lo - log_bound)
+        else:
+            ratio = 0.0 if lo == -math.inf else math.inf
+        if key in val:
+            max_violation = max(max_violation, ratio)
+        rows.append((t, T, obs, _exp(log_bound), ratio))
+    return BoundReport(name, constant=_exp(log_c), rate=rate, grid=grid,
+                       max_violation=max_violation, rows=rows, details=details)
+
+
+def _time_grid(t_grid) -> list[int]:
+    ts = sorted({int(t) for t in t_grid})
+    if not ts or ts[0] < 1:
+        raise ValueError("t_grid must contain integers >= 1")
+    return ts
 
 
 def verify_eta_bound(K: SubStochasticKernel, S: SpectralTriple, t_grid) -> BoundReport:
@@ -160,47 +185,22 @@ def verify_eta_bound(K: SubStochasticKernel, S: SpectralTriple, t_grid) -> Bound
     (1 -+ a1 e^(-gamma t)) eta_t <= eta <= (1 + a1 e^(-gamma t)) eta_t
     is re-checked on every grid point.
     """
-    ts = sorted({int(t) for t in t_grid})
-    if not ts or ts[0] < 1:
-        raise ValueError("t_grid must contain integers >= 1")
+    ts = _time_grid(t_grid)
     t_max = ts[-1]
-    n = K.n
-
-    # Pilot rate in double precision, then a working precision deep enough
-    # for errors of size e^(-gamma t_max).
-    rows_d = np.eye(n)
-    pilot_series = []
-    for t in range(1, min(t_max, 25) + 1):
-        rows_d = rows_d @ K.entries
-        rows_d /= rows_d.sum(axis=1, keepdims=True)
-        pilot_series.append((t, max(0.5 * np.abs(rows_d[i] - S.alpha).sum() for i in range(n))))
-    pilot = _pilot_rate(pilot_series)
-    dps = xprec.working_dps(1.2 * pilot, t_max)
-    floor = mpf(10) ** (-(dps - 15))
-
-    errs: dict[int, mpf] = {}
-    tvs: dict[int, mpf] = {}
-    with mp.workdps(dps):
-        A = xprec.to_mp(K.entries)
-        alpha, _, eta = xprec.power_pair(A, dps)
-        s = [mpf(1)] * n
-        grid_set = set(ts)
-        for t, rows in xprec.conditioned_rows(A, t_max):
-            s = [sum(A[i, j] * s[j] for j in range(n)) for i in range(n)]
-            top = max(s)
-            s = [x / top for x in s]
-            a_s = sum(alpha[i] * s[i] for i in range(n))
-            eta_t = [s[i] / a_s for i in range(n)]
-            if t in grid_set:
-                err = max(abs(eta_t[i] - eta[i]) / eta_t[i] for i in range(n))
-                errs[t] = mpf(0) if err < floor else err
-                tvs[t] = max(xprec.tv(rows[i], alpha) for i in range(n))
+    core = Deflation(K, S)
+    grid_set = set(ts)
+    tvs: dict[int, float] = {}
+    errs: dict[int, float] = {}
+    for t, D, e in zip(range(t_max + 1), core.rows(t_max), core.survival(t_max)):
+        if t in grid_set:
+            tvs[t] = core.conditioned_tv(D)
+            errs[t] = core.eta_defect(e)
 
     fit_ts, val_ts = _split_half(ts)
-    details: dict = {"dps": dps, "fit_grid": fit_ts, "validation_grid": val_ts,
+    details: dict = {"fit_grid": fit_ts, "validation_grid": val_ts,
                      "rate_source": "conditioned_tv_fit"}
 
-    if max(errs.values()) == 0:
+    if max(errs.values()) == -math.inf:
         # Constant survival capacity (eta_t == eta on every grid point).
         rate = math.inf
         try:
@@ -215,25 +215,13 @@ def verify_eta_bound(K: SubStochasticKernel, S: SpectralTriple, t_grid) -> Bound
     gamma_fit = _tail_rate_fit([(t, tvs[t]) for t in fit_ts])
     gamma = gamma_fit.gamma
     details["gamma_fit_rms"] = gamma_fit.rms_residual
-
-    val_set = set(val_ts)
-    with mp.workdps(dps):
-        g = mpf(gamma)
-        a1 = max(errs[t] * mp.e ** (g * t) for t in fit_ts)
-        rows = []
-        max_violation = 0.0
-        for t in ts:
-            bound = a1 * mp.e ** (-g * t)
-            ratio = _ratio(float(errs[t]), float(bound))
-            if t in val_set:
-                max_violation = max(max_violation, ratio)
-            rows.append((t, None, float(errs[t]), float(bound), ratio))
+    points = [(t, t, None, _exp(errs[t]), errs[t], -gamma * t) for t in ts]
+    rep = _fit_validate("eta_bound", gamma, ts, points, set(fit_ts), set(val_ts), details)
     # the two-sided sandwich (1 -+ a1 e^(-gamma t)) eta_t <= eta <= (...) is
     # the |.| envelope rearranged; it holds on the grid iff no validation
     # point violates the envelope (fit points satisfy it by construction)
-    details["sandwich_ok"] = max_violation <= 1.0 + VIOLATION_SLACK
-    return BoundReport("eta_bound", constant=float(a1), rate=gamma, grid=ts,
-                       max_violation=max_violation, rows=rows, details=details)
+    details["sandwich_ok"] = rep.valid
+    return rep
 
 
 def verify_qproc_approx(
@@ -262,8 +250,6 @@ def verify_qproc_approx(
     grid.  If ``a1`` (from :func:`verify_eta_bound`) is given, pairs below
     the threshold T - t <= ln(a1)/gamma, where the two-term derivation of
     the envelope degenerates, are flagged in the report details.
-    Survival reweighting is carried in renormalized (log-equivalent) form
-    throughout, so large T cannot underflow.
     """
     pts = sorted({(int(t), int(T)) for t, T in pairs})
     if not pts:
@@ -293,100 +279,46 @@ def verify_qproc_approx(
                            max_violation=0.0, rows=rows,
                            details={"gamma": math.inf})
 
-    dps = xprec.working_dps(1.2 * gamma, lag_max + t_max)
-    floor = mpf(10) ** (-(dps - 15))
-    observed: dict[tuple[int, int], mpf] = {}
-    with mp.workdps(dps):
-        A = xprec.to_mp(K.entries)
-        alpha, rho, eta = xprec.power_pair(A, dps)
-        Qmp = xprec.h_transform(A, rho, eta)
-        surv = xprec.survival_vectors(A, lag_max)
-        if events == "marginal":
-            identity = [[mpf(1) if j == i else mpf(0) for j in range(n)] for i in range(n)]
-            qrows_at = {0: identity}
-            for t, qrows in xprec.stochastic_rows(Qmp, t_max):
-                qrows_at[t] = [row[:] for row in qrows]
-            prows_at = {0: [row[:] for row in identity]}
-            for t, prows in xprec.conditioned_rows(A, t_max):
-                prows_at[t] = [row[:] for row in prows]
-            for t, T in pts:
-                lag = T - t
-                worst = mpf(0)
-                for x in range(n):
-                    bridge = xprec.bridge_row(prows_at[t][x], surv[lag])
-                    worst = max(worst, xprec.tv(bridge, qrows_at[t][x]))
-                observed[(t, T)] = mpf(0) if worst < floor else worst
-        else:
-            # cylinder events: weigh every length-t path once; only the
-            # remaining-survival factor at the endpoint depends on T
-            kprods: dict[tuple[int, int], tuple[list, list]] = {}
-            qlaws: dict[tuple[int, int], list] = {}
-            for t in sorted({p[0] for p in pts}):
-                for x in range(n):
-                    prods, qs, ends = [], [], []
-                    for path in itertools.product(range(n), repeat=t):
-                        wk = wq = mpf(1)
-                        prev = x
-                        for s in path:
-                            wk *= A[prev, s]
-                            wq *= Qmp[prev, s]
-                            prev = s
-                        prods.append(wk)
-                        qs.append(wq)
-                        ends.append(prev)
-                    qsum = sum(qs)
-                    qlaws[(x, t)] = [v / qsum for v in qs]
-                    kprods[(x, t)] = (prods, ends)
-            for t, T in pts:
-                lag = T - t
-                worst = mpf(0)
-                for x in range(n):
-                    prods, ends = kprods[(x, t)]
-                    w = [p * surv[lag][e] for p, e in zip(prods, ends)]
-                    mass = sum(w)
-                    tv_val = sum(
-                        abs(a / mass - b) for a, b in zip(w, qlaws[(x, t)])
-                    ) / 2
-                    worst = max(worst, tv_val)
-                observed[(t, T)] = mpf(0) if worst < floor else worst
+    core = Deflation(K, S)
+    observed: dict[tuple[int, int], float] = {}
+    if events == "marginal":
+        surv = list(core.survival(lag_max))
+        needed = {t for t, _ in pts}
+        rows_at = {t: D for t, D in enumerate(core.rows(t_max)) if t in needed}
+        for t, T in pts:
+            # at t = 0 both laws are the point mass at the start: exactly 0
+            observed[(t, T)] = core.bridge_gap(rows_at[t], surv[T - t]) if t else -math.inf
+    else:
+        surv = list(core.survival(T_max))
+        for t, T in pts:
+            observed[(t, T)] = core.path_gap(t, surv[T - t], surv[T])
 
     lags = sorted({T - t for t, T in pts})
     fit_lags, val_lags = _split_half(lags)
-    fit_pts = [p for p in pts if p[1] - p[0] in set(fit_lags)]
-    val_pts = [p for p in pts if p[1] - p[0] in set(val_lags)]
-    details: dict = {"gamma": gamma, "dps": dps, "fit_lags": fit_lags,
+    details: dict = {"gamma": gamma, "fit_lags": fit_lags,
                      "validation_lags": val_lags, "events": events}
 
     sup_by_lag = {
         lag: max(observed[p] for p in pts if p[1] - p[0] == lag) for lag in lags
     }
-    positive = [(lag, v) for lag, v in sup_by_lag.items() if v > 0]
+    positive = [(lag, v) for lag, v in sup_by_lag.items() if v > -math.inf]
     if len(positive) >= 3:
-        details["fitted_rate"] = fit_decay(positive).gamma
+        details["fitted_rate"] = fit_log_decay(positive).gamma
 
-    if max(observed.values()) == 0:
+    if max(observed.values()) == -math.inf:
         rows = [(t, T, 0.0, 0.0, 0.0) for t, T in pts]
         return BoundReport("qproc_approx", constant=0.0, rate=gamma, grid=pts,
                            max_violation=0.0, rows=rows, details=details)
 
-    val_set = set(val_pts)
-    with mp.workdps(dps):
-        g = mpf(gamma)
-        a2 = max(observed[(t, T)] * mp.e ** (g * (T - t)) for t, T in fit_pts)
-        rows = []
-        max_violation = 0.0
-        for t, T in pts:
-            bound = a2 * mp.e ** (-g * (T - t))
-            ratio = _ratio(float(observed[(t, T)]), float(bound))
-            if (t, T) in val_set:
-                max_violation = max(max_violation, ratio)
-            rows.append((t, T, float(observed[(t, T)]), float(bound), ratio))
+    points = [(T - t, t, T, _exp(observed[(t, T)]), observed[(t, T)], -gamma * (T - t))
+              for t, T in pts]
+    rep = _fit_validate("qproc_approx", gamma, pts, points, set(fit_lags), set(val_lags),
+                        details)
     if a1 is not None and a1 > 0:
         thr = math.log(a1) / gamma
         details["proof_threshold_lag"] = thr
         details["pairs_below_threshold"] = [p for p in pts if p[1] - p[0] <= thr]
-    return BoundReport("qproc_approx", constant=float(a2), rate=gamma, grid=pts,
-                       max_violation=max_violation, rows=rows, details=details)
+    return rep
 
 
 def q_mixing_report(Q: QKernel, t_grid) -> BoundReport:
@@ -398,38 +330,15 @@ def q_mixing_report(Q: QKernel, t_grid) -> BoundReport:
     both validated on the second half.  A chain that mixes exactly (one
     state, or TV identically zero) reports C' = 0 with an infinite rate.
     """
-    ts = sorted({int(t) for t in t_grid})
-    if not ts or ts[0] < 1:
-        raise ValueError("t_grid must contain integers >= 1")
+    ts = _time_grid(t_grid)
     t_max = ts[-1]
-    n = Q.n
-
-    rows_d = np.eye(n)
-    pilot_series = []
-    for t in range(1, min(t_max, 25) + 1):
-        rows_d = rows_d @ Q.entries
-        pilot_series.append(
-            (t, max(0.5 * np.abs(rows_d[i] - Q.triple.beta).sum() for i in range(n)))
-        )
-    pilot = _pilot_rate(pilot_series)
-    dps = xprec.working_dps(1.2 * pilot, t_max)
-    floor = mpf(10) ** (-(dps - 15))
-
-    series: dict[int, mpf] = {}
-    with mp.workdps(dps):
-        A = xprec.to_mp(Q.source.entries)
-        alpha, rho, eta = xprec.power_pair(A, dps)
-        Qmp = xprec.h_transform(A, rho, eta)
-        beta = [alpha[i] * eta[i] for i in range(n)]
-        grid_set = set(ts)
-        for t, qrows in xprec.stochastic_rows(Qmp, t_max):
-            if t in grid_set:
-                worst = max(xprec.tv(qrows[i], beta) for i in range(n))
-                series[t] = mpf(0) if worst < floor else worst
+    core = Deflation(Q.source, Q.triple)
+    grid_set = set(ts)
+    series = {t: core.q_tv(D) for t, D in enumerate(core.rows(t_max)) if t in grid_set}
 
     fit_ts, val_ts = _split_half(ts)
-    details: dict = {"dps": dps, "fit_grid": fit_ts, "validation_grid": val_ts}
-    if max(series.values()) == 0:
+    details: dict = {"fit_grid": fit_ts, "validation_grid": val_ts}
+    if max(series.values()) == -math.inf:
         rows = [(t, None, 0.0, 0.0, 0.0) for t in ts]
         return BoundReport("q_mixing", constant=0.0, rate=math.inf, grid=ts,
                            max_violation=0.0, rows=rows, details=details)
@@ -437,20 +346,8 @@ def q_mixing_report(Q: QKernel, t_grid) -> BoundReport:
     fit = _tail_rate_fit([(t, series[t]) for t in fit_ts])
     details["lsq_C"] = fit.C
     details["rms_residual"] = fit.rms_residual
-    val_set = set(val_ts)
-    with mp.workdps(dps):
-        g = mpf(fit.gamma)
-        c_env = max(series[t] * mp.e ** (g * t) for t in fit_ts)
-        rows = []
-        max_violation = 0.0
-        for t in ts:
-            bound = c_env * mp.e ** (-g * t)
-            ratio = _ratio(float(series[t]), float(bound))
-            if t in val_set:
-                max_violation = max(max_violation, ratio)
-            rows.append((t, None, float(series[t]), float(bound), ratio))
-    return BoundReport("q_mixing", constant=float(c_env), rate=fit.gamma, grid=ts,
-                       max_violation=max_violation, rows=rows, details=details)
+    points = [(t, t, None, _exp(series[t]), series[t], -fit.gamma * t) for t in ts]
+    return _fit_validate("q_mixing", fit.gamma, ts, points, set(fit_ts), set(val_ts), details)
 
 
 def fitted_rates(K: SubStochasticKernel, S: SpectralTriple, t_max: int = 60) -> tuple[float, float]:

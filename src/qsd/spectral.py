@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
-from . import xprec
+from .deflation import Deflation
 from .kernels import Distribution, SubStochasticKernel, conditioned_evolve, tv_distance
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "certify_minorization",
     "compute_spectral",
     "fit_decay",
+    "fit_log_decay",
     "generator_decay_rate",
     "physical_rate",
 ]
@@ -241,11 +241,6 @@ class DecayFit:
 
 
 def _log_value(v) -> float:
-    # mpf values may underflow float conversion; take the log in mp first.
-    if isinstance(v, mp.mpf):
-        if v <= 0:
-            raise ValueError(f"nonpositive value in decay series: {v}")
-        return float(mp.log(v))
     v = float(v)
     if v <= 0 or not math.isfinite(v):
         raise ValueError(f"nonpositive value in decay series: {v!r}")
@@ -258,7 +253,12 @@ def fit_decay(series) -> DecayFit:
     Needs at least three points with distinct times; any nonpositive value
     is rejected.  Decay is not assumed: gamma is simply the negated slope.
     """
-    pts = [(float(t), _log_value(v)) for t, v in series]
+    return fit_log_decay([(t, _log_value(v)) for t, v in series])
+
+
+def fit_log_decay(points) -> DecayFit:
+    """:func:`fit_decay` on (t, ln value) pairs, for values past a double's range."""
+    pts = [(float(t), float(y)) for t, y in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit a decay rate")
     ts = np.array([t for t, _ in pts])
@@ -279,21 +279,15 @@ def conditioned_tv_rate(
 ) -> DecayFit:
     """Decay rate of sup_x TV(law of X_t | survival, alpha).
 
-    The series is computed in extended precision (double noise would swamp
-    it past t ~ 45) and the rate is fitted on the tail half of the range,
+    The series comes from the deflated propagation of
+    :mod:`qsd.deflation` (stepwise double-precision noise would swamp it
+    past t ~ 45) and the rate is fitted on the tail half of the range,
     where transients from subdominant eigenvalues are exponentially dead.
     """
-    pilot = _pilot_gamma(K, triple)
-    dps = xprec.working_dps(pilot, t_max)
-    with mp.workdps(dps):
-        A = xprec.to_mp(K.entries)
-        alpha, _, _ = xprec.power_pair(A, dps)
-        series = []
-        for t, rows in xprec.conditioned_rows(A, t_max):
-            worst = max(xprec.tv(rows[i], alpha) for i in range(K.n))
-            series.append((t, worst))
-    tail = [p for p in series if p[0] > t_max // 2]
-    if len(tail) < 3 or any(v == 0 for _, v in tail):
+    core = Deflation(K, triple)
+    tail = [(t, core.conditioned_tv(D)) for t, D in enumerate(core.rows(t_max))
+            if t > t_max // 2]
+    if len(tail) < 3 or any(v == -math.inf for _, v in tail):
         # constant-eta chains mix conditionally in one step; report +inf rate
         return DecayFit(C=0.0, gamma=math.inf, rms_residual=0.0)
-    return fit_decay(tail)
+    return fit_log_decay(tail)

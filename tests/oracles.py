@@ -2,9 +2,11 @@
 
 Deliberately different machinery from the library: dense eigensolves
 (mpmath's QR-based ``eig``) instead of power iteration, direct matrix
-powers instead of stepwise renormalized propagation, and exhaustive path
-enumeration instead of any linear-algebra shortcut.  Expected values in
-the tests come from these, never from the code under test.
+powers instead of stepwise renormalized propagation, extended-precision
+propagation of the laws themselves instead of float64 deviations, and
+exhaustive path enumeration instead of any linear-algebra shortcut.
+Expected values in the tests come from these, never from the code under
+test.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from mpmath import eig, matrix, mp
+from mpmath import eig, matrix, mp, mpf
 
 
 def mp_matrix(entries, dps: int = 40) -> matrix:
@@ -24,26 +26,31 @@ def mp_matrix(entries, dps: int = 40) -> matrix:
     return M
 
 
+def mp_perron(M: matrix):
+    """(alpha, rho, eta) of an mp matrix from one dense eigensolve.
+
+    alpha sums to 1 and alpha . eta = 1; accurate to the working precision
+    of the enclosing ``mp.workdps``.
+    """
+    n = M.rows
+    E, EL, ER = eig(M, left=True, right=True)
+    k = max(range(n), key=lambda i: E[i].real)
+    alpha = [abs(EL[k, i].real) for i in range(n)]
+    s = sum(alpha)
+    alpha = [a / s for a in alpha]
+    eta = [abs(ER[i, k].real) for i in range(n)]
+    ah = sum(a * h for a, h in zip(alpha, eta))
+    return alpha, E[k].real, [h / ah for h in eta]
+
+
 def eig_triple(entries, dps: int = 40):
-    """(alpha, rho, eta, beta) from dense eigendecompositions of K and K^T.
+    """(alpha, rho, eta, beta) from a dense eigendecomposition of K.
 
     Normalized exactly like the library contract: alpha sums to 1, eta is
     scaled so alpha . eta = 1, beta = alpha * eta entrywise.
     """
-    n = entries.shape[0]
     with mp.workdps(dps):
-        M = mp_matrix(entries, dps)
-        E, ER = eig(M)
-        k = max(range(n), key=lambda i: E[i].real)
-        rho = E[k].real
-        eta = [abs(ER[i, k].real) for i in range(n)]
-        Et, EL = eig(M.T)
-        kt = max(range(n), key=lambda i: Et[i].real)
-        alpha = [abs(EL[i, kt].real) for i in range(n)]
-        s = sum(alpha)
-        alpha = [a / s for a in alpha]
-        ah = sum(a * h for a, h in zip(alpha, eta))
-        eta = [h / ah for h in eta]
+        alpha, rho, eta = mp_perron(mp_matrix(entries, dps))
         beta = [a * h for a, h in zip(alpha, eta)]
     return (
         np.array([float(a) for a in alpha]),
@@ -51,6 +58,61 @@ def eig_triple(entries, dps: int = 40):
         np.array([float(h) for h in eta]),
         np.array([float(b) for b in beta]),
     )
+
+
+def mp_tv(u, v):
+    """Half-L1 distance between two mp weight lists."""
+    return sum(abs(a - b) for a, b in zip(u, v)) / 2
+
+
+def mp_conditioned_rows(M: matrix, t_max: int):
+    """Yield (t, rows) for t = 0..t_max, where rows[x] is the law of X_t
+    conditioned on survival, started from x (stepwise renormalized)."""
+    n = M.rows
+    rows = [[mpf(1) if j == i else mpf(0) for j in range(n)] for i in range(n)]
+    yield 0, rows
+    for t in range(1, t_max + 1):
+        for i in range(n):
+            nxt = [sum(rows[i][k] * M[k, j] for k in range(n)) for j in range(n)]
+            mass = sum(nxt)
+            rows[i] = [x / mass for x in nxt]
+        yield t, rows
+
+
+def mp_h_rows(M: matrix, rho, eta, t_max: int):
+    """Yield (t, rows) for t = 0..t_max, where rows[x] is the t-step law from
+    x of the h-transform Q(x,y) = M(x,y) eta(y) / (rho eta(x))."""
+    n = M.rows
+    Q = matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            Q[i, j] = M[i, j] * eta[j] / (rho * eta[i])
+    rows = [[mpf(1) if j == i else mpf(0) for j in range(n)] for i in range(n)]
+    yield 0, rows
+    for t in range(1, t_max + 1):
+        for i in range(n):
+            rows[i] = [sum(rows[i][k] * Q[k, j] for k in range(n)) for j in range(n)]
+        yield t, rows
+
+
+def mp_survival_vectors(M: matrix, t_max: int) -> list:
+    """Renormalized survival vectors v_t (proportional to M^t 1), t = 0..t_max."""
+    n = M.rows
+    out = [[mpf(1)] * n]
+    v = out[0]
+    for _ in range(t_max):
+        v = [sum(M[i, j] * v[j] for j in range(n)) for i in range(n)]
+        top = max(v)
+        v = [x / top for x in v]
+        out.append(v)
+    return out
+
+
+def mp_bridge_row(prefix_row, surv) -> list:
+    """Conditioned bridge law: prefix law reweighted by remaining survival."""
+    w = [p * s for p, s in zip(prefix_row, surv)]
+    mass = sum(w)
+    return [x / mass for x in w]
 
 
 def second_eigenvalue_magnitude(entries) -> float:

@@ -1,9 +1,11 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from oracles import eig_triple
+from qsd import models
 from qsd.cli import main, parse_model_config
 from qsd.kernels import read_kernel, write_kernel
 from qsd.models import golden_kernel_path
@@ -86,6 +88,27 @@ class TestSpectralSubcommand:
         assert manifests[0] == manifests[1]
 
 
+    def _config_hash(self, kernel, out, threads="1"):
+        assert main(["spectral", "--kernel", str(kernel), "--out", str(out),
+                     "--threads", threads]) == 0
+        return json.loads(read_lines(out / "manifest.json"))["config_hash"]
+
+    def test_config_hash_ignores_path_out_and_threads(self, tmp_path, w3):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_kernel(w3, a)
+        write_kernel(w3, b)
+        hashes = {self._config_hash(a, tmp_path / "o1", "1"),
+                  self._config_hash(b, tmp_path / "o2", "4")}
+        assert len(hashes) == 1
+
+    def test_config_hash_follows_kernel_content(self, tmp_path, w3, t3):
+        kf = tmp_path / "k.txt"
+        write_kernel(w3, kf)
+        before = self._config_hash(kf, tmp_path / "o")
+        write_kernel(t3, kf)
+        assert self._config_hash(kf, tmp_path / "o") != before
+
+
 class TestVerifySubcommand:
     def test_t3_zero_constants(self, tmp_path, t3):
         kf = tmp_path / "t3.txt"
@@ -126,6 +149,26 @@ class TestErgodicSubcommand:
                      "--f", "1,0,0", "--T-grid", "20,30", "--plan", "dirac:5"])
         assert code == 0
 
+    def test_validation_failure_exits_three(self, tmp_path, capsys):
+        # on this slowly mixing diffusion T * error still grows past the fit
+        # half of the grid, so the 1/T envelope breaks on validation
+        kf = tmp_path / "ou.txt"
+        write_kernel(models.ou_discretized(8), kf)
+        out = tmp_path / "e"
+        code = main(["ergodic", "--kernel", str(kf), "--out", str(out),
+                     "--f", "1,1,1,1,0,0,0,0", "--T-grid", "2:20:2"])
+        assert code == 3
+        assert "ergodic_theorem" in capsys.readouterr().err
+        assert (out / "ergodic.csv").exists()
+
+    @pytest.mark.parametrize("plan", ["foo", "dirac", "dirac:x", "dirac:-1"])
+    def test_bad_plan_is_usage_error(self, tmp_path, w3_file, capsys, plan):
+        code = main(["ergodic", "--kernel", w3_file, "--out", str(tmp_path / "e"),
+                     "--f", "1,0,0", "--T-grid", "10:20", "--plan", plan])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--plan" in err and len(err.strip().splitlines()) == 1
+
     def test_bad_f_length(self, tmp_path, w3_file, capsys):
         out = tmp_path / "e"
         code = main(["ergodic", "--kernel", w3_file, "--out", str(out),
@@ -154,6 +197,16 @@ class TestEstimateAndSweep:
         lines = read_lines(out / "sweep.csv").splitlines()
         assert lines[0] == "N,T,t0,N_T,estimate,stderr,exact,abs_error,predicted"
         assert len(lines) == 1 + 2
+
+    def test_hundred_state_estimate_is_fast(self, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("kind logistic_bd\nn 100\nparams.birth_step 0.003\n")
+        f = ",".join(["1"] * 50 + ["0"] * 50)
+        start = time.monotonic()
+        code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "est"),
+                     "--f", f, "--N", "1000", "--T", "3", "--t0", "1"])
+        assert code == 0
+        assert time.monotonic() - start < 5.0
 
     def test_thread_count_never_changes_bytes(self, tmp_path, w3_file):
         outs = []
