@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__, converse, ergodic, estimator, models, qprocess, spectral
 from .kernels import read_kernel, write_kernel
-from .qprocess import VIOLATION_SLACK
 from .spectral import MinorizationRefused, PowerIterationError
 
 EXIT_OK = 0
@@ -142,6 +141,8 @@ def _load_kernel(args):
 
 def _read_f(arg: str, n: int) -> np.ndarray:
     vals = [float(p) for p in arg.split(",")]
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"--f has a non-finite entry: {arg!r}")
     if len(vals) != n:
         raise ValueError(f"--f has {len(vals)} entries, kernel has {n} states")
     return np.array(vals)
@@ -195,12 +196,9 @@ def cmd_spectral(args) -> int:
     S = spectral.compute_spectral(K, tol=args.tol)
     os.makedirs(args.out, exist_ok=True)
     header = (f"rho={_fmt(S.rho)} lambda0_per_step={_fmt(S.lambda0)} "
-              f"residual={_fmt(S.residual)}")
+              f"residual={_fmt(S.residual)}\nstate,alpha,eta,beta")
     rows = [(x, S.alpha[x], S.eta[x], S.beta[x]) for x in range(K.n)]
-    lines = [header, "state,alpha,eta,beta"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(os.path.join(args.out, "spectral.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(args.out, "spectral.csv"), header, rows)
     _manifest(args, args.seed)
     return EXIT_OK
 
@@ -222,8 +220,7 @@ def cmd_verify(args) -> int:
     _report_csv(os.path.join(args.out, "qproc_approx.csv"), q_rep)
     _report_csv(os.path.join(args.out, "q_mixing.csv"), mix_rep)
     _manifest(args, args.seed)
-    bad = [r.name for r in (eta_rep, q_rep, mix_rep)
-           if r.max_violation > 1.0 + VIOLATION_SLACK]
+    bad = [r.name for r in (eta_rep, q_rep, mix_rep) if not r.valid]
     if bad:
         print(f"bound violated on validation grid: {', '.join(bad)}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
@@ -241,21 +238,15 @@ def cmd_ergodic(args) -> int:
     if t0 is None:
         rep = ergodic.verify_ergodic_theorem(K, S, f, Ts)
         rows = [(T, obs, bound, ratio) for (_, T, obs, bound, ratio) in rep.rows]
-        violated = rep.max_violation > 1.0 + VIOLATION_SLACK
+        violated = not rep.valid
     else:
+        plans = [ergodic.SamplingPlan.dirac(t0, T) for T in Ts]  # rejects t0 > T
         gamma, gamma_prime = qprocess.fitted_rates(K, S)
-        beta_f = float(S.beta @ f)
         f_inf = float(np.max(np.abs(f))) or 1.0
         rows = []
-        for T in Ts:
-            if t0 > T:
-                raise ValueError(f"plan time {t0} exceeds horizon {T}")
-            err = max(
-                abs(ergodic.conditional_functional(K, x, f, ergodic.SamplingPlan.dirac(t0, T)) - beta_f)
-                for x in range(K.n)
-            )
-            env = f_inf * (math.exp(-gamma_prime * t0) + math.exp(-gamma * (T - t0)))
-            rows.append((T, err, env, err / env if env > 0 else 0.0))
+        for plan, err in zip(plans, ergodic.plan_errors(K, S, f, plans)):
+            env = f_inf * ergodic.plan_envelope(gamma, gamma_prime, plan)
+            rows.append((plan.T, err, env, err / env if env > 0 else 0.0))
     _write_csv(os.path.join(args.out, "ergodic.csv"), "time,error,bound,ratio", rows)
     _manifest(args, args.seed)
     if violated:
@@ -272,26 +263,12 @@ def cmd_estimate(args) -> int:
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
     gamma, gamma_prime = qprocess.fitted_rates(K, S)
-    if args.T is not None:
-        T = args.T
-    elif math.isfinite(gamma) and math.isfinite(gamma_prime):
-        T = max(1, int(math.floor(
-            estimator.predict_tradeoff(S.lambda0, gamma, gamma_prime, N=args.N).T_star + 0.5)))
-    else:
-        T = 1
+    T, t0, predicted = estimator.choose_horizon(S.lambda0, gamma, gamma_prime, args.N, args.T)
     if args.t0 is not None:
         t0 = args.t0
-    elif math.isfinite(gamma) and math.isfinite(gamma_prime):
-        t0 = ergodic.optimal_t0(gamma, gamma_prime, T)
-    else:
-        t0 = 0
     batch = estimator.simulate(K, args.x0, T, args.N, args.seed, chunks=args.threads)
     est, se = estimator.estimate_beta(batch, f, ergodic.SamplingPlan.dirac(t0, T))
     exact = float(S.beta @ f)
-    if math.isfinite(gamma) and math.isfinite(gamma_prime):
-        predicted = estimator.predict_tradeoff(S.lambda0, gamma, gamma_prime, N=args.N).predicted_error
-    else:
-        predicted = args.N ** -0.5
     row = (args.N, T, t0, batch.N_T, est, se, exact, abs(est - exact), predicted)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "estimate.csv"), _SWEEP_HEADER, [row])

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deflation import Deflation
-from .kernels import SubStochasticKernel, bridge_marginals, tv_distance
-from .qprocess import QKernel
+from .kernels import SubStochasticKernel, _max_pair_tv, bridge_marginals
+from .qprocess import QKernel, build_q_kernel
 from .spectral import compute_spectral, fit_decay
 
 __all__ = [
@@ -35,12 +35,7 @@ def dobrushin_coeff(K: SubStochasticKernel, t: int, T: int) -> float:
     Exact over all state pairs; survival reweighting is carried in
     renormalized form, so large T cannot underflow.  Zero for one state.
     """
-    M = bridge_marginals(K, t, T)
-    worst = 0.0
-    for i in range(K.n):
-        for j in range(i + 1, K.n):
-            worst = max(worst, tv_distance(M[i], M[j]))
-    return worst
+    return _max_pair_tv(bridge_marginals(K, t, T))
 
 
 @dataclass
@@ -66,18 +61,6 @@ class ContractionReport:
         return 0.5 ** ((T - self.T1) // self.t1) if T >= self.T1 else 1.0
 
 
-def _pair_tv_limit(Q: np.ndarray, t1: int) -> float:
-    """Infinite-horizon limit of the lag-t1 bridge coefficient: as T grows
-    the bridge laws converge to those of the conditioned-forever chain."""
-    n = Q.shape[0]
-    P = np.linalg.matrix_power(Q, t1)
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst = max(worst, 0.5 * float(np.abs(P[i] - P[j]).sum()))
-    return worst
-
-
 def certify_converse(
     K: SubStochasticKernel, t1_max: int | None = None, T_max: int = 200
 ) -> ContractionReport:
@@ -98,8 +81,7 @@ def certify_converse(
     if t1_max < 1 or T_max < 1:
         raise ValueError("search limits must be positive")
     S = compute_spectral(K)
-    Q = K.entries * S.eta[None, :] / (S.rho * S.eta[:, None])
-    Q /= Q.sum(axis=1, keepdims=True)
+    Q = build_q_kernel(K, S).entries
     probed: dict[int, list] = {}
     chosen = None
     for t1 in range(1, t1_max + 1):
@@ -109,7 +91,9 @@ def certify_converse(
             grid.append(T)
             T *= 2
         deltas = [(T, dobrushin_coeff(K, t1, T)) for T in grid]
-        limit = _pair_tv_limit(Q, t1)
+        # infinite-horizon limit: as T grows the bridge laws converge to
+        # those of the conditioned-forever chain
+        limit = _max_pair_tv(np.linalg.matrix_power(Q, t1))
         sup_delta = max(max(d for _, d in deltas), limit)
         probed[t1] = deltas + [(None, limit)]
         if sup_delta <= 0.5:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _max_pair_tv
+
 __all__ = ["Deflation", "Deviation"]
 
 LN2 = math.log(2.0)
@@ -66,10 +68,7 @@ def _log_half_l1(exp: int, rows: np.ndarray) -> float:
 
 def _log_pair_half_l1(exp: int, rows: np.ndarray) -> float:
     """ln of the largest half-L1 distance between two rows of ``rows * 2**exp``."""
-    worst = 0.0
-    for i in range(len(rows) - 1):
-        worst = max(worst, 0.5 * float(np.abs(rows[i + 1:] - rows[i]).sum(axis=1).max()))
-    return _log(worst) + exp * LN2
+    return _log(_max_pair_tv(rows)) + exp * LN2
 
 
 def _residual(K: np.ndarray, alpha: np.ndarray, rho: float, eta: np.ndarray) -> float:

@@ -9,12 +9,13 @@ with the step as unit), consistently everywhere.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deflation import Deflation, _log
-from .kernels import SubStochasticKernel
+from .kernels import SubStochasticKernel, _backward, _forward
 from .qprocess import BoundReport, _fit_validate, _split_half
 from .spectral import SpectralTriple
 
@@ -23,6 +24,8 @@ __all__ = [
     "conditional_functional",
     "envelope_grid_minimizer",
     "optimal_t0",
+    "plan_envelope",
+    "plan_errors",
     "verify_ergodic_theorem",
     "verify_general_bound",
 ]
@@ -73,27 +76,33 @@ class SamplingPlan:
         return cls("custom", T, tuple((int(t), float(w)) for t, w in atoms))
 
 
-def _atom_values(K: SubStochasticKernel, x: int, f: np.ndarray, plan: SamplingPlan) -> dict[int, float]:
-    """E(f(X_t) | survival past plan.T, X_0 = x) for every atom time."""
-    times = sorted({t for t, _ in plan.atoms})
-    # remaining-survival vectors, renormalized (any positive rescale cancels)
-    v = np.ones(K.n)
-    surv_by_lag = {0: v.copy()}
-    for lag in range(1, plan.T + 1):
-        v = K.entries @ v
-        v /= v.max()
-        surv_by_lag[lag] = v.copy()
-    p = np.zeros(K.n)
-    p[x] = 1.0
-    out = {}
-    pos = 0
-    for t in times:
-        for _ in range(t - pos):
-            p = p @ K.entries
-            p /= p.sum()
-        pos = t
-        w = p * surv_by_lag[plan.T - t]
-        out[t] = float((w @ f) / w.sum())
+def _test_vector(K: SubStochasticKernel, f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape != (K.n,):
+        raise ValueError("f must be a length-n vector")
+    return f
+
+
+def _plan_values(K: SubStochasticKernel, P: np.ndarray, f: np.ndarray, plans) -> np.ndarray:
+    """E(f against plan | survival past plan.T) from each start row of ``P``.
+
+    Entry (i, x) is plan i's value from start row x.  One backward pass
+    gives the survival shapes v_lag ~ K^lag 1 (any rescale cancels) and one
+    streamed forward pass the conditioned rows P_t, so a single row block is
+    alive at a time; atom (t, w) of a plan with horizon T adds
+    w (P_t (v_(T-t) f)) / (P_t v_(T-t)).
+    """
+    atoms = defaultdict(list)  # t -> [(plan index, weight, lag)]
+    for i, plan in enumerate(plans):
+        for t, w in plan.atoms:
+            atoms[t].append((i, w, plan.T - t))
+    lags = {lag for at in atoms.values() for _, _, lag in at}
+    surv = {lag: v for lag, (v, _) in enumerate(_backward(K, max(lags))) if lag in lags}
+    out = np.zeros((len(plans), len(P)))
+    for t, (rows, _) in enumerate(_forward(K, P, max(atoms))):
+        for i, w, lag in atoms.get(t, ()):
+            v = surv[lag]
+            out[i] += w * (rows @ (v * f)) / (rows @ v)
     return out
 
 
@@ -104,13 +113,29 @@ def conditional_functional(K: SubStochasticKernel, x: int, f, plan: SamplingPlan
     bridge marginals at each atom time; survival reweighting is carried in
     renormalized form, so large T cannot underflow.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (K.n,):
-        raise ValueError("f must be a length-n vector")
+    f = _test_vector(K, f)
     if not 0 <= x < K.n:
         raise ValueError("state out of range")
-    vals = _atom_values(K, x, f, plan)
-    return float(sum(w * vals[t] for t, w in plan.atoms))
+    row = np.zeros((1, K.n))
+    row[0, x] = 1.0
+    return float(_plan_values(K, row, f, [plan])[0, 0])
+
+
+def plan_errors(K: SubStochasticKernel, S: SpectralTriple, f, plans) -> list[float]:
+    """sup_x |E_x(f against plan | survival past plan.T) - beta(f)| per plan,
+    for all start states and all plans in one pass."""
+    f = _test_vector(K, f)
+    values = _plan_values(K, np.eye(K.n), f, plans)
+    return [float(e) for e in np.abs(values - float(S.beta @ f)).max(axis=1)]
+
+
+def plan_envelope(gamma: float, gamma_prime: float, plan: SamplingPlan) -> float:
+    """sum_atoms w (e^(-gamma' t) + e^(-gamma (T - t))), the envelope per unit
+    ||f||_inf; 0 when a rate is not finite (the chain conditions in one step)."""
+    if not (math.isfinite(gamma) and math.isfinite(gamma_prime)):
+        return 0.0
+    return sum(w * (math.exp(-gamma_prime * t) + math.exp(-gamma * (plan.T - t)))
+               for t, w in plan.atoms)
 
 
 def optimal_t0(gamma: float, gamma_prime: float, T: int) -> int:
@@ -155,9 +180,7 @@ def verify_general_bound(
     eta_report, mixing_report = reports
     gamma = eta_report.rate
     gamma_prime = mixing_report.rate
-    f = np.asarray(f, dtype=float)
-    if f.shape != (K.n,):
-        raise ValueError("f must be a length-n vector")
+    f = _test_vector(K, f)
     fit_plans = list(fit_plans)
     validation_plans = list(validation_plans)
     if not fit_plans or not validation_plans:
@@ -165,15 +188,6 @@ def verify_general_bound(
     f_inf = float(np.max(np.abs(f)))
 
     finite_rates = math.isfinite(gamma) and math.isfinite(gamma_prime)
-
-    def envelope(plan: SamplingPlan) -> float:
-        if not finite_rates:
-            return 0.0
-        return f_inf * sum(
-            w * (math.exp(-gamma_prime * t) + math.exp(-gamma * (plan.T - t)))
-            for t, w in plan.atoms
-        )
-
     plans = fit_plans + validation_plans
     T_max = max(p.T for p in plans)
     core = Deflation(K, S)
@@ -191,7 +205,8 @@ def verify_general_bound(
         return BoundReport("general_bound", constant=0.0, rate=rate, grid=fit_Ts,
                            max_violation=0.0, rows=rows, details=details)
 
-    points = [(i, _plan_time(p), p.T, math.exp(v), v, _log(envelope(p)))
+    points = [(i, _plan_time(p), p.T, math.exp(v), v,
+               _log(f_inf * plan_envelope(gamma, gamma_prime, p)))
               for i, (p, v) in enumerate(zip(plans, observed))]
     n_fit = len(fit_plans)
     return _fit_validate("general_bound", rate, fit_Ts, points, set(range(n_fit)),
@@ -214,21 +229,14 @@ def verify_ergodic_theorem(
     grow.  Plain double precision suffices: the errors decay like 1/T,
     never below the noise floor on sane grids.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (K.n,):
-        raise ValueError("f must be a length-n vector")
+    f = _test_vector(K, f)
     Ts = sorted({int(T) for T in T_grid})
     if not Ts or Ts[0] < 1:
         raise ValueError("T_grid must contain integers >= 1")
     f_inf = float(np.max(np.abs(f)))
     beta_f = float(S.beta @ f)
 
-    errors = {}
-    for T in Ts:
-        plan = SamplingPlan.uniform(T)
-        errors[T] = max(
-            abs(conditional_functional(K, x, f, plan) - beta_f) for x in range(K.n)
-        )
+    errors = dict(zip(Ts, plan_errors(K, S, f, [SamplingPlan.uniform(T) for T in Ts])))
 
     fit_Ts, val_Ts = _split_half(Ts)
     scaled = {T: T * errors[T] / f_inf if f_inf > 0 else 0.0 for T in Ts}

@@ -23,6 +23,7 @@ __all__ = [
     "SweepRow",
     "TradeoffPrediction",
     "TrajectoryBatch",
+    "choose_horizon",
     "estimate_beta",
     "predict_tradeoff",
     "simulate",
@@ -178,6 +179,24 @@ def predict_tradeoff(
                               predicted_error=math.exp(-0.5 * gbar * T))
 
 
+def choose_horizon(
+    lambda0: float, gamma: float, gamma_prime: float, N: int, T: int | None = None
+) -> tuple[int, int, float]:
+    """(T, t0, predicted error) for N samples.
+
+    T defaults to the predicted optimal horizon rounded to a step, and t0
+    is the envelope-optimal observation time for T.  With an infinite
+    fitted rate the chain conditions in one step and any horizon works:
+    T defaults to 1, t0 is 0 and the predicted error N^(-1/2).
+    """
+    if not (math.isfinite(gamma) and math.isfinite(gamma_prime)):
+        return (1 if T is None else T), 0, float(N) ** -0.5
+    pred = predict_tradeoff(lambda0, gamma, gamma_prime, N=N)
+    if T is None:
+        T = max(1, int(math.floor(pred.T_star + 0.5)))
+    return T, optimal_t0(gamma, gamma_prime, T), pred.predicted_error
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep point: medians over replications at a fixed N."""
@@ -226,17 +245,9 @@ def sweep_error_vs_N(
         raise ValueError("replications must be >= 1")
     f = np.asarray(f, dtype=float)
     exact = float(S.beta @ f)
-    lambda0 = S.lambda0
     rows = []
     for iN, N in enumerate(N_list):
-        if math.isfinite(gamma) and math.isfinite(gamma_prime):
-            pred = predict_tradeoff(lambda0, gamma, gamma_prime, N=N)
-            T = max(1, int(math.floor(pred.T_star + 0.5)))
-            t0 = optimal_t0(gamma, gamma_prime, T)
-            predicted = pred.predicted_error
-        else:
-            # chain conditions in one step; any horizon works
-            T, t0, predicted = 1, 0, float(N) ** -0.5
+        T, t0, predicted = choose_horizon(S.lambda0, gamma, gamma_prime, N)
         plan = SamplingPlan.dirac(t0, T)
         estimates, stderrs, survivors, errors = [], [], [], []
         extinct = 0

@@ -3,9 +3,10 @@
 A chain on survivor states E = {0..n-1} plus one absorbing cemetery state
 is represented by its killed transition matrix: the n-by-n block of
 transition probabilities among survivors.  Row deficits (1 - row sum) are
-the per-step absorption probabilities.  All long-horizon products are
-computed with stepwise renormalization, carrying the log of the discarded
-mass, so horizons in the thousands never underflow.
+the per-step absorption probabilities.  All long-horizon products go
+through one stepwise core: a forward pass of renormalized rows and a
+backward pass of rescaled survival vectors, each carrying the log of the
+discarded mass, so horizons in the thousands never underflow.
 
 Distributions over survivor states are plain 1-D numpy arrays; use
 :func:`as_distribution` to validate one.  Kernel and generator entries are
@@ -150,62 +151,90 @@ class SubStochasticKernel:
         return f"SubStochasticKernel(n={self.n}, time_unit={self.time_unit})"
 
 
-def _evolve(K: SubStochasticKernel, mu: np.ndarray, t: int) -> tuple[np.ndarray, float]:
-    """t-step forward evolution with stepwise renormalization.
+def _max_pair_tv(rows: np.ndarray) -> float:
+    """Largest TV distance between two rows; 0 for fewer than two rows."""
+    worst = 0.0
+    for i in range(len(rows) - 1):
+        worst = max(worst, 0.5 * float(np.abs(rows[i + 1:] - rows[i]).sum(axis=1).max()))
+    return worst
 
-    Returns the conditioned (renormalized) distribution and the log of the
-    total survival mass accumulated along the way.
+
+def _forward(K: SubStochasticKernel, P: np.ndarray, t_max: int):
+    """Yield (P_s, log_mass_s) for s = 0..t_max.
+
+    ``P`` is a 2-D block of start distributions; row x of ``P_s`` is
+    ``P[x] K^s / (P[x] K^s 1)`` and ``log_mass_s[x]`` the log of the mass
+    ``P[x] K^s 1``.  Each step renormalizes, so nothing underflows
+    while the chain can numerically survive.
     """
-    v = mu.astype(float, copy=True)
-    log_mass = 0.0
-    for _ in range(t):
-        v = v @ K.entries
-        mass = v.sum()
-        if mass < 1e-300:
+    P = np.array(P, dtype=float)
+    log_mass = np.zeros(len(P))
+    yield P, log_mass
+    for _ in range(t_max):
+        P = P @ K.entries
+        mass = P.sum(axis=1)
+        if np.any(mass < 1e-300):
             raise HorizonTooLarge(
                 "survival mass underflowed during evolution; the horizon is "
                 "too large for the remaining mass"
             )
-        v /= mass
-        log_mass += np.log(mass)
-    return v, log_mass
+        P /= mass[:, None]
+        log_mass = log_mass + np.log(mass)
+        yield P, log_mass
 
 
-def survival_vector(K: SubStochasticKernel, t: int) -> np.ndarray:
-    """Vector of t-step survival probabilities, entry x = (K^t 1)(x)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    v = np.ones(K.n)
-    for _ in range(t):
-        v = K.entries @ v
-    return v
-
-
-def log_survival_vector(K: SubStochasticKernel, t: int) -> np.ndarray:
-    """Log of the t-step survival probabilities, safe for t in the thousands."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+def _backward(K: SubStochasticKernel, t_max: int):
+    """Yield (v_s, log_scale_s) for s = 0..t_max, with
+    ``K^s 1 = v_s * exp(log_scale_s)`` and ``max v_s = 1``."""
     v = np.ones(K.n)
     log_scale = 0.0
-    for _ in range(t):
+    yield v, log_scale
+    for _ in range(t_max):
         v = K.entries @ v
         top = v.max()
         if top <= 0.0:
             raise HorizonTooLarge("all survival probabilities underflowed")
         v /= top
         log_scale += np.log(top)
+        yield v, log_scale
+
+
+def _last(steps):
+    """The final item of a stepwise generator."""
+    for item in steps:
+        pass
+    return item
+
+
+def survival_vector(K: SubStochasticKernel, t: int) -> np.ndarray:
+    """Vector of t-step survival probabilities, entry x = (K^t 1)(x)."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    v, log_scale = _last(_backward(K, t))
+    return v * np.exp(log_scale)
+
+
+def log_survival_vector(K: SubStochasticKernel, t: int) -> np.ndarray:
+    """Log of the t-step survival probabilities, safe for t in the thousands."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    v, log_scale = _last(_backward(K, t))
     return np.log(v) + log_scale
 
 
-def survival_probability(K: SubStochasticKernel, mu, t: int, log: bool = False) -> float:
-    """P(t < absorption) when started from distribution mu."""
+def _start(K: SubStochasticKernel, mu, t: int) -> np.ndarray:
     mu = as_distribution(mu)
     if mu.shape[0] != K.n:
         raise ValueError("distribution length does not match kernel size")
     if t < 0:
         raise ValueError("t must be >= 0")
-    _, log_mass = _evolve(K, mu, t)
-    return log_mass if log else float(np.exp(log_mass))
+    return mu[None, :]
+
+
+def survival_probability(K: SubStochasticKernel, mu, t: int, log: bool = False) -> float:
+    """P(t < absorption) when started from distribution mu."""
+    _, log_mass = _last(_forward(K, _start(K, mu, t), t))
+    return float(log_mass[0]) if log else float(np.exp(log_mass[0]))
 
 
 def conditioned_evolve(K: SubStochasticKernel, mu, t: int) -> Distribution:
@@ -215,13 +244,22 @@ def conditioned_evolve(K: SubStochasticKernel, mu, t: int) -> Distribution:
     numerically survive is fine; a zero-mass step raises
     :class:`HorizonTooLarge`.
     """
-    mu = as_distribution(mu)
-    if mu.shape[0] != K.n:
-        raise ValueError("distribution length does not match kernel size")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    v, _ = _evolve(K, mu, t)
-    return v
+    P, _ = _last(_forward(K, _start(K, mu, t), t))
+    return P[0]
+
+
+def _bridge(K: SubStochasticKernel, P: np.ndarray, t: int, T: int) -> np.ndarray:
+    """Rows of ``P K^t`` reweighted by the remaining survival ``K^(T-t) 1``,
+    each renormalized."""
+    P, _ = _last(_forward(K, P, t))
+    if t == T:  # no future to condition on; identical to plain evolution
+        return P
+    v, _ = _last(_backward(K, T - t))
+    M = P * v
+    mass = M.sum(axis=1, keepdims=True)
+    if np.any(mass <= 0.0):
+        raise HorizonTooLarge("no surviving mass for the requested bridge")
+    return M / mass
 
 
 def conditioned_marginal_given_T(K: SubStochasticKernel, x: int, t: int, T: int) -> Distribution:
@@ -235,20 +273,9 @@ def conditioned_marginal_given_T(K: SubStochasticKernel, x: int, t: int, T: int)
         raise ValueError("need 0 <= t <= T")
     if not 0 <= x < K.n:
         raise ValueError("state out of range")
-    row = np.zeros(K.n)
-    row[x] = 1.0
-    p, _ = _evolve(K, row, t)
-    if t == T:  # no future to condition on; identical to plain evolution
-        return p
-    v = np.ones(K.n)
-    for _ in range(T - t):
-        v = K.entries @ v
-        v /= v.max()
-    w = p * v
-    mass = w.sum()
-    if mass <= 0.0:
-        raise HorizonTooLarge("no surviving mass for the requested bridge")
-    return w / mass
+    row = np.zeros((1, K.n))
+    row[0, x] = 1.0
+    return _bridge(K, row, t, T)[0]
 
 
 def bridge_marginals(K: SubStochasticKernel, t: int, T: int) -> np.ndarray:
@@ -256,18 +283,7 @@ def bridge_marginals(K: SubStochasticKernel, t: int, T: int) -> np.ndarray:
     ``conditioned_marginal_given_T(K, x, t, T)``."""
     if not 0 <= t <= T:
         raise ValueError("need 0 <= t <= T")
-    P = np.eye(K.n)
-    for _ in range(t):
-        P = P @ K.entries
-        P /= P.sum(axis=1, keepdims=True)
-    if t == T:
-        return P
-    v = np.ones(K.n)
-    for _ in range(T - t):
-        v = K.entries @ v
-        v /= v.max()
-    M = P * v
-    return M / M.sum(axis=1, keepdims=True)
+    return _bridge(K, np.eye(K.n), t, T)
 
 
 class Generator:

@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .kernels import Generator, SubStochasticKernel, read_kernel, uniformize
+from .kernels import Generator, SubStochasticKernel, _forward, read_kernel, uniformize
 from .rng import counter_uniforms, derive_key, uniform_field
 
 __all__ = [
@@ -243,10 +243,5 @@ def condition_quality(K: SubStochasticKernel, t0_max: int) -> list[tuple[int, fl
     """
     if t0_max < 1:
         raise ValueError("t0_max must be >= 1")
-    rows = np.eye(K.n)
-    out = []
-    for t0 in range(1, t0_max + 1):
-        rows = rows @ K.entries
-        rows /= rows.sum(axis=1, keepdims=True)
-        out.append((t0, float(rows.min(axis=0).sum())))
-    return out
+    return [(t0, float(rows.min(axis=0).sum()))
+            for t0, (rows, _) in enumerate(_forward(K, np.eye(K.n), t0_max)) if t0]

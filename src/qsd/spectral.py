@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deflation import Deflation
-from .kernels import Distribution, SubStochasticKernel, conditioned_evolve, tv_distance
+from .kernels import Distribution, SubStochasticKernel, _backward, _forward
 
 __all__ = [
     "DecayFit",
@@ -81,8 +81,8 @@ def compute_spectral(
     with the last residual if ``max_iters`` is exhausted, and rejects
     kernels whose survival eigenvalue reaches 1.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, not {tol!r}")
     A = K.entries
     n = K.n
     a = np.full(n, 1.0 / n)
@@ -144,11 +144,10 @@ class MinorizationCert:
 def _pilot_gamma(K: SubStochasticKernel, triple: SpectralTriple) -> float:
     """Crude conditioned-TV decay rate from a short double-precision run."""
     series = []
-    rows = np.eye(K.n)
-    for t in range(1, 26):
-        rows = rows @ K.entries
-        rows /= rows.sum(axis=1, keepdims=True)
-        worst = max(tv_distance(rows[i], triple.alpha) for i in range(K.n))
+    steps = _forward(K, np.eye(K.n), 25)
+    next(steps)  # t = 0: the start rows themselves
+    for t, (rows, _) in enumerate(steps, start=1):
+        worst = 0.5 * float(np.abs(rows - triple.alpha).sum(axis=1).max())
         if worst < 1e-12:
             break
         series.append((t, worst))
@@ -184,8 +183,9 @@ def certify_minorization(
 
     n = K.n
     t0_used = None
-    for cand in range(t0, n * n + 1):
-        rows = np.stack([conditioned_evolve(K, np.eye(n)[x], cand) for x in range(n)])
+    for cand, (rows, _) in enumerate(_forward(K, np.eye(n), n * n)):
+        if cand < t0:
+            continue
         mins = rows.min(axis=0)
         c1 = float(mins.sum())
         if c1 > 0.0:
@@ -197,13 +197,9 @@ def certify_minorization(
         )
     nu = mins / c1
 
-    # Survival-ratio curve: P_nu(t < absorption) / max_x P_x(t < absorption).
-    v = np.ones(n)
-    ratios = [1.0]
-    for _ in range(horizon):
-        v = K.entries @ v
-        v /= v.max()  # renormalized: ratios of survival probabilities are preserved
-        ratios.append(float(nu @ v))
+    # Survival-ratio curve: P_nu(t < absorption) / max_x P_x(t < absorption),
+    # read off the max-rescaled survival shapes.
+    ratios = [1.0] + [float(nu @ v) for t, (v, _) in enumerate(_backward(K, horizon)) if t]
     probe_min = min(ratios)
 
     # Tail beyond the horizon: survival ratios converge to the eta ratio

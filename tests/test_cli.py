@@ -176,6 +176,29 @@ class TestErgodicSubcommand:
         assert code == 2
         assert "entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("f", ["1,nan,0", "1,0,inf", "0,-inf,0"])
+    def test_non_finite_f_is_usage_error(self, tmp_path, w3_file, capsys, f):
+        code = main(["ergodic", "--kernel", w3_file, "--out", str(tmp_path / "e"),
+                     "--f", f, "--T-grid", "10:20"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e" / "ergodic.csv").exists()
+
+    @pytest.mark.parametrize("plan", ["dirac:0", "dirac:2"])
+    def test_dirac_bounds_finite_on_one_state_kernel(self, tmp_path, plan):
+        # both fitted rates are infinite here; the envelope must read 0, not nan
+        kf = tmp_path / "one.txt"
+        kf.write_text("n 1 time_unit 1\n0.5\n")
+        out = tmp_path / "e"
+        code = main(["ergodic", "--kernel", str(kf), "--out", str(out),
+                     "--f", "1", "--T-grid", "2:6:2", "--plan", plan])
+        assert code == 0
+        rows = [line.split(",") for line in read_lines(out / "ergodic.csv").splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [2, 4, 6]
+        for row in rows:
+            assert all(np.isfinite(float(v)) for v in row[1:])
+
 
 class TestEstimateAndSweep:
     def test_estimate_row_format(self, tmp_path, w3_file):
@@ -187,6 +210,15 @@ class TestEstimateAndSweep:
         assert lines[0] == "N,T,t0,N_T,estimate,stderr,exact,abs_error,predicted"
         vals = lines[1].split(",")
         assert int(vals[0]) == 5000
+
+    @pytest.mark.parametrize("sub", ["estimate", "sweep"])
+    def test_non_finite_f_is_usage_error(self, tmp_path, w3_file, capsys, sub):
+        size = ["--N", "1000"] if sub == "estimate" else ["--N-list", "100,1000"]
+        code = main([sub, "--kernel", w3_file, "--out", str(tmp_path / "est"),
+                     "--f", "1,nan,0", *size])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and len(err.strip().splitlines()) == 1
 
     def test_sweep_rows(self, tmp_path, w3_file):
         out = tmp_path / "sw"
@@ -249,6 +281,15 @@ class TestUsageErrors:
     def test_no_kernel_source(self, tmp_path, capsys):
         assert main(["spectral", "--out", str(tmp_path / "x")]) == 2
         assert "--kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-12"])
+    def test_bad_spectral_tol_exits_at_once(self, tmp_path, w3_file, capsys, tol):
+        start = time.monotonic()
+        code = main(["spectral", "--kernel", w3_file, "--out", str(tmp_path / "s"),
+                     "--tol", tol])
+        assert code == 2
+        assert time.monotonic() - start < 1.0
+        assert "tol" in capsys.readouterr().err
 
     def test_missing_kernel_file(self, tmp_path, capsys):
         code = main(["spectral", "--kernel", str(tmp_path / "nope.txt"),

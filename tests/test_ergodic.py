@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import enum_functional
+from mpmath import mp, mpf
+
+from oracles import (
+    enum_functional,
+    mp_bridge_row,
+    mp_conditioned_rows,
+    mp_matrix,
+    mp_survival_vectors,
+)
+from qsd import models
 from qsd.ergodic import (
     SamplingPlan,
     conditional_functional,
@@ -63,6 +72,47 @@ class TestConditionalFunctional:
             got = conditional_functional(w3, 2, f, SamplingPlan.dirac(t, T))
             want = float(conditioned_marginal_given_T(w3, 2, t, T) @ f)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def mp_functional(rows_at, surv, f, plan) -> float:
+    """Plan-weighted bridge expectation of f from mpmath rows and survival vectors."""
+    total = mpf(0)
+    for t, w in plan.atoms:
+        law = mp_bridge_row(rows_at[t], surv[plan.T - t])
+        total += mpf(w) * sum(p * mpf(float(v)) for p, v in zip(law, f))
+    return float(total)
+
+
+class TestAllStatesAgainstOracle:
+    """Every start state and plan kind against the mpmath propagators."""
+
+    PLANS = [SamplingPlan.uniform(40), SamplingPlan.uniform(7), SamplingPlan.dirac(0, 12),
+             SamplingPlan.dirac(9, 40), SamplingPlan.dirac(25, 25),
+             SamplingPlan.custom([(0, 0.2), (3, 0.5), (30, 0.3)], 36)]
+
+    @pytest.mark.parametrize("K", [models.random_substochastic(8, 3), models.ou_discretized(8)],
+                             ids=["random_substochastic", "ou_discretized"])
+    def test_conditional_functional_every_state(self, K):
+        f = np.array([1.0, -0.5, 0.25, 2.0, 0.0, -1.5, 0.75, 0.5])
+        with mp.workdps(30):
+            M = mp_matrix(K.entries)
+            rows_at = {t: [list(r) for r in rows] for t, rows in mp_conditioned_rows(M, 40)}
+            surv = mp_survival_vectors(M, 40)
+            for plan in self.PLANS:
+                for x in range(K.n):
+                    want = mp_functional([rows_at[t][x] for t in range(41)], surv, f, plan)
+                    got = conditional_functional(K, x, f, plan)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    def test_multi_horizon_pass_does_not_couple_horizons(self):
+        K = models.random_substochastic(8, 3)
+        S = compute_spectral(K, tol=1e-13)
+        f = np.array([(x % 3) / 2 for x in range(K.n)])
+        grid = list(range(5, 61, 5))
+        together = verify_ergodic_theorem(K, S, f, grid)
+        for (_, T, obs, _, _) in together.rows:
+            alone = verify_ergodic_theorem(K, S, f, [T]).rows[0][2]
+            assert obs == pytest.approx(alone, rel=1e-14, abs=0.0)
 
 
 @pytest.fixture(scope="module")

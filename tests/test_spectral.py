@@ -54,6 +54,11 @@ class TestComputeSpectral:
         assert np.max(np.abs(w3_triple.alpha @ A - w3_triple.rho * w3_triple.alpha)) <= 1e-13
         assert np.max(np.abs(A @ w3_triple.eta - w3_triple.rho * w3_triple.eta)) <= 1e-12
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+    def test_rejects_tol_that_is_not_positive_finite(self, w3, tol):
+        with pytest.raises(ValueError, match="tol"):
+            compute_spectral(w3, tol=tol)
+
     def test_nonconvergence_reports_residual(self, w3):
         with pytest.raises(PowerIterationError) as exc:
             compute_spectral(w3, tol=1e-13, max_iters=3)
