@@ -23,6 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, converse, ergodic, estimator, models, qprocess, spectral
+from .deflation import Deflation
 from .kernels import read_kernel, write_kernel
 from .spectral import MinorizationRefused, PowerIterationError
 
@@ -82,13 +83,14 @@ def _config_hash(args) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _manifest(args, seed) -> None:
+def _manifest(args, seed, **records) -> None:
     manifest = {
         "subcommand": args.subcommand,
         "config_hash": _config_hash(args),
         "seed": seed,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        **records,
     }
     _write_atomic(os.path.join(args.out, "manifest.json"),
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -199,7 +201,8 @@ def cmd_spectral(args) -> int:
               f"residual={_fmt(S.residual)}\nstate,alpha,eta,beta")
     rows = [(x, S.alpha[x], S.eta[x], S.beta[x]) for x in range(K.n)]
     _write_csv(os.path.join(args.out, "spectral.csv"), header, rows)
-    _manifest(args, args.seed)
+    _manifest(args, args.seed,
+              perron_solve={"iterations": S.iterations, "residual": S.residual})
     return EXIT_OK
 
 
@@ -244,7 +247,8 @@ def cmd_ergodic(args) -> int:
         gamma, gamma_prime = qprocess.fitted_rates(K, S)
         f_inf = float(np.max(np.abs(f))) or 1.0
         rows = []
-        for plan, err in zip(plans, ergodic.plan_errors(K, S, f, plans)):
+        for plan, log_err in zip(plans, Deflation(K, S).plan_errors(f, plans)):
+            err = math.exp(log_err)
             env = f_inf * ergodic.plan_envelope(gamma, gamma_prime, plan)
             rows.append((plan.T, err, env, err / env if env > 0 else 0.0))
     _write_csv(os.path.join(args.out, "ergodic.csv"), "time,error,bound,ratio", rows)

@@ -24,11 +24,12 @@ far past ``e^-700`` stay representable.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _max_pair_tv
+from .kernels import _max_pair_tv, _shifted_solve
 
 __all__ = ["Deflation", "Deviation"]
 
@@ -86,13 +87,11 @@ def _refine_triple(K: np.ndarray, triple):
     """
     alpha, rho, eta = triple.alpha, float(triple.rho), triple.eta
     best = _residual(K, alpha, rho, eta)
-    eye = np.eye(K.shape[0])
     for _ in range(3):
         if best == 0.0:
             break
         try:
-            a = np.linalg.solve((K - rho * eye).T, alpha)
-            h = np.linalg.solve(K - rho * eye, eta)
+            a, h = _shifted_solve(K, rho, alpha, eta)
         except np.linalg.LinAlgError:  # the shift is an exact eigenvalue
             break
         a = a / a.sum()
@@ -204,24 +203,38 @@ class Deflation:
             worst = max(worst, _log(tv) + e_lag.exp * LN2)
         return worst
 
-    def plan_error(self, f: np.ndarray, atoms) -> float:
-        """ln sup_x |sum_w w E_x(f(X_t) | survival past T) - beta(f)|.
+    def plan_errors(self, f: np.ndarray, plans) -> list[float]:
+        """ln sup_x |E_x(f against plan | survival past plan.T) - beta(f)| per plan.
 
-        ``atoms`` holds (w, D_t, e_(T-t)) per plan atom.  Per atom the
-        conditional expectation minus beta(f) is
+        One streamed pass over D_0, D_1, ... adds each plan's atoms as their
+        time passes, so one row block is alive at a time; only the survival
+        deviations (n-vectors) are listed.  Per atom (t, w), with d = D_t[x]
+        and e = e_(T-t), the conditional expectation minus beta(f) is
         [(alpha e).f + (d eta).f + (d e).f - (d . e) beta(f)] / (1 + d . e),
-        summed at a common binary scale.  Both laws have mass 1, so f is
-        first shifted by its midrange, which leaves the error unchanged and
-        keeps it exactly 0 for a constant f.
+        and each plan sums its atoms at a common binary scale.  Both laws
+        have mass 1, so f is first shifted by its midrange, which leaves the
+        error unchanged and keeps it exactly 0 for a constant f.
         """
         f = f - 0.5 * (f.max() + f.min())
         beta_f = float(self.beta @ f)
-        top = max(max(D.exp, e.exp) for _, D, e in atoms)
-        total = 0.0
-        for w, D, e in atoms:
-            r = D.hat @ e.hat
-            lag_term = np.ldexp(float((self.alpha * e.hat) @ f), e.exp - top)
-            t_term = np.ldexp((D.hat * self.eta) @ f, D.exp - top)
-            both = np.ldexp((D.hat * e.hat) @ f - r * beta_f, D.exp + e.exp - top)
-            total = total + w * (lag_term + t_term + both) / (1.0 + np.ldexp(r, D.exp + e.exp))
-        return _log(float(np.max(np.abs(total)))) + top * LN2
+        atoms = defaultdict(list)  # t -> [(plan index, weight, lag)]
+        for i, plan in enumerate(plans):
+            for t, w in plan.atoms:
+                atoms[t].append((i, w, plan.T - t))
+        surv = list(self.survival(max(lag for at in atoms.values() for _, _, lag in at)))
+        sums = [None] * len(plans)  # per plan: (exp, total) standing for total * 2**exp
+        for t, D in enumerate(self.rows(max(atoms))):
+            for i, w, lag in atoms.get(t, ()):
+                e = surv[lag]
+                top = max(D.exp, e.exp)
+                r = D.hat @ e.hat
+                lag_term = np.ldexp(float((self.alpha * e.hat) @ f), e.exp - top)
+                t_term = np.ldexp((D.hat * self.eta) @ f, D.exp - top)
+                both = np.ldexp((D.hat * e.hat) @ f - r * beta_f, D.exp + e.exp - top)
+                term = w * (lag_term + t_term + both) / (1.0 + np.ldexp(r, D.exp + e.exp))
+                if sums[i] is not None:
+                    exp, total = sums[i]
+                    k = max(exp, top)
+                    top, term = k, np.ldexp(total, exp - k) + np.ldexp(term, top - k)
+                sums[i] = (top, term)
+        return [_log(float(np.max(np.abs(total)))) + exp * LN2 for exp, total in sums]

@@ -189,12 +189,7 @@ def verify_general_bound(
 
     finite_rates = math.isfinite(gamma) and math.isfinite(gamma_prime)
     plans = fit_plans + validation_plans
-    T_max = max(p.T for p in plans)
-    core = Deflation(K, S)
-    rows_at = list(core.rows(T_max))
-    surv = list(core.survival(T_max))
-    observed = [core.plan_error(f, [(w, rows_at[t], surv[p.T - t]) for t, w in p.atoms])
-                for p in plans]
+    observed = Deflation(K, S).plan_errors(f, plans)
 
     details = {"gamma": gamma, "gamma_prime": gamma_prime}
     fit_Ts = [p.T for p in fit_plans]

@@ -16,6 +16,8 @@ inputs, so values are safe to share across threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -73,23 +75,45 @@ def tv_distance(mu: Distribution, nu: Distribution) -> float:
     return 0.5 * float(np.abs(mu - nu).sum())
 
 
-def _primitivity_witness(entries: np.ndarray) -> list[tuple[int, int]]:
-    """Pairs (x, y) never reached with positive probability at the Wielandt
-    exponent; empty iff the kernel is primitive."""
-    n = entries.shape[0]
+def _primitivity_defect(entries: np.ndarray) -> str:
+    """Why the kernel is not primitive, or "" when it is.
+
+    A nonnegative matrix is primitive iff its graph is strongly connected
+    and aperiodic.  Strong connectivity: every state is reached from state 0
+    and reaches it (a forward and a backward breadth-first search).  The
+    period is the gcd of ``lev(u) + 1 - lev(v)`` over the edges u -> v, with
+    ``lev`` the distance from state 0 (Denardo 1977).  Frontiers are boolean
+    masks and the gcd is taken a level at a time, from the states the level
+    reaches, so nothing beyond the n x n pattern is held.
+    """
     b = entries > 0.0
-    # Wielandt: primitive iff B^((n-1)^2 + 1) is entrywise positive.
-    target = (n - 1) ** 2 + 1
-    acc = np.eye(n, dtype=bool)
-    sq = b
-    k = target
-    while k:
-        if k & 1:
-            acc = acc @ sq
-        sq = sq @ sq
-        k >>= 1
-    missing = np.argwhere(~acc)
-    return [(int(x), int(y)) for x, y in missing]
+    n = len(b)
+    lev = np.full(n, -1)
+    lev[0] = 0
+    frontier = lev == 0
+    period = 0
+    level = 0
+    while frontier.any():
+        reach = b[frontier].any(axis=0)
+        frontier = reach & (lev < 0)
+        lev[frontier] = level + 1
+        period = math.gcd(period, int(np.gcd.reduce(level + 1 - lev[reach])))
+        level += 1
+    back = np.zeros(n, dtype=bool)
+    back[0] = True
+    frontier = back
+    while frontier.any():
+        frontier = b[:, frontier].any(axis=1) & ~back
+        back = back | frontier
+    pairs = ([(0, int(y)) for y in np.flatnonzero(lev < 0)]
+             + [(int(x), 0) for x in np.flatnonzero(~back)])
+    if not pairs and period == 0:  # a single state without a self-loop
+        pairs = [(0, 0)]
+    if pairs:
+        head = ", ".join(f"{x}->{y}" for x, y in pairs[:8])
+        more = "" if len(pairs) <= 8 else f" (+{len(pairs) - 8} more)"
+        return f"unreachable pairs: {head}{more}"
+    return "" if period == 1 else f"period {period}"
 
 
 class SubStochasticKernel:
@@ -107,7 +131,7 @@ class SubStochasticKernel:
     Reducible or periodic kernels are rejected at construction: the
     spectral machinery downstream silently breaks without a unique
     strictly dominant eigenvalue, so the failure is surfaced here with
-    the offending state pairs.
+    the offending state pairs or the period.
     """
 
     def __init__(self, entries, time_unit: float = 1.0):
@@ -126,14 +150,9 @@ class SubStochasticKernel:
             raise ValueError("no absorption: every row sum equals 1")
         if not (time_unit > 0 and np.isfinite(time_unit)):
             raise ValueError("time_unit must be a positive real")
-        missing = _primitivity_witness(m)
-        if missing:
-            head = ", ".join(f"{x}->{y}" for x, y in missing[:8])
-            more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
-            raise ValueError(
-                "kernel is reducible or periodic on the survivor states; "
-                f"unreachable pairs at the Wielandt exponent: {head}{more}"
-            )
+        defect = _primitivity_defect(m)
+        if defect:
+            raise ValueError(f"kernel is reducible or periodic on the survivor states; {defect}")
         m.setflags(write=False)
         self.entries = m
         self.n = m.shape[0]
@@ -157,6 +176,18 @@ def _max_pair_tv(rows: np.ndarray) -> float:
     for i in range(len(rows) - 1):
         worst = max(worst, 0.5 * float(np.abs(rows[i + 1:] - rows[i]).sum(axis=1).max()))
     return worst
+
+
+def _shifted_solve(A: np.ndarray, shift: float, a: np.ndarray, h: np.ndarray):
+    """The solutions a', h' of ``(shift I - A)^T a' = a`` and ``(shift I - A) h' = h``.
+
+    One step of shifted inverse iteration on both sides.  ``shift I - A`` is
+    built in one buffer; raises ``numpy.linalg.LinAlgError`` when it is
+    singular.
+    """
+    M = np.negative(A)
+    M.flat[:: len(M) + 1] += shift
+    return np.linalg.solve(M.T, a), np.linalg.solve(M, h)
 
 
 def _forward(K: SubStochasticKernel, P: np.ndarray, t_max: int):
@@ -374,14 +405,27 @@ def read_kernel(path) -> SubStochasticKernel:
         parts = s.split()
         if len(parts) != n:
             raise ValueError(f"{path}:{lineno}: expected {n} entries, found {len(parts)}")
-        for c, p in enumerate(parts):
-            try:
-                v = float(p)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {p!r}") from None
-            if np.isnan(v):
-                raise ValueError(f"{path}:{lineno}: NaN entry")
-            if v < 0:
-                raise ValueError(f"{path}:{lineno}: negative entry {p!r}")
-            entries[r, c] = v
+        try:
+            row = np.array(parts, dtype=float)
+        except ValueError:
+            row = None
+        if row is None or not (row >= 0.0).all():  # a bad token, NaN or a negative entry
+            row = _parse_tokens(path, lineno, parts)
+        entries[r] = row
     return SubStochasticKernel(entries, time_unit=time_unit)
+
+
+def _parse_tokens(path, lineno: int, parts: list[str]) -> list[float]:
+    """One kernel row token by token; raises at the first bad token."""
+    row = []
+    for p in parts:
+        try:
+            v = float(p)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a number: {p!r}") from None
+        if math.isnan(v):
+            raise ValueError(f"{path}:{lineno}: NaN entry")
+        if v < 0:
+            raise ValueError(f"{path}:{lineno}: negative entry {p!r}")
+        row.append(v)
+    return row

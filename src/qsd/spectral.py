@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deflation import Deflation
-from .kernels import Distribution, SubStochasticKernel, _backward, _forward
+from .kernels import Distribution, SubStochasticKernel, _backward, _forward, _shifted_solve
 
 __all__ = [
     "DecayFit",
@@ -55,7 +55,8 @@ class SpectralTriple:
     alpha is the quasi-stationary distribution, rho the per-step survival
     eigenvalue, eta the positive right eigenvector with alpha . eta = 1,
     and beta = eta * alpha (entrywise).  ``residual`` is the largest
-    eigen-equation defect actually achieved.
+    eigen-equation defect actually achieved, ``iterations`` the power steps
+    plus shifted inverse solves it took.
     """
 
     alpha: Distribution
@@ -63,6 +64,7 @@ class SpectralTriple:
     eta: np.ndarray
     beta: Distribution
     residual: float
+    iterations: int = 0
 
     @property
     def lambda0(self) -> float:
@@ -70,16 +72,52 @@ class SpectralTriple:
         return -math.log(self.rho)
 
 
+#: Shifted power steps before the solve switches to shifted inverse iteration.
+#: Fast-mixing kernels converge well inside it (a few dozen to ~160 steps).
+WARMUP_STEPS = 200
+
+
+def _eigen_residual(A: np.ndarray, a: np.ndarray, h: np.ndarray) -> tuple[float, float]:
+    """(rho, residual) of a left vector summing to 1 and a right vector of max 1."""
+    rho = float((a @ A).sum())
+    res_a = float(np.max(np.abs(a @ A - rho * a)))
+    res_h = float(np.max(np.abs(A @ h - rho * h)))
+    return rho, max(res_a, res_h)
+
+
+def _perron_upper_bound(A: np.ndarray, a: np.ndarray, h: np.ndarray) -> float:
+    """Collatz-Wielandt upper bound on rho, a few ulps up.
+
+    ``max (A h / h)`` and ``max (a A / a)`` bound rho from above when the
+    vector is positive; the largest row sum always does.
+    """
+    bounds = [float(A.sum(axis=1).max())]
+    if np.all(h > 0):
+        bounds.append(float(np.max(A @ h / h)))
+    if np.all(a > 0):
+        bounds.append(float(np.max(a @ A / a)))
+    sigma = min(bounds)
+    return sigma + 4 * float(np.spacing(sigma))
+
+
 def compute_spectral(
     K: SubStochasticKernel, tol: float = 1e-12, max_iters: int = 1_000_000
 ) -> SpectralTriple:
-    """Left/right Perron pair by shifted power iteration.
+    """Left/right Perron pair: shifted power iteration, then Noda iteration.
 
-    Iterates on (K + I/2)/1.5; the shift suppresses any residual
-    periodicity without moving eigenvectors.  Deterministic: fixed uniform
-    start, fixed iteration order.  Raises :class:`PowerIterationError`
-    with the last residual if ``max_iters`` is exhausted, and rejects
-    kernels whose survival eigenvalue reaches 1.
+    Up to :data:`WARMUP_STEPS` steps iterate on (K + I/2)/1.5; the shift
+    suppresses any residual periodicity without moving eigenvectors.  A
+    kernel that has not converged by then (spectral-gap ratio near 1)
+    continues with Noda's shifted inverse iteration (Numer. Math. 17, 1971):
+    solve ``(sigma I - K) h' = h`` and ``(sigma I - K)^T a' = a`` with sigma
+    the Collatz-Wielandt upper bound on rho, which converges to rho
+    superlinearly, so a few solves reach the rounding floor.
+
+    Deterministic: fixed uniform start, fixed iteration order.
+    ``max_iters`` counts the steps of both phases.  Raises
+    :class:`PowerIterationError` with the last residual when ``max_iters``
+    is exhausted or an inverse step stops lowering the residual above
+    ``tol``, and rejects kernels whose survival eigenvalue reaches 1.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, not {tol!r}")
@@ -88,18 +126,33 @@ def compute_spectral(
     a = np.full(n, 1.0 / n)
     h = np.ones(n)
     residual = math.inf
-    for _ in range(max_iters):
+    steps = 0
+    while residual > tol and steps < min(WARMUP_STEPS, max_iters):
         a_new = (a @ A + 0.5 * a) / 1.5
         a = a_new / a_new.sum()
         h_new = (A @ h + 0.5 * h) / 1.5
         h = h_new / h_new.max()
-        rho = float((a @ A).sum())
-        res_a = float(np.max(np.abs(a @ A - rho * a)))
-        res_h = float(np.max(np.abs(A @ h - rho * h)))
-        residual = max(res_a, res_h)
-        if residual <= tol:
-            break
-    else:
+        rho, residual = _eigen_residual(A, a, h)
+        steps += 1
+    while residual > tol and steps < max_iters:
+        steps += 1
+        try:
+            a_new, h_new = _shifted_solve(A, _perron_upper_bound(A, a, h), a, h)
+        except np.linalg.LinAlgError:  # the bound is an exact eigenvalue: nothing to gain
+            res_new = math.inf
+        else:
+            a_new = a_new / a_new.sum()
+            # max |h| = 1 and positive: a shift within rounding of rho may flip the sign
+            h_new = h_new / h_new[np.argmax(np.abs(h_new))]
+            rho_new, res_new = _eigen_residual(A, a_new, h_new)
+        if not res_new < residual:
+            raise PowerIterationError(
+                f"inverse iteration stalled after {steps} iterations "
+                f"(residual {residual:.3e})",
+                residual,
+            )
+        a, h, rho, residual = a_new, h_new, rho_new, res_new
+    if residual > tol:
         raise PowerIterationError(
             f"no convergence after {max_iters} iterations (residual {residual:.3e})",
             residual,
@@ -108,7 +161,8 @@ def compute_spectral(
         raise ValueError(f"survival eigenvalue {rho!r} >= 1: kernel has no absorption")
     eta = h / float(a @ h)
     beta = a * eta
-    return SpectralTriple(alpha=a, rho=rho, eta=eta, beta=beta, residual=residual)
+    return SpectralTriple(alpha=a, rho=rho, eta=eta, beta=beta, residual=residual,
+                          iterations=steps)
 
 
 def physical_rate(rate_per_step: float, K: SubStochasticKernel) -> float:

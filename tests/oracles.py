@@ -115,6 +115,40 @@ def mp_bridge_row(prefix_row, surv) -> list:
     return [x / mass for x in w]
 
 
+def dense_perron(entries):
+    """(alpha, rho, eta, gap, cond) from numpy's dense ``eig`` of K and K^T.
+
+    alpha sums to 1 and alpha . eta = 1; ``gap`` is rho - |lambda2| (rho for
+    one state) and ``cond`` the eigenvalue condition number |alpha| |eta|.
+    """
+    def perron_vector(M):
+        w, V = np.linalg.eig(M)
+        k = int(np.argmax(w.real))
+        return float(w[k].real), np.abs(V[:, k].real), np.sort(np.abs(w))[::-1]
+
+    rho, eta, mods = perron_vector(entries)
+    _, alpha, _ = perron_vector(entries.T)
+    alpha = alpha / alpha.sum()
+    eta = eta / float(alpha @ eta)
+    gap = rho - (float(mods[1]) if len(mods) > 1 else 0.0)
+    return alpha, rho, eta, gap, float(np.linalg.norm(alpha) * np.linalg.norm(eta))
+
+
+def wielandt_primitive(entries) -> bool:
+    """Primitivity by Wielandt's bound: B^((n-1)^2 + 1) is entrywise positive
+    for the zero pattern B, by repeated boolean squaring."""
+    n = entries.shape[0]
+    b = np.asarray(entries) > 0.0
+    acc = np.eye(n, dtype=bool)
+    k = (n - 1) ** 2 + 1
+    while k:
+        if k & 1:
+            acc = acc @ b
+        b = b @ b
+        k >>= 1
+    return bool(acc.all())
+
+
 def second_eigenvalue_magnitude(entries) -> float:
     ev = np.linalg.eigvals(entries)
     ev = ev[np.argsort(-np.abs(ev))]

@@ -4,7 +4,16 @@ import time
 import numpy as np
 import pytest
 
-from oracles import eig_triple
+from mpmath import mp
+
+from oracles import (
+    eig_triple,
+    mp_bridge_row,
+    mp_conditioned_rows,
+    mp_matrix,
+    mp_perron,
+    mp_survival_vectors,
+)
 from qsd import models
 from qsd.cli import main, parse_model_config
 from qsd.kernels import read_kernel, write_kernel
@@ -77,6 +86,16 @@ class TestSpectralSubcommand:
         assert manifest["subcommand"] == "spectral"
         assert "config_hash" in manifest and "timestamp" in manifest
 
+    def test_manifest_records_perron_solve(self, tmp_path):
+        kf = tmp_path / "ou.txt"
+        write_kernel(models.ou_discretized(200), kf)
+        out = tmp_path / "s"
+        assert main(["spectral", "--kernel", str(kf), "--out", str(out)]) == 0
+        solve = json.loads(read_lines(out / "manifest.json"))["perron_solve"]
+        head = dict(kv.split("=") for kv in read_lines(out / "spectral.csv").split("\n")[0].split())
+        assert solve["residual"] == float(head["residual"]) <= 1e-14
+        assert 200 < solve["iterations"] <= 210
+
     def test_manifest_stable_modulo_timestamp(self, tmp_path, w3_file):
         out = tmp_path / "s"
         manifests = []
@@ -148,6 +167,24 @@ class TestErgodicSubcommand:
         code = main(["ergodic", "--kernel", w3_file, "--out", str(out),
                      "--f", "1,0,0", "--T-grid", "20,30", "--plan", "dirac:5"])
         assert code == 0
+
+    def test_dirac_error_column_matches_extended_precision(self, tmp_path, w3_file, w3):
+        # true errors of 1e-15 .. 6e-21, far below the triple's own residual
+        out = tmp_path / "e"
+        f = [0.0, 0.5, 1.0]
+        assert main(["ergodic", "--kernel", w3_file, "--out", str(out), "--f", "0,0.5,1",
+                     "--T-grid", "100:140:10", "--plan", "dirac:60"]) == 0
+        lines = read_lines(out / "ergodic.csv").splitlines()[1:]
+        with mp.workdps(60):
+            M = mp_matrix(w3.entries)
+            alpha, rho, eta = mp_perron(M)
+            beta_f = sum(a * h * v for a, h, v in zip(alpha, eta, f))
+            rows = next([r[:] for r in rows] for t, rows in mp_conditioned_rows(M, 60) if t == 60)
+            surv = mp_survival_vectors(M, 80)
+            for line, T in zip(lines, range(100, 141, 10), strict=True):
+                want = max(abs(sum(p * v for p, v in zip(mp_bridge_row(rows[x], surv[T - 60]), f))
+                               - beta_f) for x in range(3))
+                assert float(line.split(",")[1]) == pytest.approx(float(want), rel=1e-8)
 
     def test_validation_failure_exits_three(self, tmp_path, capsys):
         # on this slowly mixing diffusion T * error still grows past the fit

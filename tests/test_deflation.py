@@ -29,7 +29,9 @@ from qsd.ergodic import SamplingPlan
 from qsd.spectral import compute_spectral
 
 BRIDGE_TS = (1, 3)
-PLANS = [SamplingPlan.uniform(12), SamplingPlan.dirac(4, 12), SamplingPlan.dirac(0, 7)]
+# the last plan's later atom is the larger one, so its sum changes binary scale
+PLANS = [SamplingPlan.uniform(12), SamplingPlan.dirac(4, 12), SamplingPlan.dirac(0, 7),
+         SamplingPlan.custom([(6, 0.5), (12, 0.5)], 12)]
 
 
 def _pair_sup(rows):
@@ -52,9 +54,8 @@ def _core_series(K, t_max, f):
         for s in BRIDGE_TS:
             if s <= t:
                 out[("bridge_gap", s, t)] = core.bridge_gap(D[s], e[t - s])
-    for k, plan in enumerate(PLANS):
-        out[("plan_error", k)] = core.plan_error(
-            f, [(w, D[t], e[plan.T - t]) for t, w in plan.atoms])
+    for k, log_err in enumerate(core.plan_errors(f, PLANS)):
+        out[("plan_error", k)] = log_err
     return out
 
 

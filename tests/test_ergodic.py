@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from oracles import (
     mp_survival_vectors,
 )
 from qsd import models
+from qsd.deflation import Deflation
 from qsd.ergodic import (
     SamplingPlan,
     conditional_functional,
@@ -157,6 +160,33 @@ class TestGeneralBound:
             [SamplingPlan.dirac(t, 28) for t in range(29)],
         )
         assert rep.max_violation <= 1.0 + 1e-9
+
+
+class TestStreamedPlanErrors:
+    def test_plans_evaluated_together_equal_each_alone(self):
+        K = models.random_substochastic(8, 3)
+        core = Deflation(K, compute_spectral(K))
+        f = np.sin(np.arange(K.n) + 1.0)
+        plans = [SamplingPlan.uniform(40), SamplingPlan.dirac(5, 30), SamplingPlan.dirac(0, 7),
+                 SamplingPlan.custom([(20, 0.5), (3, 0.5)], 25)]
+        together = core.plan_errors(f, plans)
+        assert together == [core.plan_errors(f, [p])[0] for p in plans]
+
+    def test_general_bound_memory_flat_in_horizon(self):
+        # rows D_t are n x n: listing all 151 of them took 47 MiB here
+        K = models.random_substochastic(200, 3)
+        S = compute_spectral(K)
+        reports = (SimpleNamespace(rate=0.5), SimpleNamespace(rate=0.6))  # only rates are read
+        f = (np.arange(K.n) % 3) / 2.0
+        tracemalloc.start()
+        try:
+            rep = verify_general_bound(K, S, reports, f, [SamplingPlan.uniform(100)],
+                                       [SamplingPlan.uniform(150)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert [T for (_, T, _, _, _) in rep.rows] == [100, 150]
 
 
 class TestErgodicTheorem:

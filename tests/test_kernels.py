@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import power_marginal, enum_bridge
+from oracles import enum_bridge, power_marginal, wielandt_primitive
 from qsd.kernels import (
     Generator,
     SubStochasticKernel,
@@ -19,6 +19,7 @@ from qsd.kernels import (
     uniformize,
     write_kernel,
 )
+from qsd.kernels import _primitivity_defect
 
 
 class TestConstruction:
@@ -46,6 +47,18 @@ class TestConstruction:
         # strict two-cycle: irreducible but period 2
         with pytest.raises(ValueError, match="reducible or periodic"):
             SubStochasticKernel([[0.0, 0.9], [0.9, 0.0]])
+
+    def test_diagnostic_names_pairs_or_period(self):
+        with pytest.raises(ValueError, match=r"unreachable pairs: 0->1$"):
+            SubStochasticKernel([[0.5, 0.0], [0.2, 0.3]])
+        with pytest.raises(ValueError, match=r"unreachable pairs: 1->0$"):
+            SubStochasticKernel([[0.5, 0.2], [0.0, 0.3]])
+        with pytest.raises(ValueError, match=r"period 3$"):
+            SubStochasticKernel([[0.0, 0.9, 0.0], [0.0, 0.0, 0.9], [0.9, 0.0, 0.0]])
+
+    def test_rejects_single_state_without_self_loop(self):
+        with pytest.raises(ValueError, match=r"reducible or periodic.*0->0"):
+            SubStochasticKernel([[0.0]])
 
     def test_rejects_bad_time_unit(self):
         with pytest.raises(ValueError, match="time_unit"):
@@ -207,6 +220,59 @@ class TestTV:
         assert 0.0 <= d <= 1.0
 
 
+def _closed_walk_lengths(b: np.ndarray, k_max: int) -> list[int]:
+    """Lengths k <= k_max of the closed walks of the pattern, by matrix powers."""
+    n = len(b)
+    acc = np.eye(n, dtype=bool)
+    out = []
+    for k in range(1, k_max + 1):
+        acc = acc @ b
+        if acc.diagonal().any():
+            out.append(k)
+    return out
+
+
+class TestPrimitivityGraphTest:
+    """The linear-time graph test against Wielandt's boolean matrix power."""
+
+    @given(st.integers(1, 10), st.sampled_from(["random", "cyclic", "reducible"]),
+           st.floats(0.05, 0.9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_wielandt(self, n, kind, density, seed):
+        rng = np.random.default_rng(seed)
+        b = rng.random((n, n)) < density
+        if kind == "cyclic":  # edges only from class c to class c + 1 (mod p)
+            p = int(rng.integers(1, n + 1))
+            cls = rng.permutation(n) % p
+            b &= cls[None, :] == (cls[:, None] + 1) % p
+        elif kind == "reducible" and n > 1:  # no edge from the tail block into the head
+            k = int(rng.integers(1, n))
+            b[k:, :k] = False
+        defect = _primitivity_defect(b * (0.5 / n))
+        assert (defect == "") == wielandt_primitive(b)
+        # a named pair has no path; a stated period divides every closed walk
+        reach = np.eye(n, dtype=bool)
+        for _ in range(n):
+            reach = reach | (reach @ b)
+        walks = reach @ b  # a path of length 1 .. n + 1
+        if defect.startswith("unreachable pairs"):
+            for pair in defect.split(": ")[1].split(" (")[0].split(", "):
+                x, y = map(int, pair.split("->"))
+                assert not walks[x, y]
+        elif defect:
+            period = int(defect.removeprefix("period "))
+            lengths = _closed_walk_lengths(b, 2 * n)
+            assert period > 1 and lengths and all(k % period == 0 for k in lengths)
+
+    @pytest.mark.parametrize("steps, defect", [((1, 3), "period 2"), ((1, 2), "")])
+    def test_circulant_with_chords(self, steps, defect):
+        b = np.zeros((6, 6))
+        for x in range(6):
+            for s in steps:
+                b[x, (x + s) % 6] = 0.4
+        assert _primitivity_defect(b) == defect
+
+
 class TestUniformize:
     def test_single_rate(self):
         K = uniformize(Generator([[-1.0]]), 2.0)
@@ -254,6 +320,19 @@ class TestKernelFile:
         p.write_text("n 2 time_unit 1\n0.5 nan\n0.1 0.5\n")
         with pytest.raises(ValueError, match="NaN"):
             read_kernel(p)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.1 0.2x 0.3", "not a number: '0.2x'"),
+        ("0.1 nan -0.3", "NaN entry"),
+        ("0.1 -0.2 nan", "negative entry '-0.2'"),
+    ])
+    def test_bad_token_diagnostic_and_line_number(self, tmp_path, row, message):
+        # the bad row is on line 5: a blank line and two good rows come first
+        p = tmp_path / "k.txt"
+        p.write_text(f"n 3 time_unit 1\n\n0.1 0.2 0.3\n0.3 0.2 0.1\n{row}\n")
+        with pytest.raises(ValueError) as exc:
+            read_kernel(p)
+        assert str(exc.value) == f"{p}:5: {message}"
 
     def test_rejects_bad_header(self, tmp_path):
         p = tmp_path / "k.txt"

@@ -1,11 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from oracles import eig_triple, second_eigenvalue_magnitude
+from oracles import dense_perron, eig_triple, second_eigenvalue_magnitude
+from qsd import models
 from qsd.kernels import SubStochasticKernel, conditioned_evolve, tv_distance
 from qsd.spectral import (
+    WARMUP_STEPS,
     PowerIterationError,
     certify_minorization,
     compute_spectral,
@@ -64,6 +67,47 @@ class TestComputeSpectral:
             compute_spectral(w3, tol=1e-13, max_iters=3)
         assert exc.value.residual > 0
 
+    def test_warm_up_is_plain_shifted_power_iteration(self, w3, t3, random_kernels):
+        # a kernel that converges inside the warm-up gets the bytes of the
+        # plain loop on (K + I/2)/1.5, and the step count; ou_discretized
+        # n=12 takes 163 steps
+        for K in [w3, t3, models.ou_discretized(12)] + random_kernels:
+            A = K.entries
+            a, h = np.full(K.n, 1.0 / K.n), np.ones(K.n)
+            for step in range(1, WARMUP_STEPS + 1):
+                a_new = (a @ A + 0.5 * a) / 1.5
+                a = a_new / a_new.sum()
+                h_new = (A @ h + 0.5 * h) / 1.5
+                h = h_new / h_new.max()
+                rho = float((a @ A).sum())
+                residual = max(float(np.max(np.abs(a @ A - rho * a))),
+                               float(np.max(np.abs(A @ h - rho * h))))
+                if residual <= 1e-12:
+                    break
+            S = compute_spectral(K)
+            np.testing.assert_array_equal(S.alpha, a)
+            np.testing.assert_array_equal(S.eta, h / float(a @ h))
+            assert (S.rho, S.residual, S.iterations) == (rho, residual, step)
+
+    @pytest.mark.parametrize("tol", [1e-20, 1e-300])
+    @pytest.mark.parametrize("kind", ["w3", "ou200"])
+    def test_unreachable_tol_stalls_fast(self, kind, tol):
+        K = models.w3() if kind == "w3" else models.ou_discretized(200)
+        start = time.perf_counter()
+        with pytest.raises(PowerIterationError, match="stalled") as exc:
+            compute_spectral(K, tol=tol)
+        assert time.perf_counter() - start < 2.0
+        assert 0 < exc.value.residual < 1e-13
+
+    def test_max_iters_counts_both_phases(self):
+        K = models.ou_discretized(200)
+        S = compute_spectral(K)
+        assert WARMUP_STEPS < S.iterations <= WARMUP_STEPS + 10
+        with pytest.raises(PowerIterationError, match="no convergence") as exc:
+            compute_spectral(K, max_iters=S.iterations - 1)
+        assert exc.value.residual > 1e-12
+        assert compute_spectral(K, max_iters=S.iterations).iterations == S.iterations
+
     def test_alpha_is_fixed_point(self, w3, w3_triple):
         for t in (1, 5, 20, 100):
             evolved = conditioned_evolve(w3, w3_triple.alpha, t)
@@ -93,6 +137,47 @@ class TestComputeSpectral:
 
     def test_lambda0(self, t3_triple):
         assert t3_triple.lambda0 == pytest.approx(-math.log(0.7), abs=1e-13)
+
+
+STRESS = {
+    "ou_discretized-200": lambda: models.ou_discretized(200),
+    "linear_bd_truncated-60": lambda: models.linear_bd_truncated(60),
+    "linear_bd_truncated-200": lambda: models.linear_bd_truncated(200),
+    "logistic_bd-100": lambda: models.logistic_bd(100, birth_step=0.003),
+}
+
+
+class TestSlowMixingSolve:
+    """Gap ratios 0.997 to 0.9998: the warm-up ends and inverse iteration finishes."""
+
+    @pytest.mark.parametrize("case", list(STRESS))
+    def test_matches_dense_eig(self, case):
+        K = STRESS[case]()
+        A = K.entries
+        S = compute_spectral(K)
+        assert S.residual <= 1e-12
+        assert WARMUP_STEPS < S.iterations <= WARMUP_STEPS + 10
+        assert np.all(S.alpha > 0) and np.all(S.eta > 0)
+        alpha, rho, eta, gap, cond = dense_perron(A)
+        # tolerances scale with the condition number over the spectral gap
+        res = max(S.residual, float(np.max(np.abs(A @ S.eta - S.rho * S.eta)) / S.eta.max()),
+                  8 * K.n * np.finfo(float).eps)
+        assert S.rho == pytest.approx(rho, abs=10 * cond * res)
+        vec_tol = 10 * cond * res / gap
+        assert float(np.max(np.abs(S.alpha - alpha))) <= vec_tol
+        assert float(np.max(np.abs(S.eta - eta))) <= vec_tol * float(eta.max())
+
+    @pytest.mark.parametrize("K", [models.ou_discretized(12), models.linear_bd_truncated(10)],
+                             ids=["ou_discretized-12", "linear_bd_truncated-10"])
+    def test_matches_extended_precision_eig(self, K):
+        S = compute_spectral(K, tol=1e-13)
+        assert S.residual <= 1e-13
+        assert S.iterations <= WARMUP_STEPS + 10
+        alpha, rho, eta, beta = eig_triple(K.entries)
+        np.testing.assert_allclose(S.alpha, alpha, rtol=0, atol=1e-10)
+        assert S.rho == pytest.approx(rho, abs=1e-13)
+        np.testing.assert_allclose(S.eta, eta, rtol=1e-9)
+        np.testing.assert_allclose(S.beta, beta, rtol=0, atol=1e-10)
 
 
 class TestMinorization:
