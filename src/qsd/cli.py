@@ -207,6 +207,8 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.pair_lag_max < 2:
+        raise ValueError("--pair-lag-max must be >= 2: one lag to fit, one to validate")
     K = _load_kernel(args)
     S = spectral.compute_spectral(K)
     Q = qprocess.build_q_kernel(K, S)
@@ -232,10 +234,13 @@ def cmd_verify(args) -> int:
 
 def cmd_ergodic(args) -> int:
     t0 = _parse_plan(args.plan)
+    Ts = _parse_grid(args.T_grid)
+    if t0 is None and len(set(Ts)) < 2:
+        raise ValueError("--T-grid needs two or more horizons for the uniform plan: "
+                         "one to fit, one to validate")
     K = _load_kernel(args)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
-    Ts = _parse_grid(args.T_grid)
     os.makedirs(args.out, exist_ok=True)
     violated = False
     if t0 is None:

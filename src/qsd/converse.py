@@ -160,17 +160,12 @@ def hypothesis_check(K: SubStochasticKernel, Q: QKernel, t_grid, T_grid) -> Hypo
         raise ValueError("grids must contain integers >= 1")
     core = Deflation(K, Q.triple)
     t_set = set(ts)
-    rows_at = {t: D for t, D in enumerate(core.rows(ts[-1])) if t in t_set}
-    coupling = {t: math.exp(core.q_pair_tv(rows_at[t])) for t in ts}
-    surv = list(core.survival(Ts[-1]))
-    marginal = {
-        T: math.exp(max((core.bridge_gap(rows_at[t], surv[T - t]) for t in ts if t <= T),
-                        default=-math.inf))
-        for T in Ts
-    }
-
-    marginal_curve = [(T, marginal[T]) for T in Ts]
-    coupling_curve = [(t, coupling[t]) for t in ts]
+    coupling_curve = [(t, math.exp(core.q_pair_tv(D)))
+                      for t, D in enumerate(core.rows(ts[-1])) if t in t_set]
+    gaps = core.bridge_gaps([(t, T) for T in Ts for t in ts if t <= T])
+    marginal_curve = [(T, math.exp(max((gaps[(t, T)] for t in ts if t <= T),
+                                       default=-math.inf)))
+                      for T in Ts]
 
     def decays(curve):
         head = curve[0][1]

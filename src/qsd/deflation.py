@@ -182,6 +182,23 @@ class Deflation:
         gap = (P * e.hat - r[:, None] * P * self.eta) / (1.0 + np.ldexp(r, e.exp))[:, None]
         return _log_half_l1(e.exp, gap)
 
+    def bridge_gaps(self, pairs) -> dict:
+        """:meth:`bridge_gap` per (t, T) pair, in one streamed pass over D_t.
+
+        One row block is alive at a time; only the survival deviations
+        (n-vectors) are listed.  At t = 0 both laws are the point mass at
+        the start, so those pairs are exactly 0 (-inf).
+        """
+        by_t = defaultdict(list)
+        for t, T in pairs:
+            by_t[t].append(T)
+        surv = list(self.survival(max((T - t for t, T in pairs), default=0)))
+        gaps = {(0, T): -math.inf for T in by_t.get(0, ())}
+        for t, D in enumerate(self.rows(max(by_t, default=0))):
+            if t:
+                gaps.update({(t, T): self.bridge_gap(D, surv[T - t]) for T in by_t.get(t, ())})
+        return gaps
+
     def path_gap(self, t: int, e_lag: Deviation, e_T: Deviation) -> float:
         """ln sup_x TV between the laws of the path (X_1..X_t) from x given
         survival past T = t + lag and under Q, by enumerating all n^t paths.

@@ -187,7 +187,6 @@ def verify_general_bound(
         raise ValueError("need both fit and validation plans")
     f_inf = float(np.max(np.abs(f)))
 
-    finite_rates = math.isfinite(gamma) and math.isfinite(gamma_prime)
     plans = fit_plans + validation_plans
     observed = Deflation(K, S).plan_errors(f, plans)
 
@@ -195,7 +194,7 @@ def verify_general_bound(
     fit_Ts = [p.T for p in fit_plans]
     rate = min(gamma, gamma_prime)
 
-    if all(v == -math.inf for v in observed) or not finite_rates:
+    if not (math.isfinite(gamma) and math.isfinite(gamma_prime)):
         rows = [(_plan_time(p), p.T, math.exp(v), 0.0, 0.0) for p, v in zip(plans, observed)]
         return BoundReport("general_bound", constant=0.0, rate=rate, grid=fit_Ts,
                            max_violation=0.0, rows=rows, details=details)

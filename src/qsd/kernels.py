@@ -367,17 +367,13 @@ def uniformize(G: Generator, theta: float) -> SubStochasticKernel:
     return SubStochasticKernel(K, time_unit=1.0 / theta)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_kernel(K: SubStochasticKernel, path) -> None:
     """Write the plain-text kernel format (17 significant digits)."""
-    lines = [f"n {K.n} time_unit {_fmt(K.time_unit)}"]
-    for row in K.entries:
-        lines.append(" ".join(_fmt(v) for v in row))
+    row_format = " ".join(["%.17g"] * K.n) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("n %d time_unit %.17g\n" % (K.n, K.time_unit))
+        for row in K.entries:
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def read_kernel(path) -> SubStochasticKernel:

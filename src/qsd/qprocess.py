@@ -14,8 +14,10 @@ bound reports:
   invariant law beta, enveloped by C' * e^(-gamma' t).
 
 Each report fits its constant on the first half of the supplied time
-range and validates it on the second half, so a report never certifies
-itself on the data that produced it.  Observed values come from the
+range and validates it on the second half, so a grid of two or more
+values never validates a point that fitted the constant; a one-value
+grid has no second half and is validated on its own fit point (the CLI
+refuses such grids).  Observed values come from the
 deflated propagation of :mod:`qsd.deflation` and are fitted in log space:
 on these grids the true quantities decay far below double-precision
 resolution, and past e^-700 below the range of a double.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .deflation import Deflation
 from .kernels import SubStochasticKernel
-from .spectral import DecayFit, SpectralTriple, fit_log_decay
+from .spectral import SpectralTriple, _tail_rate_fit, conditioned_tv_rate, fit_log_decay
 
 __all__ = [
     "BoundReport",
@@ -111,30 +113,12 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _tail_rate_fit(points) -> DecayFit:
-    """Rate fit on the tail half of a (t, ln value) series.
-
-    Early times carry subdominant-eigenvalue transients; the envelope
-    rearrangement multiplies any rate bias by e^(gamma t), so the rate
-    must come from the clean tail of the fitting window.
-    """
-    ts = [t for t, _ in points]
-    mid = (min(ts) + max(ts)) / 2.0
-    tail = [(t, v) for t, v in points if t > mid and v > -math.inf]
-    if len(tail) < 3:
-        tail = [(t, v) for t, v in points if v > -math.inf]
-    return fit_log_decay(tail)
-
-
 def _split_half(values):
-    """First-half / second-half split of a sorted list by value midpoint."""
+    """First-half / second-half split of a sorted list of distinct values by
+    value midpoint; a single value is both the fit and the validation half."""
     mid = (values[0] + values[-1]) / 2.0
     fit = [v for v in values if v <= mid]
-    val = [v for v in values if v > mid]
-    if not fit or not val:
-        k = max(1, len(values) // 2)
-        fit, val = values[:k], values[k:] or values[-1:]
-    return fit, val
+    return fit, [v for v in values if v > mid] or fit
 
 
 def _fit_validate(name: str, rate: float, grid, points, fit, val, details) -> BoundReport:
@@ -199,19 +183,6 @@ def verify_eta_bound(K: SubStochasticKernel, S: SpectralTriple, t_grid) -> Bound
     fit_ts, val_ts = _split_half(ts)
     details: dict = {"fit_grid": fit_ts, "validation_grid": val_ts,
                      "rate_source": "conditioned_tv_fit"}
-
-    if max(errs.values()) == -math.inf:
-        # Constant survival capacity (eta_t == eta on every grid point).
-        rate = math.inf
-        try:
-            rate = _tail_rate_fit([(t, tvs[t]) for t in fit_ts]).gamma
-        except ValueError:
-            pass
-        rows = [(t, None, 0.0, 0.0, 0.0) for t in ts]
-        details["sandwich_ok"] = True
-        return BoundReport("eta_bound", constant=0.0, rate=rate, grid=ts,
-                           max_violation=0.0, rows=rows, details=details)
-
     gamma_fit = _tail_rate_fit([(t, tvs[t]) for t in fit_ts])
     gamma = gamma_fit.gamma
     details["gamma_fit_rms"] = gamma_fit.rms_residual
@@ -261,7 +232,6 @@ def verify_qproc_approx(
     n = K.n
     t_max = max(t for t, _ in pts)
     lag_max = max(T - t for t, T in pts)
-    T_max = max(T for _, T in pts)
     if events == "paths" and (n > 4 or t_max > 6):
         raise ValueError(
             "path-event verification enumerates n^t cylinders and is only "
@@ -269,8 +239,6 @@ def verify_qproc_approx(
         )
 
     if gamma is None:
-        from .spectral import conditioned_tv_rate
-
         gamma = conditioned_tv_rate(K, S, t_max=max(40, min(120, 4 * lag_max))).gamma
     if not math.isfinite(gamma):
         # conditionally mixed in one step: observed TVs are identically zero
@@ -280,18 +248,11 @@ def verify_qproc_approx(
                            details={"gamma": math.inf})
 
     core = Deflation(K, S)
-    observed: dict[tuple[int, int], float] = {}
     if events == "marginal":
-        surv = list(core.survival(lag_max))
-        needed = {t for t, _ in pts}
-        rows_at = {t: D for t, D in enumerate(core.rows(t_max)) if t in needed}
-        for t, T in pts:
-            # at t = 0 both laws are the point mass at the start: exactly 0
-            observed[(t, T)] = core.bridge_gap(rows_at[t], surv[T - t]) if t else -math.inf
+        observed = core.bridge_gaps(pts)
     else:
-        surv = list(core.survival(T_max))
-        for t, T in pts:
-            observed[(t, T)] = core.path_gap(t, surv[T - t], surv[T])
+        surv = list(core.survival(max(T for _, T in pts)))
+        observed = {(t, T): core.path_gap(t, surv[T - t], surv[T]) for t, T in pts}
 
     lags = sorted({T - t for t, T in pts})
     fit_lags, val_lags = _split_half(lags)
@@ -304,11 +265,6 @@ def verify_qproc_approx(
     positive = [(lag, v) for lag, v in sup_by_lag.items() if v > -math.inf]
     if len(positive) >= 3:
         details["fitted_rate"] = fit_log_decay(positive).gamma
-
-    if max(observed.values()) == -math.inf:
-        rows = [(t, T, 0.0, 0.0, 0.0) for t, T in pts]
-        return BoundReport("qproc_approx", constant=0.0, rate=gamma, grid=pts,
-                           max_violation=0.0, rows=rows, details=details)
 
     points = [(T - t, t, T, _exp(observed[(t, T)]), observed[(t, T)], -gamma * (T - t))
               for t, T in pts]
@@ -338,11 +294,6 @@ def q_mixing_report(Q: QKernel, t_grid) -> BoundReport:
 
     fit_ts, val_ts = _split_half(ts)
     details: dict = {"fit_grid": fit_ts, "validation_grid": val_ts}
-    if max(series.values()) == -math.inf:
-        rows = [(t, None, 0.0, 0.0, 0.0) for t in ts]
-        return BoundReport("q_mixing", constant=0.0, rate=math.inf, grid=ts,
-                           max_violation=0.0, rows=rows, details=details)
-
     fit = _tail_rate_fit([(t, series[t]) for t in fit_ts])
     details["lsq_C"] = fit.C
     details["rms_residual"] = fit.rms_residual
@@ -352,8 +303,6 @@ def q_mixing_report(Q: QKernel, t_grid) -> BoundReport:
 
 def fitted_rates(K: SubStochasticKernel, S: SpectralTriple, t_max: int = 60) -> tuple[float, float]:
     """(gamma, gamma') pair: conditioned-TV decay rate and mixing rate."""
-    from .spectral import conditioned_tv_rate
-
     gamma = conditioned_tv_rate(K, S, t_max=t_max).gamma
     gamma_prime = q_mixing_report(build_q_kernel(K, S), range(1, t_max + 1)).rate
     return gamma, gamma_prime

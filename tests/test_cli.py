@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +156,16 @@ class TestVerifySubcommand:
             assert lines[-1].startswith("# name=")
 
 
+    def test_one_lag_is_usage_error(self, tmp_path, w3_file, capsys):
+        # a single lag would be validated on the very point that fitted it
+        code = main(["verify", "--kernel", w3_file, "--out", str(tmp_path / "v"),
+                     "--pair-lag-max", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--pair-lag-max" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "v").exists()
+
+
 class TestErgodicSubcommand:
     def test_uniform_plan(self, tmp_path, w3_file):
         out = tmp_path / "e"
@@ -167,6 +181,22 @@ class TestErgodicSubcommand:
         code = main(["ergodic", "--kernel", w3_file, "--out", str(out),
                      "--f", "1,0,0", "--T-grid", "20,30", "--plan", "dirac:5"])
         assert code == 0
+
+    @pytest.mark.parametrize("grid", ["5", "5,5"])
+    def test_one_uniform_horizon_is_usage_error(self, tmp_path, w3_file, capsys, grid):
+        code = main(["ergodic", "--kernel", w3_file, "--out", str(tmp_path / "e"),
+                     "--f", "1,0,0", "--T-grid", grid])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--T-grid" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "e").exists()
+
+    def test_dirac_table_accepts_one_horizon(self, tmp_path, w3_file):
+        # the Dirac table fits nothing, so one horizon is a complete table
+        out = tmp_path / "e"
+        assert main(["ergodic", "--kernel", w3_file, "--out", str(out),
+                     "--f", "1,0,0", "--T-grid", "20", "--plan", "dirac:5"]) == 0
+        assert len(read_lines(out / "ergodic.csv").splitlines()) == 2
 
     def test_dirac_error_column_matches_extended_precision(self, tmp_path, w3_file, w3):
         # true errors of 1e-15 .. 6e-21, far below the triple's own residual
@@ -332,6 +362,27 @@ class TestUsageErrors:
         code = main(["spectral", "--kernel", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+class TestWithoutMpmath:
+    def test_reports_run_without_mpmath(self, tmp_path, w3_file):
+        # extended precision is a test oracle only: no report may import it
+        script = (
+            "import sys; sys.modules['mpmath'] = None\n"
+            "from qsd.cli import main\n"
+            f"argv = ['--kernel', {w3_file!r}, '--out', {str(tmp_path / 'o')!r}]\n"
+            "codes = [main(['verify'] + argv),\n"
+            "         main(['ergodic', '--f', '0,0.5,1', '--T-grid', '10:60:10'] + argv),\n"
+            "         main(['ergodic', '--f', '0,0.5,1', '--T-grid', '20,30', '--plan', 'dirac:5']\n"
+            "              + argv)]\n"
+            "sys.exit(max(codes))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestRerunByteIdentical:

@@ -131,3 +131,18 @@ def test_deflated_series_match_extended_precision(case, random_kernels):
     for K in kernels or random_kernels:
         err = _worst_relative_error(K, t_max)
         assert err <= rtol, f"{case} n={K.n}: relative error {err:.3e} > {rtol:g}"
+
+
+@pytest.mark.parametrize("name", ["w3", "rs8", "ou8"])
+def test_streamed_bridge_gaps_match_per_pair(name):
+    K = {"w3": models.w3, "rs8": lambda: models.random_substochastic(8, 3),
+         "ou8": lambda: models.ou_discretized(8)}[name]()
+    core = Deflation(K, compute_spectral(K))
+    pairs = [(t, t + lag) for t in range(0, 9) for lag in range(0, 31, 3)]
+    gaps = core.bridge_gaps(pairs)
+    D = list(core.rows(8))
+    e = list(core.survival(30))
+    assert sorted(gaps) == sorted(pairs)
+    for t, T in pairs:
+        want = core.bridge_gap(D[t], e[T - t]) if t else -math.inf
+        assert gaps[(t, T)] == want, (t, T)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enum_bridge, power_marginal, wielandt_primitive
+from qsd import models
 from qsd.kernels import (
     Generator,
     SubStochasticKernel,
@@ -308,6 +311,28 @@ class TestKernelFile:
         back = read_kernel(p)
         np.testing.assert_array_equal(back.entries, w3.entries)
         assert back.time_unit == w3.time_unit
+
+    def test_written_bytes_match_per_entry_format(self, tmp_path):
+        # zero, a tiny normal, a repeating binary fraction and a subnormal
+        entries = [[0.0, 1e-300, 1.0 / 3.0], [5e-324, 0.25, 0.5], [1.0 / 3.0, 1.0 / 7.0, 0.1]]
+        K = SubStochasticKernel(entries, time_unit=0.1)
+        p = tmp_path / "k.txt"
+        write_kernel(K, p)
+        want = [f"n 3 time_unit {format(0.1, '.17g')}"]
+        want += [" ".join(format(float(x), ".17g") for x in row) for row in entries]
+        assert p.read_bytes() == ("\n".join(want) + "\n").encode()
+        np.testing.assert_array_equal(read_kernel(p).entries, K.entries)
+
+    def test_write_streams_rows(self, tmp_path):
+        # one row's text is alive at a time, never the whole file's (~0.9 MB here)
+        K = models.random_substochastic(200, 1)
+        tracemalloc.start()
+        try:
+            write_kernel(K, tmp_path / "k.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
 
     def test_rejects_negative_with_line_number(self, tmp_path):
         p = tmp_path / "k.txt"

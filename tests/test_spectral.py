@@ -6,6 +6,7 @@ import pytest
 
 from oracles import dense_perron, eig_triple, second_eigenvalue_magnitude
 from qsd import models
+from qsd.deflation import Deflation
 from qsd.kernels import SubStochasticKernel, conditioned_evolve, tv_distance
 from qsd.spectral import (
     WARMUP_STEPS,
@@ -14,6 +15,7 @@ from qsd.spectral import (
     compute_spectral,
     conditioned_tv_rate,
     fit_decay,
+    fit_log_decay,
 )
 
 
@@ -267,6 +269,20 @@ class TestFitDecay:
         lam2 = second_eigenvalue_magnitude(w3.entries)
         expected = -math.log(lam2 / w3_triple.rho)
         assert fit.gamma == pytest.approx(expected, rel=0.02)
+
+    @pytest.mark.parametrize("name", ["w3", "rs8"])
+    @pytest.mark.parametrize("t_max", [40, 41])
+    def test_conditioned_tv_rate_fits_the_second_half(self, name, t_max):
+        K = models.w3() if name == "w3" else models.random_substochastic(8, 3)
+        S = compute_spectral(K)
+        core = Deflation(K, S)
+        tail = [(t, core.conditioned_tv(D)) for t, D in enumerate(core.rows(t_max))
+                if t_max // 2 < t]
+        assert conditioned_tv_rate(K, S, t_max=t_max) == fit_log_decay(tail)
+
+    def test_conditioned_tv_rate_infinite_on_one_state(self, single):
+        fit = conditioned_tv_rate(single, compute_spectral(single), t_max=41)
+        assert fit.gamma == math.inf and fit.C == 0.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="nonpositive"):
