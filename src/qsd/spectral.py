@@ -329,17 +329,19 @@ def _tail_rate_fit(points) -> DecayFit:
 
     Early times carry subdominant-eigenvalue transients; the envelope
     rearrangement multiplies any rate bias by e^(gamma t), so the rate
-    must come from the clean tail of the window.  Points that are exactly
-    0 (ln -inf) are dropped, a tail of fewer than three points falls back
-    to the whole series, and a series with no nonzero point (the chain
-    mixes exactly) has an infinite rate.
+    must come from the clean tail of the window: the points past its
+    midpoint.  A tail with no nonzero point has an infinite rate (the
+    series has reached exactly 0, as on a chain that mixes in one step).
+    Otherwise points that are exactly 0 (ln -inf) are dropped, and a tail
+    of fewer than three nonzero points falls back to every nonzero point;
+    fewer than three of those is too short a window and raises ValueError.
     """
-    finite = [(t, v) for t, v in points if v > -math.inf]
-    if not finite:
-        return DecayFit(C=0.0, gamma=math.inf, rms_residual=0.0)
     ts = [t for t, _ in points]
     mid = (min(ts) + max(ts)) / 2.0
+    finite = [(t, v) for t, v in points if v > -math.inf]
     tail = [(t, v) for t, v in finite if t > mid]
+    if not tail:
+        return DecayFit(C=0.0, gamma=math.inf, rms_residual=0.0)
     return fit_log_decay(tail if len(tail) >= 3 else finite)
 
 

@@ -156,6 +156,18 @@ class TestVerifySubcommand:
             assert lines[-1].startswith("# name=")
 
 
+    def test_one_step_mixing_kernel(self, tmp_path):
+        # rank one, eta = (1, 1): every conditioned series is exactly 0 from t = 1
+        kf = tmp_path / "r1.txt"
+        kf.write_text("n 2 time_unit 1\n0.25 0.25\n0.25 0.25\n")
+        out = tmp_path / "v"
+        assert main(["verify", "--kernel", str(kf), "--out", str(out),
+                     "--t-max", "40", "--pair-t-max", "3", "--pair-lag-max", "10"]) == 0
+        for name in ("eta_bound.csv", "qproc_approx.csv", "q_mixing.csv"):
+            assert "constant=0" in read_lines(out / name).splitlines()[-1]
+        assert main(["estimate", "--kernel", str(kf), "--out", str(tmp_path / "est"),
+                     "--f", "1,0", "--N", "200"]) == 0
+
     def test_one_lag_is_usage_error(self, tmp_path, w3_file, capsys):
         # a single lag would be validated on the very point that fitted it
         code = main(["verify", "--kernel", w3_file, "--out", str(tmp_path / "v"),

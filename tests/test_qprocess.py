@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import second_eigenvalue_magnitude
-from qsd.kernels import conditioned_marginal_given_T, tv_distance
+from qsd.kernels import SubStochasticKernel, conditioned_marginal_given_T, tv_distance
 from qsd.qprocess import (
     build_q_kernel,
     fitted_rates,
@@ -83,6 +83,23 @@ class TestEtaBound:
         assert rep.constant == 0.0
         assert rep.max_violation == 0.0
         assert all(row[2] == 0.0 for row in rep.rows)
+
+    def test_t3_window_too_short_to_fit(self, t3, t3_triple):
+        # the defect is exactly 0, but the fit half t = 1, 2 holds only two
+        # nonzero conditioned TVs, too few to fit the rate from
+        with pytest.raises(ValueError, match="3 points"):
+            verify_eta_bound(t3, t3_triple, range(1, 5))
+
+    def test_one_step_mixing_is_exactly_zero(self):
+        K = SubStochasticKernel(np.full((2, 2), 0.25))
+        S = compute_spectral(K)
+        rep = verify_eta_bound(K, S, range(1, 40))
+        assert rep.constant == 0.0 and rep.rate == math.inf
+        assert rep.max_violation == 0.0
+        rep = verify_qproc_approx(K, S, build_q_kernel(K, S),
+                                  [(t, t + lag) for t in range(1, 4) for lag in range(8)])
+        assert rep.constant == 0.0 and rep.rate == math.inf
+        assert fitted_rates(K, S) == (math.inf, math.inf)
 
     def test_w3_bound_validates(self, w3, w3_triple):
         rep = verify_eta_bound(w3, w3_triple, range(1, 201))

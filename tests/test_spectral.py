@@ -16,6 +16,7 @@ from qsd.spectral import (
     conditioned_tv_rate,
     fit_decay,
     fit_log_decay,
+    _tail_rate_fit,
 )
 
 
@@ -283,6 +284,29 @@ class TestFitDecay:
     def test_conditioned_tv_rate_infinite_on_one_state(self, single):
         fit = conditioned_tv_rate(single, compute_spectral(single), t_max=41)
         assert fit.gamma == math.inf and fit.C == 0.0
+
+    def test_conditioned_tv_rate_infinite_on_one_step_mixing(self):
+        # rank one with eta = (1, 1): the series is nonzero at t = 0 and
+        # exactly 0 from t = 1, so the tail holds no nonzero point
+        K = SubStochasticKernel(np.full((2, 2), 0.25))
+        S = compute_spectral(K)
+        core = Deflation(K, S)
+        series = [core.conditioned_tv(D) for D in core.rows(41)]
+        assert series[0] > -math.inf and set(series[1:]) == {-math.inf}
+        fit = conditioned_tv_rate(K, S, t_max=41)
+        assert fit.gamma == math.inf and fit.C == 0.0
+
+    def test_tail_rate_rule(self):
+        line = [(t, -0.5 * t) for t in range(1, 9)]
+        assert _tail_rate_fit(line) == fit_log_decay(line[4:])
+        # exact zeros are dropped; a short tail falls back to every nonzero point
+        zeros = line[:5] + [(t, -math.inf) for t in range(6, 9)]
+        assert _tail_rate_fit(zeros) == fit_log_decay(line[:5])
+        # a tail with no nonzero point is an infinite rate
+        assert _tail_rate_fit(line[:4] + zeros[5:]).gamma == math.inf
+        # fewer than three nonzero points is too short a window to fit
+        with pytest.raises(ValueError, match="3 points"):
+            _tail_rate_fit(line[:2])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="nonpositive"):
