@@ -207,6 +207,8 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.t_max < 5:
+        raise ValueError("--t-max must be >= 5: the rate fit needs 3 points in t <= (1 + t_max)/2")
     if args.pair_lag_max < 2:
         raise ValueError("--pair-lag-max must be >= 2: one lag to fit, one to validate")
     K = _load_kernel(args)

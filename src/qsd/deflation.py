@@ -18,7 +18,8 @@ binary exponent of the largest entry into a carried integer scale, so no
 step cancels and no value underflows.  An all-zero deviation stays exactly
 zero.  Every observable is closed-form in ``D_t`` and ``e_t`` and is
 returned as its natural logarithm (``-inf`` for an exact zero), so grids
-far past ``e^-700`` stay representable.
+far past ``e^-700`` stay representable; a plan's signed per-state
+deviation is returned with its binary scale as a :class:`Deviation`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _log(x: float) -> float:
 
 @dataclass(frozen=True)
 class Deviation:
-    """The array ``hat * 2**exp``; ``max |hat|`` lies in [1/2, 1) unless hat is 0."""
+    """The array ``hat * 2**exp``; propagated ones have ``max |hat|`` in [1/2, 1) or 0."""
 
     exp: int
     hat: np.ndarray
@@ -220,38 +221,53 @@ class Deflation:
             worst = max(worst, _log(tv) + e_lag.exp * LN2)
         return worst
 
-    def plan_errors(self, f: np.ndarray, plans) -> list[float]:
-        """ln sup_x |E_x(f against plan | survival past plan.T) - beta(f)| per plan.
+    def plan_deviations(self, f: np.ndarray, plans) -> list[Deviation]:
+        """Per plan, E_x(f against plan | survival past plan.T) - beta(f) for
+        every start state x, signed.
 
         One streamed pass over D_0, D_1, ... adds each plan's atoms as their
         time passes, so one row block is alive at a time; only the survival
         deviations (n-vectors) are listed.  Per atom (t, w), with d = D_t[x]
         and e = e_(T-t), the conditional expectation minus beta(f) is
-        [(alpha e).f + (d eta).f + (d e).f - (d . e) beta(f)] / (1 + d . e),
-        and each plan sums its atoms at a common binary scale.  Both laws
-        have mass 1, so f is first shifted by its midrange, which leaves the
-        error unchanged and keeps it exactly 0 for a constant f.
+        [(alpha e).f + (d eta).f + (d e).f - (d . e) beta(f)] / (1 + d . e).
+        The atoms at one step are evaluated together on their stacked e,
+        with one matrix-vector product per atom (batched), so a plan's value
+        does not depend on which other plans share its steps; each plan sums
+        its atoms at a common binary scale, kept in an exponent array.  Both
+        laws have mass 1, so f is first shifted by its midrange, which leaves
+        the deviation unchanged and keeps it exactly 0 for a constant f.
         """
         f = f - 0.5 * (f.max() + f.min())
         beta_f = float(self.beta @ f)
-        atoms = defaultdict(list)  # t -> [(plan index, weight, lag)]
+        atoms = defaultdict(dict)  # t -> {plan index: (weight, lag)}, repeated times merged
         for i, plan in enumerate(plans):
             for t, w in plan.atoms:
-                atoms[t].append((i, w, plan.T - t))
-        surv = list(self.survival(max(lag for at in atoms.values() for _, _, lag in at)))
-        sums = [None] * len(plans)  # per plan: (exp, total) standing for total * 2**exp
+                atoms[t][i] = (atoms[t].get(i, (0.0,))[0] + w, plan.T - t)
+        surv = list(self.survival(max(lag for at in atoms.values() for _, lag in at.values())))
+        e_hat, e_exp = np.array([e.hat for e in surv]), np.array([e.exp for e in surv])
+        alpha_e_f = np.array([float((self.alpha * e.hat) @ f) for e in surv])
+        # empty sums: 0 * 2**exp with exp below any scale an atom brings
+        exp = np.full((len(plans), 1), np.iinfo(np.int32).min)
+        total = np.zeros((len(plans), len(self.eta)))
         for t, D in enumerate(self.rows(max(atoms))):
-            for i, w, lag in atoms.get(t, ()):
-                e = surv[lag]
-                top = max(D.exp, e.exp)
-                r = D.hat @ e.hat
-                lag_term = np.ldexp(float((self.alpha * e.hat) @ f), e.exp - top)
-                t_term = np.ldexp((D.hat * self.eta) @ f, D.exp - top)
-                both = np.ldexp((D.hat * e.hat) @ f - r * beta_f, D.exp + e.exp - top)
-                term = w * (lag_term + t_term + both) / (1.0 + np.ldexp(r, D.exp + e.exp))
-                if sums[i] is not None:
-                    exp, total = sums[i]
-                    k = max(exp, top)
-                    top, term = k, np.ldexp(total, exp - k) + np.ldexp(term, top - k)
-                sums[i] = (top, term)
-        return [_log(float(np.max(np.abs(total)))) + exp * LN2 for exp, total in sums]
+            if t not in atoms:
+                continue
+            idx = list(atoms[t])
+            w, lags = map(np.array, zip(*atoms[t].values()))
+            E, e_k = e_hat[lags], e_exp[lags, None]
+            r, r_f = np.split(np.matmul(D.hat, np.concatenate([E, E * f])[..., None])[..., 0], 2)
+            top = np.maximum(D.exp, e_k)
+            term = w[:, None] * (np.ldexp(alpha_e_f[lags, None], e_k - top)
+                                 + np.ldexp((D.hat * self.eta) @ f, D.exp - top)
+                                 + np.ldexp(r_f - r * beta_f, D.exp + e_k - top)
+                                 ) / (1.0 + np.ldexp(r, D.exp + e_k))
+            k = np.maximum(exp[idx], top)
+            total[idx] = np.ldexp(total[idx], exp[idx] - k) + np.ldexp(term, top - k)
+            exp[idx] = k
+        return [Deviation(int(k), v) for k, v in zip(exp[:, 0], total)]
+
+    def plan_errors(self, f: np.ndarray, plans) -> list[float]:
+        """ln sup_x |E_x(f against plan | survival past plan.T) - beta(f)| per
+        plan, from :meth:`plan_deviations`."""
+        return [_log(float(np.max(np.abs(d.hat)))) + d.exp * LN2
+                for d in self.plan_deviations(f, plans)]

@@ -1,7 +1,10 @@
 """Exact conditional time-averages and their convergence envelopes.
 
-All expectations here are computed exactly (to accumulation error) by
-matrix propagation, never by sampling.  Time integrals over [0, T] are
+Every plan-weighted conditional expectation here comes from the deflated
+propagation of :mod:`qsd.deflation` (:meth:`Deflation.plan_deviations`),
+never from sampling: the deviation from beta(f) is carried itself, so
+errors far below double-precision resolution keep their digits and an
+exactly zero error stays exactly zero.  Time integrals over [0, T] are
 discretized as averages over the integer steps 0..T-1 (left Riemann sum
 with the step as unit), consistently everywhere.
 """
@@ -9,15 +12,14 @@ with the step as unit), consistently everywhere.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deflation import Deflation, _log
-from .kernels import SubStochasticKernel, _backward, _forward
+from .kernels import SubStochasticKernel
 from .qprocess import BoundReport, _fit_validate, _split_half
-from .spectral import SpectralTriple
+from .spectral import SpectralTriple, compute_spectral
 
 __all__ = [
     "SamplingPlan",
@@ -25,7 +27,6 @@ __all__ = [
     "envelope_grid_minimizer",
     "optimal_t0",
     "plan_envelope",
-    "plan_errors",
     "verify_ergodic_theorem",
     "verify_general_bound",
 ]
@@ -83,50 +84,19 @@ def _test_vector(K: SubStochasticKernel, f) -> np.ndarray:
     return f
 
 
-def _plan_values(K: SubStochasticKernel, P: np.ndarray, f: np.ndarray, plans) -> np.ndarray:
-    """E(f against plan | survival past plan.T) from each start row of ``P``.
-
-    Entry (i, x) is plan i's value from start row x.  One backward pass
-    gives the survival shapes v_lag ~ K^lag 1 (any rescale cancels) and one
-    streamed forward pass the conditioned rows P_t, so a single row block is
-    alive at a time; atom (t, w) of a plan with horizon T adds
-    w (P_t (v_(T-t) f)) / (P_t v_(T-t)).
-    """
-    atoms = defaultdict(list)  # t -> [(plan index, weight, lag)]
-    for i, plan in enumerate(plans):
-        for t, w in plan.atoms:
-            atoms[t].append((i, w, plan.T - t))
-    lags = {lag for at in atoms.values() for _, _, lag in at}
-    surv = {lag: v for lag, (v, _) in enumerate(_backward(K, max(lags))) if lag in lags}
-    out = np.zeros((len(plans), len(P)))
-    for t, (rows, _) in enumerate(_forward(K, P, max(atoms))):
-        for i, w, lag in atoms.get(t, ()):
-            v = surv[lag]
-            out[i] += w * (rows @ (v * f)) / (rows @ v)
-    return out
-
-
 def conditional_functional(K: SubStochasticKernel, x: int, f, plan: SamplingPlan) -> float:
     """Exact E(integral of f(X_t) against the plan | survival past T).
 
-    Equals the plan-weighted combination of f integrated against the
-    bridge marginals at each atom time; survival reweighting is carried in
-    renormalized form, so large T cannot underflow.
+    beta(f) plus the signed deviation from x that
+    :meth:`Deflation.plan_deviations` carries in deflated form, so large T
+    cannot underflow; the Perron triple is computed first.
     """
     f = _test_vector(K, f)
     if not 0 <= x < K.n:
         raise ValueError("state out of range")
-    row = np.zeros((1, K.n))
-    row[0, x] = 1.0
-    return float(_plan_values(K, row, f, [plan])[0, 0])
-
-
-def plan_errors(K: SubStochasticKernel, S: SpectralTriple, f, plans) -> list[float]:
-    """sup_x |E_x(f against plan | survival past plan.T) - beta(f)| per plan,
-    for all start states and all plans in one pass."""
-    f = _test_vector(K, f)
-    values = _plan_values(K, np.eye(K.n), f, plans)
-    return [float(e) for e in np.abs(values - float(S.beta @ f)).max(axis=1)]
+    core = Deflation(K, compute_spectral(K))
+    dev = core.plan_deviations(f, [plan])[0]
+    return float(core.beta @ f) + float(np.ldexp(dev.hat[x], dev.exp))
 
 
 def plan_envelope(gamma: float, gamma_prime: float, plan: SamplingPlan) -> float:
@@ -220,26 +190,26 @@ def verify_ergodic_theorem(
     expectation - beta(f)| with a4 ||f||_inf / T; a4 is the supremum of
     T * error / ||f||_inf over the first half of the grid, validated on
     the second half, where the report also checks that T * error does not
-    grow.  Plain double precision suffices: the errors decay like 1/T,
-    never below the noise floor on sane grids.
+    grow.  The errors come from :meth:`Deflation.plan_errors` as logs, so
+    an error below double-precision resolution is measured, not rounding
+    noise, and an exactly zero error (constant f) is exactly 0.
     """
     f = _test_vector(K, f)
     Ts = sorted({int(T) for T in T_grid})
     if not Ts or Ts[0] < 1:
         raise ValueError("T_grid must contain integers >= 1")
     f_inf = float(np.max(np.abs(f)))
-    beta_f = float(S.beta @ f)
 
-    errors = dict(zip(Ts, plan_errors(K, S, f, [SamplingPlan.uniform(T) for T in Ts])))
+    log_errors = Deflation(K, S).plan_errors(f, [SamplingPlan.uniform(T) for T in Ts])
 
     fit_Ts, val_Ts = _split_half(Ts)
-    scaled = {T: T * errors[T] / f_inf if f_inf > 0 else 0.0 for T in Ts}
+    scaled = {T: T * math.exp(v) / f_inf if f_inf > 0 else 0.0 for T, v in zip(Ts, log_errors)}
     non_increasing = all(scaled[b] <= scaled[a] + 1e-9 for a, b in zip(val_Ts, val_Ts[1:]))
     details = {
         "fit_grid": fit_Ts,
         "validation_grid": val_Ts,
         "non_increasing_on_validation": non_increasing,
-        "beta_f": beta_f,
+        "beta_f": float(S.beta @ f),
     }
-    points = [(T, None, T, errors[T], _log(errors[T]), _log(f_inf / T)) for T in Ts]
+    points = [(T, None, T, math.exp(v), v, _log(f_inf / T)) for T, v in zip(Ts, log_errors)]
     return _fit_validate("ergodic_theorem", 0.0, Ts, points, set(fit_Ts), set(val_Ts), details)

@@ -302,7 +302,14 @@ def q_mixing_report(Q: QKernel, t_grid) -> BoundReport:
 
 
 def fitted_rates(K: SubStochasticKernel, S: SpectralTriple, t_max: int = 60) -> tuple[float, float]:
-    """(gamma, gamma') pair: conditioned-TV decay rate and mixing rate."""
-    gamma = conditioned_tv_rate(K, S, t_max=t_max).gamma
-    gamma_prime = q_mixing_report(build_q_kernel(K, S), range(1, t_max + 1)).rate
-    return gamma, gamma_prime
+    """(gamma, gamma'): the rates :func:`conditioned_tv_rate` and
+    :func:`q_mixing_report` on range(1, t_max + 1) fit (the latter on its fit
+    half, t <= (1 + t_max) / 2), read from one walk of D_0 .. D_t_max."""
+    build_q_kernel(K, S)  # built only to refuse a kernel whose h-transform is ill-conditioned
+    core = Deflation(K, S)
+    conditioned, mixing = [], []
+    for t, D in enumerate(core.rows(t_max)):
+        conditioned.append((t, core.conditioned_tv(D)))
+        if 1 <= t <= (1 + t_max) / 2:
+            mixing.append((t, core.q_tv(D)))
+    return _tail_rate_fit(conditioned).gamma, _tail_rate_fit(mixing).gamma

@@ -240,3 +240,29 @@ def enum_pair_tv(entries, t: int, T: int) -> float:
         for i in range(n)
         for j in range(i + 1, n)
     )
+
+
+def mp_time_average_errors(entries, f, Ts, dps: int = 60) -> dict:
+    """sup_x |E_x(mean of f(X_0..X_(T-1)) | survival past T) - beta(f)| per T.
+
+    Laws by stepwise-renormalized extended-precision propagation, reweighted
+    by the survival vectors; beta from a dense eigensolve.  Returns floats.
+    """
+    n = entries.shape[0]
+    T_max = max(Ts)
+    with mp.workdps(dps):
+        M = mp_matrix(entries, dps)
+        alpha, _, eta = mp_perron(M)
+        f = [mpf(float(v)) for v in f]
+        beta_f = sum(a * h * v for a, h, v in zip(alpha, eta, f))
+        surv = mp_survival_vectors(M, T_max)
+        rows_at = [[r[:] for r in rows] for _, rows in mp_conditioned_rows(M, T_max - 1)]
+        out = {}
+        for T in Ts:
+            worst = mpf(0)
+            for x in range(n):
+                laws = (mp_bridge_row(rows_at[t][x], surv[T - t]) for t in range(T))
+                total = sum(sum(p * v for p, v in zip(law, f)) for law in laws)
+                worst = max(worst, abs(total / T - beta_f))
+            out[T] = float(worst)
+    return out

@@ -177,6 +177,15 @@ class TestVerifySubcommand:
         assert "--pair-lag-max" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "v").exists()
 
+    def test_short_t_max_is_usage_error(self, tmp_path, capsys):
+        # checked before the kernel is read: the file does not exist
+        code = main(["verify", "--kernel", str(tmp_path / "missing.txt"),
+                     "--out", str(tmp_path / "v"), "--t-max", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--t-max" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "v").exists()
+
 
 class TestErgodicSubcommand:
     def test_uniform_plan(self, tmp_path, w3_file):
@@ -277,6 +286,18 @@ class TestErgodicSubcommand:
         assert [int(r[0]) for r in rows] == [2, 4, 6]
         for row in rows:
             assert all(np.isfinite(float(v)) for v in row[1:])
+
+    def test_uniform_plan_exactly_zero_on_one_state_kernel(self, tmp_path):
+        # f is constant on one state: the time average is beta(f) exactly
+        kf = tmp_path / "one.txt"
+        kf.write_text("n 1 time_unit 1\n0.5\n")
+        out = tmp_path / "e"
+        code = main(["ergodic", "--kernel", str(kf), "--out", str(out),
+                     "--f", "1", "--T-grid", "10:60:10"])
+        assert code == 0
+        rows = [line.split(",") for line in read_lines(out / "ergodic.csv").splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [10, 20, 30, 40, 50, 60]
+        assert all(float(r[1]) == 0.0 for r in rows)
 
 
 class TestEstimateAndSweep:

@@ -13,6 +13,7 @@ from oracles import (
     mp_conditioned_rows,
     mp_matrix,
     mp_survival_vectors,
+    mp_time_average_errors,
 )
 from qsd import models
 from qsd.deflation import Deflation
@@ -168,7 +169,8 @@ class TestStreamedPlanErrors:
         core = Deflation(K, compute_spectral(K))
         f = np.sin(np.arange(K.n) + 1.0)
         plans = [SamplingPlan.uniform(40), SamplingPlan.dirac(5, 30), SamplingPlan.dirac(0, 7),
-                 SamplingPlan.custom([(20, 0.5), (3, 0.5)], 25)]
+                 SamplingPlan.custom([(20, 0.5), (3, 0.5)], 25),
+                 SamplingPlan.uniform(10), SamplingPlan.uniform(25), SamplingPlan.uniform(33)]
         together = core.plan_errors(f, plans)
         assert together == [core.plan_errors(f, [p])[0] for p in plans]
 
@@ -198,6 +200,16 @@ class TestErgodicTheorem:
         S = compute_spectral(single)
         rep = verify_ergodic_theorem(single, S, [1.0], range(5, 40, 5))
         assert rep.constant == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["w3", "rs8", "ou8"])
+    def test_errors_match_extended_precision(self, name):
+        K = {"w3": models.w3, "rs8": lambda: models.random_substochastic(8, 3),
+             "ou8": lambda: models.ou_discretized(8)}[name]()
+        f = np.array([(x % 3) / 2 for x in range(K.n)])
+        rep = verify_ergodic_theorem(K, compute_spectral(K), f, range(10, 201, 10))
+        want = mp_time_average_errors(K.entries, f, range(10, 201, 10))
+        for (_, T, obs, _, _) in rep.rows:
+            assert obs == pytest.approx(want[T], rel=1e-12, abs=0.0)
 
     def test_w3_indicator_scaled_error_bounded(self, w3, w3_triple):
         f = [1.0, 0.0, 0.0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import second_eigenvalue_magnitude
+from qsd import models
 from qsd.kernels import SubStochasticKernel, conditioned_marginal_given_T, tv_distance
 from qsd.qprocess import (
     build_q_kernel,
@@ -12,7 +13,7 @@ from qsd.qprocess import (
     verify_eta_bound,
     verify_qproc_approx,
 )
-from qsd.spectral import SpectralTriple, compute_spectral
+from qsd.spectral import SpectralTriple, compute_spectral, conditioned_tv_rate
 
 
 class TestBuildQKernel:
@@ -229,3 +230,12 @@ class TestFittedRates:
         gamma, gamma_prime = fitted_rates(w3, w3_triple)
         # conjugation preserves the spectrum: both rates equal the gap rate
         assert gamma == pytest.approx(gamma_prime, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["w3", "rs8", "ou8"])
+    def test_one_walk_equals_the_two_reports(self, name):
+        K = {"w3": models.w3, "rs8": lambda: models.random_substochastic(8, 3),
+             "ou8": lambda: models.ou_discretized(8)}[name]()
+        S = compute_spectral(K)
+        want = (conditioned_tv_rate(K, S, t_max=60).gamma,
+                q_mixing_report(build_q_kernel(K, S), range(1, 61)).rate)
+        assert fitted_rates(K, S) == want
