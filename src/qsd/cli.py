@@ -5,8 +5,9 @@ atomically (temp file + rename) plus a manifest recording the config
 hash, seed, and library version, and exits with 0 on success, 1 on
 runtime errors, 2 on usage/config errors, and 3 when a certification or
 bound verification fails.  All numbers are serialized with 17 significant
-digits, so reruns diff exactly; ``--threads`` only changes how work is
-chunked and never the results.
+digits, so reruns diff exactly.  ``--threads`` is the number of threads
+that ``estimate`` and ``sweep`` run their simulation blocks on (at most
+the usable CPUs); it never changes an output file.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def _write_csv(path: str, header: str, rows, trailer: str | None = None) -> None
 
 
 # Arguments that never change an output file: where the input and the
-# output live, and how the work is chunked.  The input file's bytes are
-# hashed instead of its path.
+# output live, and how many threads run the simulation.  The input file's
+# bytes are hashed instead of its path.
 _NOT_HASHED = {"kernel", "config", "out", "threads", "fn", "subcommand"}
 # Subcommands whose output depends on --seed.
 _SEEDED = {"model", "estimate", "sweep"}
@@ -162,6 +163,21 @@ def _parse_grid(arg: str) -> list[int]:
             raise ValueError(f"bad grid {arg!r}")
         return list(range(lo, hi + 1, step))
     return [int(p) for p in arg.split(",")]
+
+
+def _positive_int(arg: str) -> int:
+    try:
+        value = int(arg)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {arg!r}")
+    return value
+
+
+def _simulation_record(threads: int, trajectories: int, steps: int, survivors: int) -> dict:
+    return {"workers": estimator.worker_count(threads), "trajectories": trajectories,
+            "trajectory_steps": steps, "survivors": survivors}
 
 
 def _parse_plan(arg: str) -> int | None:
@@ -283,7 +299,8 @@ def cmd_estimate(args) -> int:
     row = (args.N, T, t0, batch.N_T, est, se, exact, abs(est - exact), predicted)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "estimate.csv"), _SWEEP_HEADER, [row])
-    _manifest(args, args.seed)
+    _manifest(args, args.seed, simulation=_simulation_record(
+        args.threads, args.N, batch.steps, batch.N_T))
     return EXIT_OK
 
 
@@ -303,7 +320,9 @@ def cmd_sweep(args) -> int:
     ]
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "sweep.csv"), _SWEEP_HEADER, csv_rows)
-    _manifest(args, args.seed)
+    _manifest(args, args.seed, simulation=_simulation_record(
+        args.threads, args.reps * sum(N_list), sum(r.steps for r in rows),
+        sum(r.survivors for r in rows)))
     if any(r.flagged for r in rows):
         print("some sweep rows went extinct in every replication", file=sys.stderr)
     return EXIT_OK
@@ -325,8 +344,15 @@ def cmd_converse(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors as one line, without the usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qsd",
         description="Quasi-stationary analysis of finite absorbed Markov chains.",
     )
@@ -338,8 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", help="model config file")
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker chunks; never changes results")
+        sp.add_argument("--threads", type=_positive_int, default=1,
+                        help="run simulation blocks on up to min(threads, CPUs) "
+                             "threads; never changes output")
 
     sp = sub.add_parser("model", help="build a kernel from a config file")
     sp.add_argument("--config", required=True)

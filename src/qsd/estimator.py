@@ -1,22 +1,30 @@
 """Seeded Monte Carlo estimation from survival-conditioned trajectories.
 
 Simulation randomness is addressed, not streamed: the variate driving
-trajectory i at step s is a pure function of (seed, i, s), so a batch is
-bit-identical however it is partitioned across chunks or workers.  All
+trajectory i at step s is a pure function of (seed, i, s).  Trajectories
+run in fixed blocks on a thread pool, each block writing only its own
+rows, so a batch is bit-identical whatever the number of workers.  All
 reductions run in trajectory-index order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ergodic import SamplingPlan, optimal_t0
 from .kernels import SubStochasticKernel
-from .rng import counter_uniforms, derive_key
+from .rng import derive_key, step_uniforms, trajectory_keys
 from .spectral import SpectralTriple
+
+# Trajectories advanced together: small enough that a block's per-step
+# arrays take a few MiB whatever N is, large enough that numpy's per-call
+# overhead is a small share of each step.
+_BLOCK = 1 << 16
 
 __all__ = [
     "ExtinctionError",
@@ -28,6 +36,7 @@ __all__ = [
     "predict_tradeoff",
     "simulate",
     "sweep_error_vs_N",
+    "worker_count",
 ]
 
 
@@ -41,7 +50,8 @@ class TrajectoryBatch:
 
     ``paths[i, s]`` is the state of trajectory i at step s, or -1 from the
     absorption step onward.  ``survivor_indices`` lists (in increasing
-    order) the trajectories still alive at step T.
+    order) the trajectories still alive at step T.  ``steps`` counts the
+    transitions sampled: one per trajectory alive before each step.
     """
 
     seed: int
@@ -50,6 +60,7 @@ class TrajectoryBatch:
     N: int
     paths: np.ndarray
     survivor_indices: np.ndarray
+    steps: int
 
     @property
     def N_T(self) -> int:
@@ -64,14 +75,25 @@ class TrajectoryBatch:
         return self.N_T == 0
 
 
+def worker_count(chunks: int) -> int:
+    """Threads ``simulate`` runs its blocks on: ``chunks``, capped at the usable CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(chunks, cpus)
+
+
 def simulate(
     K: SubStochasticKernel, x0: int, T: int, N: int, seed: int, chunks: int = 1
 ) -> TrajectoryBatch:
     """Sample N trajectories of the absorbed chain from x0 up to step T.
 
-    Bit-exactly reproducible for fixed (seed, x0, T, N) regardless of
-    ``chunks``, which only controls how many trajectories are advanced per
-    vectorized block.
+    Trajectories run in fixed blocks of ``2**16``, each carried through all
+    T steps.  ``chunks`` is the number of worker threads that share the
+    blocks (capped by :func:`worker_count`).  Each block writes only its
+    own rows of ``paths``, so the batch is bit-identical for fixed
+    (seed, x0, T, N) whatever ``chunks`` is.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -81,29 +103,63 @@ def simulate(
         raise ValueError("x0 out of range")
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
-    n = K.n
     cum = np.cumsum(K.entries, axis=1)  # u >= cum[s, n-1] means absorption
-    paths = np.full((N, T + 1), -1, dtype=np.int16)
-    paths[:, 0] = x0
-    bounds = np.linspace(0, N, chunks + 1).astype(np.int64)
-    for c in range(chunks):
-        lo, hi = int(bounds[c]), int(bounds[c + 1])
-        if lo == hi:
-            continue
-        alive = np.arange(lo, hi, dtype=np.int64)
-        states = np.full(hi - lo, x0, dtype=np.int64)
-        for step in range(1, T + 1):
-            u = counter_uniforms(seed, alive, step)
-            nxt = (u[:, None] >= cum[states]).sum(axis=1)
-            keep = nxt < n
-            alive = alive[keep]
-            states = nxt[keep]
-            paths[alive, step] = states.astype(np.int16)
-            if alive.size == 0:
-                break
+    paths = np.empty((N, T + 1), dtype=np.int16)
+
+    def run(lo: int) -> int:
+        return _advance_block(cum, paths, lo, min(lo + _BLOCK, N), x0, seed)
+
+    with ThreadPoolExecutor(max_workers=worker_count(chunks)) as pool:
+        steps = sum(pool.map(run, range(0, N, _BLOCK)))
     survivors = np.nonzero(paths[:, T] >= 0)[0]
     return TrajectoryBatch(seed=seed, x0=x0, T=T, N=N, paths=paths,
-                           survivor_indices=survivors)
+                           survivor_indices=survivors, steps=steps)
+
+
+def _advance_block(cum: np.ndarray, paths: np.ndarray, lo: int, hi: int,
+                   x0: int, seed: int) -> int:
+    """Run trajectories lo .. hi-1 through every step, filling their rows of paths.
+
+    Returns the number of transitions sampled.
+    """
+    n = cum.shape[0]
+    paths[lo:hi] = -1
+    paths[lo:hi, 0] = x0
+    alive = np.arange(lo, hi, dtype=np.int64)
+    keys = trajectory_keys(seed, alive)
+    states = np.full(hi - lo, x0, dtype=np.min_scalar_type(n))  # holds n: absorbed
+    steps = 0
+    for step in range(1, paths.shape[1]):
+        steps += alive.size
+        nxt = _next_states(cum, states, step_uniforms(keys, step))
+        keep = np.flatnonzero(nxt < n)
+        alive, keys, states = alive[keep], keys[keep], nxt[keep]
+        paths[alive, step] = states.astype(np.int16)
+        if alive.size == 0:
+            break
+    return steps
+
+
+def _next_states(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each i, how many entries of ``cum[states[i]]`` are at or below ``u[i]``.
+
+    Trajectories are grouped by state with a stable sort and each group is
+    looked up with one ``searchsorted`` in its nondecreasing ``cum`` row:
+    the same count as comparing ``u`` with the whole row, without an N x n
+    temporary.  A result of n means absorption.
+    """
+    order = np.argsort(states, kind="stable")
+    counts = np.bincount(states, minlength=cum.shape[0])
+    u_sorted = u[order]
+    nxt_sorted = np.empty_like(states)
+    start = 0
+    for s in np.flatnonzero(counts).tolist():
+        end = start + int(counts[s])
+        nxt_sorted[start:end] = np.searchsorted(cum[s], u_sorted[start:end], side="right")
+        start = end
+    nxt = np.empty_like(states)
+    nxt[order] = nxt_sorted
+    return nxt
 
 
 def estimate_beta(batch: TrajectoryBatch, f, plan: SamplingPlan) -> tuple[float, float]:
@@ -199,7 +255,11 @@ def choose_horizon(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep point: medians over replications at a fixed N."""
+    """One sweep point: medians over replications at a fixed N.
+
+    ``survivors`` and ``steps`` are totals over every replication, extinct
+    ones included: the survivors at T and the transitions sampled.
+    """
 
     N: int
     T: int
@@ -211,6 +271,8 @@ class SweepRow:
     abs_error: float
     predicted: float
     extinct_replications: int
+    survivors: int
+    steps: int
 
     @property
     def flagged(self) -> bool:
@@ -250,9 +312,11 @@ def sweep_error_vs_N(
         T, t0, predicted = choose_horizon(S.lambda0, gamma, gamma_prime, N)
         plan = SamplingPlan.dirac(t0, T)
         estimates, stderrs, survivors, errors = [], [], [], []
-        extinct = 0
+        extinct = total_survivors = steps = 0
         for rep in range(replications):
             batch = simulate(K, x0, T, N, derive_key(seed, iN, rep), chunks=chunks)
+            total_survivors += batch.N_T
+            steps += batch.steps
             if batch.N_T < 2:
                 extinct += 1
                 continue
@@ -264,7 +328,8 @@ def sweep_error_vs_N(
         if not errors:
             rows.append(SweepRow(N=N, T=T, t0=t0, N_T=0.0, estimate=math.nan,
                                  stderr=math.nan, exact=exact, abs_error=math.nan,
-                                 predicted=predicted, extinct_replications=extinct))
+                                 predicted=predicted, extinct_replications=extinct,
+                                 survivors=total_survivors, steps=steps))
             continue
         rows.append(SweepRow(
             N=N, T=T, t0=t0,
@@ -275,5 +340,7 @@ def sweep_error_vs_N(
             abs_error=float(np.median(errors)),
             predicted=predicted,
             extinct_replications=extinct,
+            survivors=total_survivors,
+            steps=steps,
         ))
     return rows

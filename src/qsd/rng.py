@@ -20,7 +20,7 @@ _INV53 = 2.0 ** -53
 def mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on a uint64 array (wrapping arithmetic)."""
     with np.errstate(over="ignore"):
-        z = (z + _GOLDEN).astype(np.uint64)
+        z = (z + _GOLDEN).astype(np.uint64, copy=False)
         z ^= z >> np.uint64(30)
         z *= _MIX1
         z ^= z >> np.uint64(27)
@@ -41,17 +41,30 @@ def derive_key(*parts: int) -> int:
     return acc
 
 
+def trajectory_keys(key: int, index: np.ndarray) -> np.ndarray:
+    """Per-index hashes ``mix64(mix64(key) ^ index)`` of a counter address.
+
+    The part of an address that does not depend on the step: a simulation
+    computes it once per trajectory and feeds it to :func:`step_uniforms`
+    at every step.
+    """
+    idx = np.asarray(index, dtype=np.uint64)
+    return mix64(mix64(np.array([np.uint64(key & 0xFFFFFFFFFFFFFFFF)])) ^ idx)
+
+
+def step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
+    """Uniforms in [0, 1) for :func:`trajectory_keys` hashes at one step."""
+    h = mix64(keys ^ np.uint64(step & 0xFFFFFFFFFFFFFFFF))
+    return (h >> np.uint64(11)) * _INV53
+
+
 def counter_uniforms(key: int, index: np.ndarray, step: int) -> np.ndarray:
     """Uniforms in [0, 1) addressed by (key, index, step).
 
     ``index`` is an integer array (e.g. trajectory numbers); the result
     depends only on the address, never on call order or batch shape.
     """
-    idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = mix64(mix64(mix64(np.array([np.uint64(key & 0xFFFFFFFFFFFFFFFF)])) ^ idx)
-                  ^ np.uint64(step & 0xFFFFFFFFFFFFFFFF))
-    return (h >> np.uint64(11)) * _INV53
+    return step_uniforms(trajectory_keys(key, index), step)
 
 
 def uniform_field(key: int, rows: int, cols: int) -> np.ndarray:

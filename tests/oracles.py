@@ -266,3 +266,54 @@ def mp_time_average_errors(entries, f, Ts, dps: int = 60) -> dict:
                 worst = max(worst, abs(total / T - beta_f))
             out[T] = float(worst)
     return out
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(z: int) -> int:
+    """splitmix64 finalizer on one Python integer, masked to 64 bits."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def counter_uniform_reference(key: int, index: int, step: int) -> float:
+    """The counter uniform of (key, index, step), one address at a time:
+    ``mix64(mix64(mix64(key) ^ index) ^ step) >> 11`` scaled by 2^-53."""
+    h = splitmix64(splitmix64(splitmix64(key & _MASK64) ^ index) ^ (step & _MASK64))
+    return (h >> 11) * 2.0 ** -53
+
+
+def simulate_reference(K, x0: int, T: int, N: int, seed: int, chunks: int = 1):
+    """(paths, survivor_indices) from the one-chunk-at-a-time loop.
+
+    Each step compares every live trajectory's uniform with the whole
+    cumulative row of its state (an N x n temporary) and counts the
+    entries at or below it; ``chunks`` splits the batch to bound that
+    temporary and never changes the result.
+    """
+    from qsd.rng import counter_uniforms
+
+    n = K.n
+    cum = np.cumsum(K.entries, axis=1)
+    paths = np.full((N, T + 1), -1, dtype=np.int16)
+    paths[:, 0] = x0
+    bounds = np.linspace(0, N, chunks + 1).astype(np.int64)
+    for c in range(chunks):
+        lo, hi = int(bounds[c]), int(bounds[c + 1])
+        if lo == hi:
+            continue
+        alive = np.arange(lo, hi, dtype=np.int64)
+        states = np.full(hi - lo, x0, dtype=np.int64)
+        for step in range(1, T + 1):
+            u = counter_uniforms(seed, alive, step)
+            nxt = (u[:, None] >= cum[states]).sum(axis=1)
+            keep = nxt < n
+            alive = alive[keep]
+            states = nxt[keep]
+            paths[alive, step] = states.astype(np.int16)
+            if alive.size == 0:
+                break
+    return paths, np.nonzero(paths[:, T] >= 0)[0]

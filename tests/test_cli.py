@@ -355,6 +355,32 @@ class TestEstimateAndSweep:
             )
         assert outs[0] == outs[1]
 
+    def test_manifest_records_simulation(self, tmp_path, w3_file):
+        runs = {}
+        for threads in ("1", "4"):
+            for sub, extra in (("estimate", ["--N", "4000"]),
+                               ("sweep", ["--N-list", "50,500", "--reps", "3"])):
+                out = tmp_path / f"{sub}{threads}"
+                assert main([sub, "--kernel", w3_file, "--out", str(out), "--f", "0,1,0",
+                             "--seed", "11", "--threads", threads] + extra) == 0
+                manifest = json.loads(read_lines(out / "manifest.json"))
+                runs[sub, threads] = (manifest["config_hash"],
+                                      read_lines(out / f"{sub}.csv"), manifest["simulation"])
+        est = runs["estimate", "1"][2]
+        _, T, _, N_T = map(int, runs["estimate", "1"][1].splitlines()[1].split(",")[:4])
+        assert est["workers"] == 1 and est["trajectories"] == 4000
+        assert est["survivors"] == N_T
+        # a survivor takes T steps, any other trajectory fewer
+        assert N_T * T < est["trajectory_steps"] < 4000 * T
+        sweep = runs["sweep", "1"][2]
+        assert sweep["trajectories"] == 3 * (50 + 500)
+        assert sweep["survivors"] < sweep["trajectories"] < sweep["trajectory_steps"]
+        for sub in ("estimate", "sweep"):
+            (hash1, csv1, rec1), (hash4, csv4, rec4) = runs[sub, "1"], runs[sub, "4"]
+            assert (hash1, csv1) == (hash4, csv4)
+            assert rec4["workers"] == min(4, len(os.sched_getaffinity(0)))
+            assert {**rec1, "workers": 0} == {**rec4, "workers": 0}
+
 
 class TestConverseSubcommand:
     def test_w3_certifies(self, tmp_path, w3_file):
@@ -377,6 +403,15 @@ class TestConverseSubcommand:
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "--out", "x"]) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5"])
+    @pytest.mark.parametrize("sub", ["model", "spectral", "verify", "ergodic", "estimate",
+                                     "sweep", "converse"])
+    def test_threads_must_be_positive(self, tmp_path, capsys, sub, threads):
+        assert main([sub, "--out", str(tmp_path / "x"), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x").exists()
 
     def test_no_kernel_source(self, tmp_path, capsys):
         assert main(["spectral", "--out", str(tmp_path / "x")]) == 2

@@ -1,8 +1,14 @@
 import math
+import os
+import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import counter_uniform_reference, simulate_reference
+from qsd import models
 from qsd.ergodic import SamplingPlan, conditional_functional
 from qsd.estimator import (
     ExtinctionError,
@@ -10,10 +16,16 @@ from qsd.estimator import (
     predict_tradeoff,
     simulate,
     sweep_error_vs_N,
+    worker_count,
 )
 from qsd.kernels import conditioned_marginal_given_T, survival_probability
-from qsd.rng import counter_uniforms, derive_key
+from qsd.rng import counter_uniforms, derive_key, step_uniforms, trajectory_keys
 from qsd.spectral import compute_spectral
+
+# simulate only reads ``entries`` and ``n``; a row of zeros (immediate
+# absorption) makes a kernel reducible, so it is built without validation
+ZERO_ROW = SimpleNamespace(
+    entries=np.array([[0.2, 0.5, 0.3], [0.0, 0.0, 0.0], [0.4, 0.1, 0.2]]), n=3)
 
 
 class TestRng:
@@ -36,6 +48,18 @@ class TestRng:
 
     def test_derive_key_order_sensitive(self):
         assert derive_key(1, 2) != derive_key(2, 1)
+
+    @pytest.mark.parametrize("key", [0, 7, derive_key(3, 4), 2**64 - 1])
+    def test_split_matches_one_line_formula(self, key):
+        gen = np.random.default_rng(key % 1000)
+        idx = np.concatenate([gen.integers(0, 2**32, 40, dtype=np.uint64),
+                              gen.integers(2**32, 2**64 - 1, 40, dtype=np.uint64,
+                                           endpoint=True)])
+        for step in (0, 1, 17, 2**40):
+            want = np.array([counter_uniform_reference(key, int(i), step) for i in idx])
+            np.testing.assert_array_equal(counter_uniforms(key, idx, step), want)
+            np.testing.assert_array_equal(
+                step_uniforms(trajectory_keys(key, idx), step), want)
 
 
 class TestSimulate:
@@ -100,6 +124,61 @@ class TestSimulate:
             simulate(w3, 0, 5, 0, seed=0)
         with pytest.raises(ValueError):
             simulate(w3, 5, 5, 10, seed=0)
+
+    @pytest.mark.parametrize("kernel", ["w3", "t3", "single", "rs64", "zero_row"])
+    @pytest.mark.parametrize("N", [1, 2**16 - 1, 2**16 + 3, 3 * 2**16])
+    def test_bit_identical_to_reference_loop(self, request, kernel, N):
+        if kernel == "rs64":
+            K = models.random_substochastic(64, 5)
+        elif kernel == "zero_row":
+            K = ZERO_ROW
+        else:
+            K = request.getfixturevalue(kernel)
+        x0 = K.n - 1  # != 0 except on the one-state kernel
+        # the reference's N x n temporary is split into pieces of 2**14 rows
+        paths, survivors = simulate_reference(K, x0, 7, N, seed=31, chunks=-(-N // 2**14))
+        for chunks in (1, 2, 4, 13):
+            batch = simulate(K, x0, 7, N, seed=31, chunks=chunks)
+            np.testing.assert_array_equal(batch.paths, paths)
+            np.testing.assert_array_equal(batch.survivor_indices, survivors)
+
+    def test_blocks_agree_under_fast_thread_switching(self, w3):
+        # each block owns a disjoint row range of paths; a write that landed
+        # in another block's rows, or was lost, would change the batch
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batches = [simulate(w3, 1, 6, 5 * 2**16 + 7, seed=8, chunks=c) for c in (1, 2, 2)]
+        finally:
+            sys.setswitchinterval(interval)
+        for batch in batches[1:]:
+            np.testing.assert_array_equal(batch.paths, batches[0].paths)
+            assert batch.steps == batches[0].steps
+
+    def test_memory_stays_near_paths(self):
+        K = models.random_substochastic(64, 5)
+        tracemalloc.start()
+        try:
+            batch = simulate(K, 0, 10, 200_000, seed=1, chunks=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch.paths.nbytes + 16 * 2**20
+
+    def test_steps_count_live_transitions(self, w3):
+        batch = simulate(w3, 0, 9, 2**16 + 3, seed=6)
+        alive_before = [np.count_nonzero(batch.paths[:, s] >= 0) for s in range(9)]
+        assert batch.steps == sum(alive_before)
+        assert simulate(w3, 0, 0, 10, seed=6).steps == 0
+
+
+class TestWorkerCount:
+    def test_capped_at_usable_cpus(self):
+        assert worker_count(10**9) == len(os.sched_getaffinity(0))
+
+    def test_min_of_threads_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert [worker_count(k) for k in (1, 3, 8, 100)] == [1, 3, 8, 8]
 
 
 class TestEstimateBeta:
