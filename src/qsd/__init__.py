@@ -15,6 +15,7 @@ from .converse import (
     dobrushin_coeff,
     hypothesis_check,
 )
+from .deflation import Deflation
 from .ergodic import (
     SamplingPlan,
     conditional_functional,

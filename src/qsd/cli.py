@@ -151,18 +151,26 @@ def _read_f(arg: str, n: int) -> np.ndarray:
     return np.array(vals)
 
 
-def _parse_grid(arg: str) -> list[int]:
-    """Grids are 'lo:hi[:step]' or comma-separated integers."""
+def _int_list(arg: str, name: str, sep: str = ",") -> list[int]:
+    """Integers separated by ``sep``; an empty token is refused, naming ``name``."""
+    try:
+        return [int(p) for p in arg.split(sep)]
+    except ValueError:
+        raise ValueError(f"{name} takes integers separated by {sep!r}, not {arg!r}") from None
+
+
+def _parse_grid(arg: str, name: str) -> list[int]:
+    """Grids are 'lo:hi[:step]' or comma-separated integers, and never empty."""
     if ":" in arg:
-        parts = [int(p) for p in arg.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
-            raise ValueError(f"bad grid {arg!r}")
-        return list(range(lo, hi + 1, step))
-    return [int(p) for p in arg.split(",")]
+        parts = _int_list(arg, name, ":")
+        if len(parts) not in (2, 3) or min(parts[2:], default=1) < 1:
+            raise ValueError(f"{name} must be 'lo:hi[:step]' with a step >= 1, not {arg!r}")
+        grid = list(range(parts[0], parts[1] + 1, *parts[2:]))
+    else:
+        grid = _int_list(arg, name)
+    if not grid:
+        raise ValueError(f"{name} {arg!r} holds no value")
+    return grid
 
 
 def _positive_int(arg: str) -> int:
@@ -212,7 +220,6 @@ def cmd_model(args) -> int:
 def cmd_spectral(args) -> int:
     K = _load_kernel(args)
     S = spectral.compute_spectral(K, tol=args.tol)
-    os.makedirs(args.out, exist_ok=True)
     header = (f"rho={_fmt(S.rho)} lambda0_per_step={_fmt(S.lambda0)} "
               f"residual={_fmt(S.residual)}\nstate,alpha,eta,beta")
     rows = [(x, S.alpha[x], S.eta[x], S.beta[x]) for x in range(K.n)]
@@ -227,18 +234,20 @@ def cmd_verify(args) -> int:
         raise ValueError("--t-max must be >= 5: the rate fit needs 3 points in t <= (1 + t_max)/2")
     if args.pair_lag_max < 2:
         raise ValueError("--pair-lag-max must be >= 2: one lag to fit, one to validate")
+    if args.pair_t_max < 1:
+        raise ValueError("--pair-t-max must be >= 1")
     K = _load_kernel(args)
     S = spectral.compute_spectral(K)
-    Q = qprocess.build_q_kernel(K, S)
-    eta_rep = qprocess.verify_eta_bound(K, S, range(1, args.t_max + 1))
+    qprocess.build_q_kernel(K, S)  # refuses a kernel whose h-transform is ill-conditioned
+    core = Deflation(K, S)
+    eta_rep = qprocess.verify_eta_bound(core, range(1, args.t_max + 1))
     pairs = [(t, t + dt) for t in range(1, args.pair_t_max + 1)
              for dt in range(1, args.pair_lag_max + 1)]
     q_rep = qprocess.verify_qproc_approx(
-        K, S, Q, pairs, gamma=eta_rep.rate if math.isfinite(eta_rep.rate) else None,
+        core, pairs, gamma=eta_rep.rate if math.isfinite(eta_rep.rate) else None,
         a1=eta_rep.constant,
     )
-    mix_rep = qprocess.q_mixing_report(Q, range(1, args.t_max + 1))
-    os.makedirs(args.out, exist_ok=True)
+    mix_rep = qprocess.q_mixing_report(core, range(1, args.t_max + 1))
     _report_csv(os.path.join(args.out, "eta_bound.csv"), eta_rep)
     _report_csv(os.path.join(args.out, "qproc_approx.csv"), q_rep)
     _report_csv(os.path.join(args.out, "q_mixing.csv"), mix_rep)
@@ -252,25 +261,25 @@ def cmd_verify(args) -> int:
 
 def cmd_ergodic(args) -> int:
     t0 = _parse_plan(args.plan)
-    Ts = _parse_grid(args.T_grid)
+    Ts = _parse_grid(args.T_grid, "--T-grid")
     if t0 is None and len(set(Ts)) < 2:
         raise ValueError("--T-grid needs two or more horizons for the uniform plan: "
                          "one to fit, one to validate")
     K = _load_kernel(args)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
-    os.makedirs(args.out, exist_ok=True)
+    core = Deflation(K, S)
     violated = False
     if t0 is None:
-        rep = ergodic.verify_ergodic_theorem(K, S, f, Ts)
+        rep = ergodic.verify_ergodic_theorem(core, f, Ts)
         rows = [(T, obs, bound, ratio) for (_, T, obs, bound, ratio) in rep.rows]
         violated = not rep.valid
     else:
         plans = [ergodic.SamplingPlan.dirac(t0, T) for T in Ts]  # rejects t0 > T
-        gamma, gamma_prime = qprocess.fitted_rates(K, S)
+        gamma, gamma_prime = qprocess.fitted_rates(core)
         f_inf = float(np.max(np.abs(f))) or 1.0
         rows = []
-        for plan, log_err in zip(plans, Deflation(K, S).plan_errors(f, plans)):
+        for plan, log_err in zip(plans, core.plan_errors(f, plans)):
             err = math.exp(log_err)
             env = f_inf * ergodic.plan_envelope(gamma, gamma_prime, plan)
             rows.append((plan.T, err, env, err / env if env > 0 else 0.0))
@@ -289,7 +298,7 @@ def cmd_estimate(args) -> int:
     K = _load_kernel(args)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
-    gamma, gamma_prime = qprocess.fitted_rates(K, S)
+    gamma, gamma_prime = qprocess.fitted_rates(Deflation(K, S))
     T, t0, predicted = estimator.choose_horizon(S.lambda0, gamma, gamma_prime, args.N, args.T)
     if args.t0 is not None:
         t0 = args.t0
@@ -297,7 +306,6 @@ def cmd_estimate(args) -> int:
     est, se = estimator.estimate_beta(batch, f, ergodic.SamplingPlan.dirac(t0, T))
     exact = float(S.beta @ f)
     row = (args.N, T, t0, batch.N_T, est, se, exact, abs(est - exact), predicted)
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "estimate.csv"), _SWEEP_HEADER, [row])
     _manifest(args, args.seed, simulation=_simulation_record(
         args.threads, args.N, batch.steps, batch.N_T))
@@ -305,11 +313,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    N_list = _int_list(args.N_list, "--N-list")
     K = _load_kernel(args)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
-    gamma, gamma_prime = qprocess.fitted_rates(K, S)
-    N_list = [int(x) for x in args.N_list.split(",")]
+    gamma, gamma_prime = qprocess.fitted_rates(Deflation(K, S))
     rows = estimator.sweep_error_vs_N(
         K, S, f, N_list, args.reps, args.seed, gamma, gamma_prime,
         x0=args.x0, chunks=args.threads,
@@ -318,7 +326,6 @@ def cmd_sweep(args) -> int:
         (r.N, r.T, r.t0, r.N_T, r.estimate, r.stderr, r.exact, r.abs_error, r.predicted)
         for r in rows
     ]
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "sweep.csv"), _SWEEP_HEADER, csv_rows)
     _manifest(args, args.seed, simulation=_simulation_record(
         args.threads, args.reps * sum(N_list), sum(r.steps for r in rows),
@@ -331,7 +338,6 @@ def cmd_sweep(args) -> int:
 def cmd_converse(args) -> int:
     K = _load_kernel(args)
     rep = converse.certify_converse(K, t1_max=args.t1_max, T_max=args.T_max)
-    os.makedirs(args.out, exist_ok=True)
     rows = [(T, v, rep.envelope(T)) for T, v in rep.decay_curve]
     trailer = (f"# certified={rep.certified} t1={rep.t1} T1={rep.T1} "
                f"delta={_fmt(rep.delta)}")
@@ -428,7 +434,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MinorizationRefused,) as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .deflation import Deflation
 from .kernels import SubStochasticKernel, _max_pair_tv, bridge_marginals
-from .qprocess import QKernel, build_q_kernel
+from .qprocess import build_q_kernel
 from .spectral import compute_spectral, fit_decay
 
 __all__ = [
@@ -145,7 +145,7 @@ class HypothesisReport:
     coupling_rate: float | None = None
 
 
-def hypothesis_check(K: SubStochasticKernel, Q: QKernel, t_grid, T_grid) -> HypothesisReport:
+def hypothesis_check(core: Deflation, t_grid, T_grid) -> HypothesisReport:
     """Evaluate the two decay curves the converse certification rests on.
 
     The marginal curve at horizon T takes the supremum over probed lags
@@ -158,7 +158,6 @@ def hypothesis_check(K: SubStochasticKernel, Q: QKernel, t_grid, T_grid) -> Hypo
     Ts = sorted({int(T) for T in T_grid})
     if not ts or not Ts or ts[0] < 1 or Ts[0] < 1:
         raise ValueError("grids must contain integers >= 1")
-    core = Deflation(K, Q.triple)
     t_set = set(ts)
     coupling_curve = [(t, math.exp(core.q_pair_tv(D)))
                       for t, D in enumerate(core.rows(ts[-1])) if t in t_set]

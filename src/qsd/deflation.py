@@ -20,6 +20,10 @@ zero.  Every observable is closed-form in ``D_t`` and ``e_t`` and is
 returned as its natural logarithm (``-inf`` for an exact zero), so grids
 far past ``e^-700`` stay representable; a plan's signed per-state
 deviation is returned with its binary scale as a :class:`Deviation`.
+
+A command builds one :class:`Deflation` and hands it to every report, so
+the triple is refined once, and :meth:`Deflation.series` keeps its longest
+walk, so reports that read shorter series share one walk of D_t and e_t.
 """
 
 from __future__ import annotations
@@ -108,14 +112,18 @@ def _refine_triple(K: np.ndarray, triple):
 class Deflation:
     """Deviation propagation and observables for one kernel.
 
-    ``triple`` is refined once by inverse iteration; ``alpha``, ``rho``,
-    ``eta`` and ``beta = alpha * eta`` below are the refined values.
+    The one object a command builds after the Perron solve: every deflated
+    report and rate fit takes it.  ``triple`` is refined once by inverse
+    iteration; ``alpha``, ``rho``, ``eta`` and ``beta = alpha * eta`` below
+    are the refined values, and ``kernel`` and ``triple`` are kept as given.
     """
 
     def __init__(self, K, triple):
+        self.kernel, self.triple = K, triple
         self.alpha, self.rho, self.eta = _refine_triple(K.entries, triple)
         self.beta = self.alpha * self.eta
         self.step = K.entries / self.rho
+        self._series = ([], [], [])
 
     # -- propagation ---------------------------------------------------------
     def _project_rows(self, D: np.ndarray, exp: int) -> Deviation:
@@ -139,6 +147,19 @@ class Deflation:
         for _ in range(t_max):
             e = self._project_survival(self.step @ e.hat, e.exp)
             yield e
+
+    def series(self, t_max: int) -> tuple[list, list, list]:
+        """ln :meth:`conditioned_tv`, ln :meth:`q_tv` and ln :meth:`eta_defect`
+        for t = 0 .. t_max, from one walk of D_t and e_t.
+
+        The core keeps the longest series it has walked, so a shorter
+        request is a slice of it.
+        """
+        if len(self._series[0]) <= t_max:
+            walked = [(self.conditioned_tv(D), self.q_tv(D), self.eta_defect(e))
+                      for D, e in zip(self.rows(t_max), self.survival(t_max))]
+            self._series = tuple(map(list, zip(*walked)))
+        return tuple(s[:t_max + 1] for s in self._series)
 
     # -- observables (natural logs) ------------------------------------------
     def _conditioned(self, D: Deviation) -> np.ndarray:

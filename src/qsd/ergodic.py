@@ -1,10 +1,11 @@
 """Exact conditional time-averages and their convergence envelopes.
 
-Every plan-weighted conditional expectation here comes from the deflated
-propagation of :mod:`qsd.deflation` (:meth:`Deflation.plan_deviations`),
-never from sampling: the deviation from beta(f) is carried itself, so
-errors far below double-precision resolution keep their digits and an
-exactly zero error stays exactly zero.  Time integrals over [0, T] are
+Every plan-weighted conditional expectation here comes from the caller's
+deflated core (:meth:`qsd.deflation.Deflation.plan_deviations`), never from
+sampling: the deviation from beta(f) is carried itself, so errors far below
+double-precision resolution keep their digits and an exactly zero error
+stays exactly zero.  One core serves every plan and start state, so the
+Perron triple is solved and refined once.  Time integrals over [0, T] are
 discretized as averages over the integer steps 0..T-1 (left Riemann sum
 with the step as unit), consistently everywhere.
 """
@@ -17,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deflation import Deflation, _log
-from .kernels import SubStochasticKernel
 from .qprocess import BoundReport, _fit_validate, _split_half
-from .spectral import SpectralTriple, compute_spectral
 
 __all__ = [
     "SamplingPlan",
@@ -77,24 +76,23 @@ class SamplingPlan:
         return cls("custom", T, tuple((int(t), float(w)) for t, w in atoms))
 
 
-def _test_vector(K: SubStochasticKernel, f) -> np.ndarray:
+def _test_vector(core: Deflation, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if f.shape != (K.n,):
+    if f.shape != (core.kernel.n,):
         raise ValueError("f must be a length-n vector")
     return f
 
 
-def conditional_functional(K: SubStochasticKernel, x: int, f, plan: SamplingPlan) -> float:
+def conditional_functional(core: Deflation, x: int, f, plan: SamplingPlan) -> float:
     """Exact E(integral of f(X_t) against the plan | survival past T).
 
     beta(f) plus the signed deviation from x that
     :meth:`Deflation.plan_deviations` carries in deflated form, so large T
-    cannot underflow; the Perron triple is computed first.
+    cannot underflow.
     """
-    f = _test_vector(K, f)
-    if not 0 <= x < K.n:
+    f = _test_vector(core, f)
+    if not 0 <= x < core.kernel.n:
         raise ValueError("state out of range")
-    core = Deflation(K, compute_spectral(K))
     dev = core.plan_deviations(f, [plan])[0]
     return float(core.beta @ f) + float(np.ldexp(dev.hat[x], dev.exp))
 
@@ -127,8 +125,7 @@ def envelope_grid_minimizer(gamma: float, gamma_prime: float, T: int) -> int:
 
 
 def verify_general_bound(
-    K: SubStochasticKernel,
-    S: SpectralTriple,
+    core: Deflation,
     reports,
     f,
     fit_plans,
@@ -150,7 +147,7 @@ def verify_general_bound(
     eta_report, mixing_report = reports
     gamma = eta_report.rate
     gamma_prime = mixing_report.rate
-    f = _test_vector(K, f)
+    f = _test_vector(core, f)
     fit_plans = list(fit_plans)
     validation_plans = list(validation_plans)
     if not fit_plans or not validation_plans:
@@ -158,7 +155,7 @@ def verify_general_bound(
     f_inf = float(np.max(np.abs(f)))
 
     plans = fit_plans + validation_plans
-    observed = Deflation(K, S).plan_errors(f, plans)
+    observed = core.plan_errors(f, plans)
 
     details = {"gamma": gamma, "gamma_prime": gamma_prime}
     fit_Ts = [p.T for p in fit_plans]
@@ -181,9 +178,7 @@ def _plan_time(plan: SamplingPlan):
     return plan.atoms[0][0] if plan.kind == "dirac" else None
 
 
-def verify_ergodic_theorem(
-    K: SubStochasticKernel, S: SpectralTriple, f, T_grid
-) -> BoundReport:
+def verify_ergodic_theorem(core: Deflation, f, T_grid) -> BoundReport:
     """1/T envelope for the conditional time-average of f.
 
     For each probed horizon, compares sup_x |time-averaged conditional
@@ -194,13 +189,13 @@ def verify_ergodic_theorem(
     an error below double-precision resolution is measured, not rounding
     noise, and an exactly zero error (constant f) is exactly 0.
     """
-    f = _test_vector(K, f)
+    f = _test_vector(core, f)
     Ts = sorted({int(T) for T in T_grid})
     if not Ts or Ts[0] < 1:
         raise ValueError("T_grid must contain integers >= 1")
     f_inf = float(np.max(np.abs(f)))
 
-    log_errors = Deflation(K, S).plan_errors(f, [SamplingPlan.uniform(T) for T in Ts])
+    log_errors = core.plan_errors(f, [SamplingPlan.uniform(T) for T in Ts])
 
     fit_Ts, val_Ts = _split_half(Ts)
     scaled = {T: T * math.exp(v) / f_inf if f_inf > 0 else 0.0 for T, v in zip(Ts, log_errors)}
@@ -209,7 +204,7 @@ def verify_ergodic_theorem(
         "fit_grid": fit_Ts,
         "validation_grid": val_Ts,
         "non_increasing_on_validation": non_increasing,
-        "beta_f": float(S.beta @ f),
+        "beta_f": float(core.triple.beta @ f),
     }
     points = [(T, None, T, math.exp(v), v, _log(f_inf / T)) for T, v in zip(Ts, log_errors)]
     return _fit_validate("ergodic_theorem", 0.0, Ts, points, set(fit_Ts), set(val_Ts), details)

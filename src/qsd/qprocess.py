@@ -20,7 +20,9 @@ grid has no second half and is validated on its own fit point (the CLI
 refuses such grids).  Observed values come from the
 deflated propagation of :mod:`qsd.deflation` and are fitted in log space:
 on these grids the true quantities decay far below double-precision
-resolution, and past e^-700 below the range of a double.
+resolution, and past e^-700 below the range of a double.  Every report
+takes a command's one :class:`~qsd.deflation.Deflation` core and reads its
+series from the core's one walk (:meth:`~qsd.deflation.Deflation.series`).
 """
 
 from __future__ import annotations
@@ -53,12 +55,6 @@ class QKernel:
     """Stochastic kernel of the chain conditioned to survive forever."""
 
     entries: np.ndarray
-    source: SubStochasticKernel
-    triple: SpectralTriple
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass
@@ -103,7 +99,7 @@ def build_q_kernel(K: SubStochasticKernel, S: SpectralTriple) -> QKernel:
     if beta_defect > 1e-10:
         raise ValueError(f"beta is not invariant under the transform (defect {beta_defect:.3e})")
     Q.setflags(write=False)
-    return QKernel(entries=Q, source=K, triple=S)
+    return QKernel(entries=Q)
 
 
 def _exp(x: float) -> float:
@@ -157,7 +153,7 @@ def _time_grid(t_grid) -> list[int]:
     return ts
 
 
-def verify_eta_bound(K: SubStochasticKernel, S: SpectralTriple, t_grid) -> BoundReport:
+def verify_eta_bound(core: Deflation, t_grid) -> BoundReport:
     """Envelope for the relative defect of finite-horizon survival capacity.
 
     Computes sup_x |eta_t(x) - eta(x)| / eta_t(x) on the grid, where
@@ -170,15 +166,7 @@ def verify_eta_bound(K: SubStochasticKernel, S: SpectralTriple, t_grid) -> Bound
     is re-checked on every grid point.
     """
     ts = _time_grid(t_grid)
-    t_max = ts[-1]
-    core = Deflation(K, S)
-    grid_set = set(ts)
-    tvs: dict[int, float] = {}
-    errs: dict[int, float] = {}
-    for t, D, e in zip(range(t_max + 1), core.rows(t_max), core.survival(t_max)):
-        if t in grid_set:
-            tvs[t] = core.conditioned_tv(D)
-            errs[t] = core.eta_defect(e)
+    tvs, _, errs = core.series(ts[-1])
 
     fit_ts, val_ts = _split_half(ts)
     details: dict = {"fit_grid": fit_ts, "validation_grid": val_ts,
@@ -196,9 +184,7 @@ def verify_eta_bound(K: SubStochasticKernel, S: SpectralTriple, t_grid) -> Bound
 
 
 def verify_qproc_approx(
-    K: SubStochasticKernel,
-    S: SpectralTriple,
-    Q: QKernel,
+    core: Deflation,
     pairs,
     gamma: float | None = None,
     a1: float | None = None,
@@ -229,7 +215,7 @@ def verify_qproc_approx(
         raise ValueError("pairs must satisfy 0 <= t <= T")
     if events not in ("marginal", "paths"):
         raise ValueError(f"unknown event family {events!r}")
-    n = K.n
+    n = core.kernel.n
     t_max = max(t for t, _ in pts)
     lag_max = max(T - t for t, T in pts)
     if events == "paths" and (n > 4 or t_max > 6):
@@ -239,7 +225,7 @@ def verify_qproc_approx(
         )
 
     if gamma is None:
-        gamma = conditioned_tv_rate(K, S, t_max=max(40, min(120, 4 * lag_max))).gamma
+        gamma = conditioned_tv_rate(core, t_max=max(40, min(120, 4 * lag_max))).gamma
     if not math.isfinite(gamma):
         # conditionally mixed in one step: observed TVs are identically zero
         rows = [(t, T, 0.0, 0.0, 0.0) for t, T in pts]
@@ -247,7 +233,6 @@ def verify_qproc_approx(
                            max_violation=0.0, rows=rows,
                            details={"gamma": math.inf})
 
-    core = Deflation(K, S)
     if events == "marginal":
         observed = core.bridge_gaps(pts)
     else:
@@ -277,7 +262,7 @@ def verify_qproc_approx(
     return rep
 
 
-def q_mixing_report(Q: QKernel, t_grid) -> BoundReport:
+def q_mixing_report(core: Deflation, t_grid) -> BoundReport:
     """Mixing envelope of the conditioned-forever chain toward beta.
 
     Fits C' and gamma' in sup_x TV(t-step law from x, beta)
@@ -287,10 +272,7 @@ def q_mixing_report(Q: QKernel, t_grid) -> BoundReport:
     state, or TV identically zero) reports C' = 0 with an infinite rate.
     """
     ts = _time_grid(t_grid)
-    t_max = ts[-1]
-    core = Deflation(Q.source, Q.triple)
-    grid_set = set(ts)
-    series = {t: core.q_tv(D) for t, D in enumerate(core.rows(t_max)) if t in grid_set}
+    _, series, _ = core.series(ts[-1])
 
     fit_ts, val_ts = _split_half(ts)
     details: dict = {"fit_grid": fit_ts, "validation_grid": val_ts}
@@ -301,15 +283,12 @@ def q_mixing_report(Q: QKernel, t_grid) -> BoundReport:
     return _fit_validate("q_mixing", fit.gamma, ts, points, set(fit_ts), set(val_ts), details)
 
 
-def fitted_rates(K: SubStochasticKernel, S: SpectralTriple, t_max: int = 60) -> tuple[float, float]:
+def fitted_rates(core: Deflation, t_max: int = 60) -> tuple[float, float]:
     """(gamma, gamma'): the rates :func:`conditioned_tv_rate` and
     :func:`q_mixing_report` on range(1, t_max + 1) fit (the latter on its fit
-    half, t <= (1 + t_max) / 2), read from one walk of D_0 .. D_t_max."""
-    build_q_kernel(K, S)  # built only to refuse a kernel whose h-transform is ill-conditioned
-    core = Deflation(K, S)
-    conditioned, mixing = [], []
-    for t, D in enumerate(core.rows(t_max)):
-        conditioned.append((t, core.conditioned_tv(D)))
-        if 1 <= t <= (1 + t_max) / 2:
-            mixing.append((t, core.q_tv(D)))
-    return _tail_rate_fit(conditioned).gamma, _tail_rate_fit(mixing).gamma
+    half, t <= (1 + t_max) / 2), read from the core's series."""
+    # built only to refuse a kernel whose h-transform is ill-conditioned
+    build_q_kernel(core.kernel, core.triple)
+    _, q_tv, _ = core.series(t_max)
+    return (conditioned_tv_rate(core, t_max).gamma,
+            _tail_rate_fit([(t, q_tv[t]) for t in range(1, (1 + t_max) // 2 + 1)]).gamma)

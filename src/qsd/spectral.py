@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deflation import Deflation
 from .kernels import Distribution, SubStochasticKernel, _backward, _forward, _shifted_solve
 
 __all__ = [
@@ -345,15 +344,13 @@ def _tail_rate_fit(points) -> DecayFit:
     return fit_log_decay(tail if len(tail) >= 3 else finite)
 
 
-def conditioned_tv_rate(
-    K: SubStochasticKernel, triple: SpectralTriple, t_max: int = 60
-) -> DecayFit:
+def conditioned_tv_rate(core, t_max: int = 60) -> DecayFit:
     """Decay rate of sup_x TV(law of X_t | survival, alpha).
 
-    The series comes from the deflated propagation of
-    :mod:`qsd.deflation` (stepwise double-precision noise would swamp it
-    past t ~ 45) and the rate is fitted by :func:`_tail_rate_fit` on
-    t = 0 .. t_max, so on the times past t_max / 2.
+    The series comes from the deflated core (a :class:`qsd.deflation.Deflation`;
+    stepwise double-precision noise would swamp it past t ~ 45) and the rate
+    is fitted by :func:`_tail_rate_fit` on t = 0 .. t_max, so on the times
+    past t_max / 2.
     """
-    core = Deflation(K, triple)
-    return _tail_rate_fit([(t, core.conditioned_tv(D)) for t, D in enumerate(core.rows(t_max))])
+    conditioned, _, _ = core.series(t_max)
+    return _tail_rate_fit(list(enumerate(conditioned)))

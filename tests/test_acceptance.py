@@ -13,6 +13,7 @@ import pytest
 from oracles import eig_triple
 from qsd.cli import main as cli_main
 from qsd.converse import certify_converse, hypothesis_check
+from qsd.deflation import Deflation
 from qsd.ergodic import envelope_grid_minimizer, optimal_t0, verify_ergodic_theorem
 from qsd.estimator import sweep_error_vs_N
 from qsd.kernels import conditioned_evolve, tv_distance, write_kernel
@@ -74,11 +75,11 @@ def test_criterion_02_fixed_point_and_geometric_survival(w3, t3, random_kernels)
 
 
 def test_criterion_03_eta_error_envelope(w3, t3, single, w3_triple, t3_triple):
-    rep = verify_eta_bound(w3, w3_triple, range(1, 201))
+    rep = verify_eta_bound(Deflation(w3, w3_triple), range(1, 201))
     ok = 0 < rep.constant < math.inf and rep.max_violation <= 1.0 + SLACK
     ok = ok and rep.details["sandwich_ok"]
-    rep_t3 = verify_eta_bound(t3, t3_triple, range(1, 201))
-    rep_1 = verify_eta_bound(single, compute_spectral(single), range(1, 101))
+    rep_t3 = verify_eta_bound(Deflation(t3, t3_triple), range(1, 201))
+    rep_1 = verify_eta_bound(Deflation(single, compute_spectral(single)), range(1, 101))
     ok = ok and rep_t3.constant == 0.0 and rep_1.constant == 0.0
     _line(
         3,
@@ -91,9 +92,8 @@ def test_criterion_03_eta_error_envelope(w3, t3, single, w3_triple, t3_triple):
 
 
 def test_criterion_04_bridge_to_conditioned_forever_envelope(w3, w3_triple):
-    Q = build_q_kernel(w3, w3_triple)
     pairs = [(t, t + lag) for t in range(1, 11) for lag in range(1, 51)]
-    rep = verify_qproc_approx(w3, w3_triple, Q, pairs)
+    rep = verify_qproc_approx(Deflation(w3, w3_triple), pairs)
     all_rows_within = all(r[4] <= 1.0 + SLACK for r in rep.rows)
     rate_ok = abs(rep.details["fitted_rate"] - rep.rate) <= 0.05 * rep.rate
     ok = all_rows_within and rep.max_violation <= 1.0 + SLACK and rate_ok
@@ -110,7 +110,7 @@ def test_criterion_04_bridge_to_conditioned_forever_envelope(w3, w3_triple):
 def test_criterion_05_conditioned_forever_ergodicity(w3, t3, w3_triple, t3_triple):
     Q = build_q_kernel(w3, w3_triple)
     beta_ok = float(np.max(np.abs(w3_triple.beta @ Q.entries - w3_triple.beta))) <= 1e-10
-    mix3 = q_mixing_report(build_q_kernel(t3, t3_triple), range(1, 61))
+    mix3 = q_mixing_report(Deflation(t3, t3_triple), range(1, 61))
     rate_ok = abs(mix3.rate - math.log(7.0)) <= 0.01 * math.log(7.0)
     conj_ok = True
     for t in range(1, 9):
@@ -139,7 +139,7 @@ def test_criterion_06_conditional_ergodic_theorem(w3, w3_triple):
     detail = ""
     for coord in range(3):
         f = np.eye(3)[coord]
-        rep = verify_ergodic_theorem(w3, w3_triple, f, range(10, 201, 5))
+        rep = verify_ergodic_theorem(Deflation(w3, w3_triple), f, range(10, 201, 5))
         if not (math.isfinite(rep.constant) and rep.max_violation <= 1.0 + SLACK):
             ok, detail = False, f"(f=e_{coord}: viol={rep.max_violation!r})"
             break
@@ -156,7 +156,7 @@ def test_criterion_06_conditional_ergodic_theorem(w3, w3_triple):
 
 
 def test_criterion_07_optimal_observation_time(w3, w3_triple):
-    gamma, gamma_prime = fitted_rates(w3, w3_triple)
+    gamma, gamma_prime = fitted_rates(Deflation(w3, w3_triple))
     T_lo = int(math.ceil(10.0 / min(gamma, gamma_prime)))
     ok = True
     detail = ""
@@ -176,7 +176,7 @@ def test_criterion_07_optimal_observation_time(w3, w3_triple):
 
 
 def test_criterion_08_tradeoff_exponent(w3, w3_triple):
-    gamma, gamma_prime = fitted_rates(w3, w3_triple)
+    gamma, gamma_prime = fitted_rates(Deflation(w3, w3_triple))
     lam0 = w3_triple.lambda0
     zeta = gamma * gamma_prime / (2 * gamma * gamma_prime + lam0 * (gamma + gamma_prime))
     start = time.monotonic()
@@ -224,8 +224,7 @@ def test_criterion_09_converse_certification(w3, t3, w3_triple, t3_triple, rando
             break
     if ok:
         for K, S in ((w3, w3_triple), (t3, t3_triple)):
-            Q = build_q_kernel(K, S)
-            h = hypothesis_check(K, Q, range(1, 61), range(70, 161, 10))
+            h = hypothesis_check(Deflation(K, S), range(1, 61), range(70, 161, 10))
             m_end = h.marginal_curve[-1][1]
             c_end = h.coupling_curve[-1][1]
             if m_end >= 1e-6 or c_end >= 1e-6:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from oracles import (
 )
 from qsd import models
 from qsd.cli import main, parse_model_config
-from qsd.kernels import read_kernel, write_kernel
+from qsd.kernels import SubStochasticKernel, read_kernel, write_kernel
 from qsd.models import golden_kernel_path
 
 
@@ -431,6 +432,39 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["kernel_dir", "config_dir", "out_file", "out_under_file"])
+    def test_path_errors_are_usage_errors(self, tmp_path, w3_file, capsys, case):
+        # IsADirectoryError, FileExistsError and NotADirectoryError end in
+        # one line and exit 2, like a missing file
+        taken = tmp_path / "taken.txt"
+        taken.write_text("x\n")
+        argv = {
+            "kernel_dir": ["--kernel", str(tmp_path), "--out", str(tmp_path / "o")],
+            "config_dir": ["--config", str(tmp_path), "--out", str(tmp_path / "o")],
+            "out_file": ["--kernel", w3_file, "--out", str(taken)],
+            "out_under_file": ["--kernel", w3_file, "--out", str(taken / "sub")],
+        }[case]
+        assert main(["spectral"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, name", [
+        (["ergodic", "--f", "0,0.5,1", "--T-grid", "1:10:0"], "--T-grid"),
+        (["ergodic", "--f", "0,0.5,1", "--T-grid", "10:5:-1"], "--T-grid"),
+        (["ergodic", "--f", "0,0.5,1", "--T-grid", "10:5", "--plan", "dirac:1"], "--T-grid"),
+        (["ergodic", "--f", "0,0.5,1", "--T-grid", "10:5"], "--T-grid"),
+        (["ergodic", "--f", "0,0.5,1", "--T-grid", "10,,20"], "--T-grid"),
+        (["ergodic", "--f", "0,0.5,1", "--T-grid", "1:2:3:4"], "--T-grid"),
+        (["sweep", "--f", "0,0.5,1", "--N-list", "10,"], "--N-list"),
+        (["verify", "--pair-t-max", "0"], "--pair-t-max"),
+    ], ids=["zero_step", "negative_step", "empty_dirac_grid", "empty_uniform_grid", "empty_token",
+            "four_parts", "empty_N_token", "no_pairs"])
+    def test_bad_grid_names_its_argument(self, tmp_path, w3_file, capsys, argv, name):
+        assert main(argv + ["--kernel", w3_file, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert name in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestWithoutMpmath:
     def test_reports_run_without_mpmath(self, tmp_path, w3_file):
@@ -471,3 +505,95 @@ class TestRerunByteIdentical:
 
     def test_golden_kernel_available(self):
         assert str(golden_kernel_path("w3")).endswith("w3.txt")
+
+
+# Pinned runs: every subcommand that reads the deflated core, on the kernels
+# whose CSVs must stay byte-identical (f = (x mod 3)/2; f = 1 on [[0.5]]).
+# The digests in pinned_runs.json are the SHA-256 of each CSV, of stderr, and
+# the exit code of each run.
+PINNED_KERNELS = {
+    "w3": models.w3,
+    "t3": models.t3,
+    "rs8": lambda: models.random_substochastic(8, 3),
+    "half": lambda: SubStochasticKernel([[0.5]]),
+}
+PINNED_RUNS = {
+    "verify": ["verify"],
+    "converse": ["converse"],
+    "ergodic_uniform": ["ergodic", "--plan", "uniform", "--T-grid", "10:200:10"],
+    "ergodic_dirac": ["ergodic", "--plan", "dirac:5", "--T-grid", "5:60:5"],
+    "estimate": ["estimate", "--N", "2000"],
+    "sweep": ["sweep", "--N-list", "100,200,400", "--reps", "8"],
+}
+PINNED_DIGESTS = Path(__file__).with_name("pinned_runs.json")
+
+
+def pinned_digests(name, workdir, capsys):
+    """{run: {"exit": code, "stderr": sha256, <csv name>: sha256}} for one kernel."""
+    K = PINNED_KERNELS[name]()
+    kf = Path(workdir) / f"{name}.txt"
+    write_kernel(K, kf)
+    f = "1" if name == "half" else ",".join(str((x % 3) / 2) for x in range(K.n))
+    digests = {}
+    for run, argv in PINNED_RUNS.items():
+        out = Path(workdir) / run
+        extra = ["--f", f] if argv[0] in ("ergodic", "estimate", "sweep") else []
+        capsys.readouterr()
+        code = main(argv + extra + ["--kernel", str(kf), "--out", str(out)])
+        record = {"exit": code,
+                  "stderr": hashlib.sha256(capsys.readouterr().err.encode()).hexdigest()}
+        for csv in sorted(out.glob("*.csv")):
+            record[csv.name] = hashlib.sha256(csv.read_bytes()).hexdigest()
+        digests[run] = record
+    return digests
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize("name", sorted(PINNED_KERNELS))
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys, name):
+        want = json.loads(PINNED_DIGESTS.read_text())[name]
+        got = pinned_digests(name, tmp_path, capsys)
+        for run in PINNED_RUNS:
+            for key in sorted(set(want[run]) | set(got[run])):
+                assert got[run].get(key) == want[run].get(key), f"{name} {run}: {key} differs"
+
+
+class TestOneCorePerCommand:
+    """Each command refines the Perron triple once; verify walks D_t once."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        from qsd import deflation
+
+        counts = {"refine": 0, "rows": 0}
+        refine, rows = deflation._refine_triple, deflation.Deflation.rows
+
+        def counting_refine(*args):
+            counts["refine"] += 1
+            return refine(*args)
+
+        def counting_rows(self, t_max):
+            for D in rows(self, t_max):
+                counts["rows"] += 1
+                yield D
+
+        monkeypatch.setattr(deflation, "_refine_triple", counting_refine)
+        monkeypatch.setattr(deflation.Deflation, "rows", counting_rows)
+        return counts
+
+    def test_verify_refines_once_and_walks_once(self, tmp_path, w3_file, counts):
+        assert main(["verify", "--kernel", w3_file, "--out", str(tmp_path / "v")]) == 0
+        assert counts["refine"] == 1
+        # D_0 .. D_200 for the series, D_0 .. D_10 for the bridge gaps
+        assert counts["rows"] <= 200 + 10 + 2
+
+    @pytest.mark.parametrize("argv", [
+        ["ergodic", "--f", "0,0.5,1", "--T-grid", "5:60:5", "--plan", "dirac:5"],
+        ["ergodic", "--f", "0,0.5,1", "--T-grid", "10:60:10"],
+        ["estimate", "--f", "0,0.5,1", "--N", "200"],
+        ["sweep", "--f", "0,0.5,1", "--N-list", "100,200", "--reps", "2"],
+        ["converse"],
+    ], ids=["ergodic_dirac", "ergodic_uniform", "estimate", "sweep", "converse"])
+    def test_command_refines_once(self, tmp_path, w3_file, counts, argv):
+        assert main(argv + ["--kernel", w3_file, "--out", str(tmp_path / "o")]) == 0
+        assert counts["refine"] == 1

@@ -5,8 +5,8 @@ import pytest
 
 from oracles import enum_pair_tv
 from qsd.converse import certify_converse, dobrushin_coeff, hypothesis_check
+from qsd.deflation import Deflation
 from qsd.kernels import bridge_marginals, tv_distance
-from qsd.qprocess import build_q_kernel
 from qsd.spectral import compute_spectral, fit_decay
 
 
@@ -98,8 +98,7 @@ class TestCertifyConverse:
 
 class TestHypothesisCheck:
     def test_t3_first_curve_zero_second_closed_form(self, t3, t3_triple):
-        Q = build_q_kernel(t3, t3_triple)
-        rep = hypothesis_check(t3, Q, range(1, 11), range(5, 51, 5))
+        rep = hypothesis_check(Deflation(t3, t3_triple), range(1, 11), range(5, 51, 5))
         assert all(v == 0.0 for _, v in rep.marginal_curve)
         for t, v in rep.coupling_curve:
             assert v == pytest.approx(7.0 ** (-t), rel=1e-9)
@@ -108,17 +107,16 @@ class TestHypothesisCheck:
 
     def test_single_state_both_zero(self, single):
         S = compute_spectral(single)
-        Q = build_q_kernel(single, S)
-        rep = hypothesis_check(single, Q, range(1, 6), range(2, 21, 2))
+        rep = hypothesis_check(Deflation(single, S), range(1, 6), range(2, 21, 2))
         assert all(v == 0.0 for _, v in rep.marginal_curve)
         assert all(v == 0.0 for _, v in rep.coupling_curve)
 
     def test_w3_rates_match_fitted_pair(self, w3, w3_triple):
         from qsd.qprocess import fitted_rates
 
-        Q = build_q_kernel(w3, w3_triple)
-        rep = hypothesis_check(w3, Q, range(1, 9), range(12, 61, 4))
-        gamma, gamma_prime = fitted_rates(w3, w3_triple)
+        core = Deflation(w3, w3_triple)
+        rep = hypothesis_check(core, range(1, 9), range(12, 61, 4))
+        gamma, gamma_prime = fitted_rates(core)
         assert rep.marginal_decays and rep.coupling_decays
         assert rep.marginal_rate == pytest.approx(gamma, rel=0.05)
         assert rep.coupling_rate == pytest.approx(gamma_prime, rel=0.05)

@@ -146,3 +146,22 @@ def test_streamed_bridge_gaps_match_per_pair(name):
     for t, T in pairs:
         want = core.bridge_gap(D[t], e[T - t]) if t else -math.inf
         assert gaps[(t, T)] == want, (t, T)
+
+
+@pytest.mark.parametrize("name", ["w3", "rs8", "ou8"])
+def test_series_served_from_a_longer_walk_equals_a_fresh_walk(name):
+    K = {"w3": models.w3, "rs8": lambda: models.random_substochastic(8, 3),
+         "ou8": lambda: models.ou_discretized(8)}[name]()
+    S = compute_spectral(K)
+    core = Deflation(K, S)
+    core.series(200)
+    for t_max in (0, 1, 7, 60, 200):
+        assert core.series(t_max) == Deflation(K, S).series(t_max), t_max
+    # a longer request than any walked so far walks again
+    short = Deflation(K, S)
+    short.series(10)
+    assert short.series(60) == core.series(60)
+    D = list(core.rows(60))
+    e = list(core.survival(60))
+    assert core.series(60) == ([core.conditioned_tv(d) for d in D], [core.q_tv(d) for d in D],
+                               [core.eta_defect(v) for v in e])

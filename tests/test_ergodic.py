@@ -26,7 +26,7 @@ from qsd.ergodic import (
     verify_general_bound,
 )
 from qsd.kernels import conditioned_marginal_given_T
-from qsd.qprocess import build_q_kernel, q_mixing_report, verify_eta_bound
+from qsd.qprocess import q_mixing_report, verify_eta_bound
 from qsd.spectral import compute_spectral
 
 
@@ -54,26 +54,30 @@ class TestSamplingPlan:
 
 class TestConditionalFunctional:
     def test_constant_f_any_plan(self, w3):
+        core = Deflation(w3, compute_spectral(w3))
         for plan in (SamplingPlan.uniform(9), SamplingPlan.dirac(4, 12),
                      SamplingPlan.custom([(0, 0.3), (7, 0.7)], 7)):
-            got = conditional_functional(w3, 1, [2.5, 2.5, 2.5], plan)
+            got = conditional_functional(core, 1, [2.5, 2.5, 2.5], plan)
             assert got == pytest.approx(2.5, abs=1e-12)
 
     def test_t3_dirac_closed_form(self, t3):
+        core = Deflation(t3, compute_spectral(t3))
         for T in (1, 5, 20):
-            got = conditional_functional(t3, 0, [1.0, 0.0], SamplingPlan.dirac(1, T))
+            got = conditional_functional(core, 0, [1.0, 0.0], SamplingPlan.dirac(1, T))
             assert got == pytest.approx(4 / 7, abs=1e-13)
 
     def test_w3_uniform_matches_path_enumeration(self, w3):
         plan = SamplingPlan.uniform(10)
-        got = conditional_functional(w3, 0, [0.0, 0.0, 1.0], plan)
+        got = conditional_functional(Deflation(w3, compute_spectral(w3)), 0, [0.0, 0.0, 1.0],
+                                     plan)
         want = enum_functional(w3.entries, 0, [0.0, 0.0, 1.0], plan.atoms, 10)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_dirac_matches_bridge_marginal(self, w3):
         f = np.array([0.3, -1.2, 2.0])
+        core = Deflation(w3, compute_spectral(w3))
         for t, T in [(0, 5), (3, 9), (7, 7)]:
-            got = conditional_functional(w3, 2, f, SamplingPlan.dirac(t, T))
+            got = conditional_functional(core, 2, f, SamplingPlan.dirac(t, T))
             want = float(conditioned_marginal_given_T(w3, 2, t, T) @ f)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -98,6 +102,7 @@ class TestAllStatesAgainstOracle:
                              ids=["random_substochastic", "ou_discretized"])
     def test_conditional_functional_every_state(self, K):
         f = np.array([1.0, -0.5, 0.25, 2.0, 0.0, -1.5, 0.75, 0.5])
+        core = Deflation(K, compute_spectral(K))
         with mp.workdps(30):
             M = mp_matrix(K.entries)
             rows_at = {t: [list(r) for r in rows] for t, rows in mp_conditioned_rows(M, 40)}
@@ -105,7 +110,7 @@ class TestAllStatesAgainstOracle:
             for plan in self.PLANS:
                 for x in range(K.n):
                     want = mp_functional([rows_at[t][x] for t in range(41)], surv, f, plan)
-                    got = conditional_functional(K, x, f, plan)
+                    got = conditional_functional(core, x, f, plan)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_multi_horizon_pass_does_not_couple_horizons(self):
@@ -113,23 +118,24 @@ class TestAllStatesAgainstOracle:
         S = compute_spectral(K, tol=1e-13)
         f = np.array([(x % 3) / 2 for x in range(K.n)])
         grid = list(range(5, 61, 5))
-        together = verify_ergodic_theorem(K, S, f, grid)
+        together = verify_ergodic_theorem(Deflation(K, S), f, grid)
         for (_, T, obs, _, _) in together.rows:
-            alone = verify_ergodic_theorem(K, S, f, [T]).rows[0][2]
+            alone = verify_ergodic_theorem(Deflation(K, S), f, [T]).rows[0][2]
             assert obs == pytest.approx(alone, rel=1e-14, abs=0.0)
 
 
 @pytest.fixture(scope="module")
 def reports(w3, w3_triple):
-    eta_rep = verify_eta_bound(w3, w3_triple, range(1, 101))
-    mix_rep = q_mixing_report(build_q_kernel(w3, w3_triple), range(1, 61))
+    core = Deflation(w3, w3_triple)
+    eta_rep = verify_eta_bound(core, range(1, 101))
+    mix_rep = q_mixing_report(core, range(1, 61))
     return eta_rep, mix_rep
 
 
 class TestGeneralBound:
     def test_constant_f_zero_error(self, w3, w3_triple, reports):
         rep = verify_general_bound(
-            w3, w3_triple, reports, [1.0, 1.0, 1.0],
+            Deflation(w3, w3_triple), reports, [1.0, 1.0, 1.0],
             [SamplingPlan.dirac(t, 30) for t in range(31)],
             [SamplingPlan.dirac(t, 40) for t in range(41)],
         )
@@ -139,24 +145,26 @@ class TestGeneralBound:
         f = [1.0, -1.0, 0.5]
         fit = [SamplingPlan.dirac(t, 60) for t in range(61)] + [SamplingPlan.uniform(60)]
         val = [SamplingPlan.dirac(t, 80) for t in range(81)] + [SamplingPlan.uniform(80)]
-        rep = verify_general_bound(w3, w3_triple, reports, f, fit, val)
+        rep = verify_general_bound(Deflation(w3, w3_triple), reports, f, fit, val)
         assert 0 < rep.constant < math.inf
         assert rep.max_violation <= 1.0 + 1e-9
 
     def test_t3_dirac_tracks_mixing_envelope(self, t3, t3_triple):
         # error at dirac(t) is exactly (1/7)^t * |f alpha-gap|; envelope rate ln 7
-        eta_rep = verify_eta_bound(t3, t3_triple, range(1, 41))
-        mix_rep = q_mixing_report(build_q_kernel(t3, t3_triple), range(1, 41))
+        core = Deflation(t3, t3_triple)
+        eta_rep = verify_eta_bound(core, range(1, 41))
+        mix_rep = q_mixing_report(core, range(1, 41))
         f = [1.0, -1.0]
         T = 30
         beta_f = float(t3_triple.beta @ f)
         for t in (1, 3, 6, 10):
             err = abs(
-                conditional_functional(t3, 0, f, SamplingPlan.dirac(t, T)) - beta_f
+                conditional_functional(Deflation(t3, compute_spectral(t3)), 0, f,
+                                       SamplingPlan.dirac(t, T)) - beta_f
             )
             assert err == pytest.approx(7.0 ** (-t), rel=1e-6)
         rep = verify_general_bound(
-            t3, t3_triple, (eta_rep, mix_rep), f,
+            core, (eta_rep, mix_rep), f,
             [SamplingPlan.dirac(t, 20) for t in range(21)],
             [SamplingPlan.dirac(t, 28) for t in range(29)],
         )
@@ -182,7 +190,7 @@ class TestStreamedPlanErrors:
         f = (np.arange(K.n) % 3) / 2.0
         tracemalloc.start()
         try:
-            rep = verify_general_bound(K, S, reports, f, [SamplingPlan.uniform(100)],
+            rep = verify_general_bound(Deflation(K, S), reports, f, [SamplingPlan.uniform(100)],
                                        [SamplingPlan.uniform(150)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -193,12 +201,12 @@ class TestStreamedPlanErrors:
 
 class TestErgodicTheorem:
     def test_constant_f_zero(self, w3, w3_triple):
-        rep = verify_ergodic_theorem(w3, w3_triple, [3.0, 3.0, 3.0], range(10, 60, 5))
+        rep = verify_ergodic_theorem(Deflation(w3, w3_triple), [3.0, 3.0, 3.0], range(10, 60, 5))
         assert rep.constant == pytest.approx(0.0, abs=1e-11)
 
     def test_single_state_zero(self, single):
         S = compute_spectral(single)
-        rep = verify_ergodic_theorem(single, S, [1.0], range(5, 40, 5))
+        rep = verify_ergodic_theorem(Deflation(single, S), [1.0], range(5, 40, 5))
         assert rep.constant == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["w3", "rs8", "ou8"])
@@ -206,14 +214,14 @@ class TestErgodicTheorem:
         K = {"w3": models.w3, "rs8": lambda: models.random_substochastic(8, 3),
              "ou8": lambda: models.ou_discretized(8)}[name]()
         f = np.array([(x % 3) / 2 for x in range(K.n)])
-        rep = verify_ergodic_theorem(K, compute_spectral(K), f, range(10, 201, 10))
+        rep = verify_ergodic_theorem(Deflation(K, compute_spectral(K)), f, range(10, 201, 10))
         want = mp_time_average_errors(K.entries, f, range(10, 201, 10))
         for (_, T, obs, _, _) in rep.rows:
             assert obs == pytest.approx(want[T], rel=1e-12, abs=0.0)
 
     def test_w3_indicator_scaled_error_bounded(self, w3, w3_triple):
         f = [1.0, 0.0, 0.0]
-        rep = verify_ergodic_theorem(w3, w3_triple, f, range(10, 201, 5))
+        rep = verify_ergodic_theorem(Deflation(w3, w3_triple), f, range(10, 201, 5))
         assert rep.max_violation <= 1.0 + 1e-9
         assert rep.details["non_increasing_on_validation"]
         # T * error settles to a plateau: the fitted a4 is attained late
@@ -239,7 +247,7 @@ class TestOptimalT0:
     def test_w3_grid_minimizer_within_one_step(self, w3, w3_triple):
         from qsd.qprocess import fitted_rates
 
-        gamma, gamma_prime = fitted_rates(w3, w3_triple)
+        gamma, gamma_prime = fitted_rates(Deflation(w3, w3_triple))
         T_min = 10.0 / min(gamma, gamma_prime)
         for T in (int(math.ceil(T_min)), 20, 40, 80, 160):
             grid = envelope_grid_minimizer(gamma, gamma_prime, T)

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import counter_uniform_reference, simulate_reference
 from qsd import models
+from qsd.deflation import Deflation
 from qsd.ergodic import SamplingPlan, conditional_functional
 from qsd.estimator import (
     ExtinctionError,
@@ -202,7 +203,8 @@ class TestEstimateBeta:
     def test_unbiased_against_exact_conditional(self, w3):
         # seed-ensemble mean of the estimator matches the exact module
         t, T, f = 3, 7, np.array([1.0, 0.0, 0.0])
-        exact = conditional_functional(w3, 0, f, SamplingPlan.dirac(t, T))
+        exact = conditional_functional(Deflation(w3, compute_spectral(w3)), 0, f,
+                                       SamplingPlan.dirac(t, T))
         ests, ses = [], []
         for s in range(40):
             batch = simulate(w3, 0, T, 4_000, seed=derive_key(99, s))
@@ -224,7 +226,7 @@ class TestEstimateBeta:
         from qsd.ergodic import optimal_t0
         from qsd.qprocess import fitted_rates
 
-        gamma, gamma_prime = fitted_rates(w3, w3_triple)
+        gamma, gamma_prime = fitted_rates(Deflation(w3, w3_triple))
         N = 10_000
         pred = predict_tradeoff(w3_triple.lambda0, gamma, gamma_prime, N=N)
         T = max(1, round(pred.T_star))

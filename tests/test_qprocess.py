@@ -5,6 +5,7 @@ import pytest
 
 from oracles import second_eigenvalue_magnitude
 from qsd import models
+from qsd.deflation import Deflation
 from qsd.kernels import SubStochasticKernel, conditioned_marginal_given_T, tv_distance
 from qsd.qprocess import (
     build_q_kernel,
@@ -75,12 +76,12 @@ class TestBuildQKernel:
 
 class TestEtaBound:
     def test_single_state_zero(self, single):
-        rep = verify_eta_bound(single, compute_spectral(single), range(1, 60))
+        rep = verify_eta_bound(Deflation(single, compute_spectral(single)), range(1, 60))
         assert rep.constant == 0.0
         assert rep.max_violation == 0.0
 
     def test_t3_exactly_zero(self, t3, t3_triple):
-        rep = verify_eta_bound(t3, t3_triple, range(1, 201))
+        rep = verify_eta_bound(Deflation(t3, t3_triple), range(1, 201))
         assert rep.constant == 0.0
         assert rep.max_violation == 0.0
         assert all(row[2] == 0.0 for row in rep.rows)
@@ -89,21 +90,21 @@ class TestEtaBound:
         # the defect is exactly 0, but the fit half t = 1, 2 holds only two
         # nonzero conditioned TVs, too few to fit the rate from
         with pytest.raises(ValueError, match="3 points"):
-            verify_eta_bound(t3, t3_triple, range(1, 5))
+            verify_eta_bound(Deflation(t3, t3_triple), range(1, 5))
 
     def test_one_step_mixing_is_exactly_zero(self):
         K = SubStochasticKernel(np.full((2, 2), 0.25))
         S = compute_spectral(K)
-        rep = verify_eta_bound(K, S, range(1, 40))
+        rep = verify_eta_bound(Deflation(K, S), range(1, 40))
         assert rep.constant == 0.0 and rep.rate == math.inf
         assert rep.max_violation == 0.0
-        rep = verify_qproc_approx(K, S, build_q_kernel(K, S),
+        rep = verify_qproc_approx(Deflation(K, S),
                                   [(t, t + lag) for t in range(1, 4) for lag in range(8)])
         assert rep.constant == 0.0 and rep.rate == math.inf
-        assert fitted_rates(K, S) == (math.inf, math.inf)
+        assert fitted_rates(Deflation(K, S)) == (math.inf, math.inf)
 
     def test_w3_bound_validates(self, w3, w3_triple):
-        rep = verify_eta_bound(w3, w3_triple, range(1, 201))
+        rep = verify_eta_bound(Deflation(w3, w3_triple), range(1, 201))
         assert 0 < rep.constant < math.inf
         assert rep.max_violation <= 1.0 + 1e-9
         assert rep.details["sandwich_ok"]
@@ -113,36 +114,36 @@ class TestEtaBound:
 
     def test_rejects_bad_grid(self, w3, w3_triple):
         with pytest.raises(ValueError):
-            verify_eta_bound(w3, w3_triple, [0, 1, 2])
+            verify_eta_bound(Deflation(w3, w3_triple), [0, 1, 2])
         with pytest.raises(ValueError):
-            verify_eta_bound(w3, w3_triple, [])
+            verify_eta_bound(Deflation(w3, w3_triple), [])
 
 
 class TestQprocApprox:
     def test_t3_zero(self, t3, t3_triple):
-        Q = build_q_kernel(t3, t3_triple)
+        core = Deflation(t3, t3_triple)
         pairs = [(t, t + dt) for t in range(1, 6) for dt in range(1, 11)]
-        rep = verify_qproc_approx(t3, t3_triple, Q, pairs)
+        rep = verify_qproc_approx(core, pairs)
         assert rep.constant == 0.0
         assert rep.max_violation == 0.0
 
     def test_single_state_zero(self, single):
         S = compute_spectral(single)
-        Q = build_q_kernel(single, S)
-        rep = verify_qproc_approx(single, S, Q, [(1, 3), (2, 5), (1, 9)])
+        core = Deflation(single, S)
+        rep = verify_qproc_approx(core, [(1, 3), (2, 5), (1, 9)])
         assert rep.constant == 0.0
 
     def test_w3_validates_and_rate_matches(self, w3, w3_triple):
-        Q = build_q_kernel(w3, w3_triple)
+        core = Deflation(w3, w3_triple)
         pairs = [(t, t + dt) for t in range(1, 11) for dt in range(1, 51)]
-        rep = verify_qproc_approx(w3, w3_triple, Q, pairs)
+        rep = verify_qproc_approx(core, pairs)
         assert rep.max_violation <= 1.0 + 1e-9
         assert rep.details["fitted_rate"] == pytest.approx(rep.rate, rel=0.05)
 
     def test_observed_matches_bridge_tv(self, w3, w3_triple):
         # cross-check one report row against the double-precision route
         Q = build_q_kernel(w3, w3_triple)
-        rep = verify_qproc_approx(w3, w3_triple, Q, [(2, 7)])
+        rep = verify_qproc_approx(Deflation(w3, w3_triple), [(2, 7)])
         (t, T, obs, _, _) = rep.rows[0]
         want = max(
             tv_distance(
@@ -154,25 +155,23 @@ class TestQprocApprox:
         assert obs == pytest.approx(want, rel=1e-9)
 
     def test_proof_threshold_flagged(self, w3, w3_triple):
-        Q = build_q_kernel(w3, w3_triple)
-        rep = verify_qproc_approx(
-            w3, w3_triple, Q, [(1, 2), (1, 30)], gamma=0.5, a1=2.0
-        )
+        core = Deflation(w3, w3_triple)
+        rep = verify_qproc_approx(core, [(1, 2), (1, 30)], gamma=0.5, a1=2.0)
         assert rep.details["proof_threshold_lag"] == pytest.approx(math.log(2.0) / 0.5)
         assert (1, 2) in rep.details["pairs_below_threshold"]
 
     def test_rejects_bad_pairs(self, w3, w3_triple):
-        Q = build_q_kernel(w3, w3_triple)
+        core = Deflation(w3, w3_triple)
         with pytest.raises(ValueError):
-            verify_qproc_approx(w3, w3_triple, Q, [(5, 3)])
+            verify_qproc_approx(core, [(5, 3)])
 
     def test_path_events_dominate_marginals(self, w3, w3_triple):
         # whole-trajectory TV can only exceed the time-marginal TV, and the
         # exponential envelope must still validate
-        Q = build_q_kernel(w3, w3_triple)
+        core = Deflation(w3, w3_triple)
         pairs = [(t, t + lag) for t in range(1, 7) for lag in range(1, 21)]
-        marg = verify_qproc_approx(w3, w3_triple, Q, pairs, events="marginal")
-        path = verify_qproc_approx(w3, w3_triple, Q, pairs, events="paths")
+        marg = verify_qproc_approx(core, pairs, events="marginal")
+        path = verify_qproc_approx(core, pairs, events="paths")
         m_obs = {(r[0], r[1]): r[2] for r in marg.rows}
         for t, T, obs, _, _ in path.rows:
             assert obs >= m_obs[(t, T)] - 1e-15
@@ -180,45 +179,45 @@ class TestQprocApprox:
         assert path.constant >= marg.constant - 1e-12
 
     def test_path_events_zero_on_t3(self, t3, t3_triple):
-        Q = build_q_kernel(t3, t3_triple)
+        core = Deflation(t3, t3_triple)
         pairs = [(t, t + lag) for t in range(1, 5) for lag in range(1, 9)]
-        rep = verify_qproc_approx(t3, t3_triple, Q, pairs, events="paths")
+        rep = verify_qproc_approx(core, pairs, events="paths")
         assert rep.constant == 0.0
         assert rep.max_violation == 0.0
 
     def test_path_events_size_guard(self, w3, w3_triple, random_kernels):
-        Q = build_q_kernel(w3, w3_triple)
+        core = Deflation(w3, w3_triple)
         with pytest.raises(ValueError, match="n <= 4"):
-            verify_qproc_approx(w3, w3_triple, Q, [(7, 9)], events="paths")
+            verify_qproc_approx(core, [(7, 9)], events="paths")
         big = next(K for K in random_kernels if K.n > 4)
         S = compute_spectral(big)
-        Qb = build_q_kernel(big, S)
+        core_b = Deflation(big, S)
         with pytest.raises(ValueError, match="n <= 4"):
-            verify_qproc_approx(big, S, Qb, [(1, 3)], events="paths")
+            verify_qproc_approx(core_b, [(1, 3)], events="paths")
 
 
 class TestQMixing:
     def test_t3_rate_is_log7(self, t3, t3_triple):
-        Q = build_q_kernel(t3, t3_triple)
-        rep = q_mixing_report(Q, range(1, 61))
+        core = Deflation(t3, t3_triple)
+        rep = q_mixing_report(core, range(1, 61))
         assert rep.rate == pytest.approx(math.log(7.0), rel=0.01)
         assert rep.max_violation <= 1.0 + 1e-9
 
     def test_single_state_sentinel(self, single):
-        Q = build_q_kernel(single, compute_spectral(single))
-        rep = q_mixing_report(Q, range(1, 20))
+        core = Deflation(single, compute_spectral(single))
+        rep = q_mixing_report(core, range(1, 20))
         assert rep.constant == 0.0
         assert rep.rate == math.inf
 
     def test_w3_rate_matches_eigen_oracle(self, w3, w3_triple):
-        Q = build_q_kernel(w3, w3_triple)
-        rep = q_mixing_report(Q, range(1, 61))
+        core = Deflation(w3, w3_triple)
+        rep = q_mixing_report(core, range(1, 61))
         lam2 = second_eigenvalue_magnitude(w3.entries)
         assert rep.rate == pytest.approx(-math.log(lam2 / w3_triple.rho), rel=0.02)
 
     def test_w3_envelope_validates(self, w3, w3_triple):
-        Q = build_q_kernel(w3, w3_triple)
-        rep = q_mixing_report(Q, range(1, 61))
+        core = Deflation(w3, w3_triple)
+        rep = q_mixing_report(core, range(1, 61))
         assert rep.max_violation <= 1.0 + 1e-9
         for t, _, obs, bound, _ in rep.rows:
             if t > 30:  # validation half
@@ -227,7 +226,7 @@ class TestQMixing:
 
 class TestFittedRates:
     def test_w3_rates_agree(self, w3, w3_triple):
-        gamma, gamma_prime = fitted_rates(w3, w3_triple)
+        gamma, gamma_prime = fitted_rates(Deflation(w3, w3_triple))
         # conjugation preserves the spectrum: both rates equal the gap rate
         assert gamma == pytest.approx(gamma_prime, rel=1e-6)
 
@@ -236,6 +235,6 @@ class TestFittedRates:
         K = {"w3": models.w3, "rs8": lambda: models.random_substochastic(8, 3),
              "ou8": lambda: models.ou_discretized(8)}[name]()
         S = compute_spectral(K)
-        want = (conditioned_tv_rate(K, S, t_max=60).gamma,
-                q_mixing_report(build_q_kernel(K, S), range(1, 61)).rate)
-        assert fitted_rates(K, S) == want
+        want = (conditioned_tv_rate(Deflation(K, S), t_max=60).gamma,
+                q_mixing_report(Deflation(K, S), range(1, 61)).rate)
+        assert fitted_rates(Deflation(K, S)) == want

@@ -266,7 +266,7 @@ class TestFitDecay:
         assert fit.gamma == pytest.approx(math.log(7.0), rel=1e-8)
 
     def test_w3_q_mixing_rate_matches_eigen_oracle(self, w3, w3_triple):
-        fit = conditioned_tv_rate(w3, w3_triple, t_max=60)
+        fit = conditioned_tv_rate(Deflation(w3, w3_triple), t_max=60)
         lam2 = second_eigenvalue_magnitude(w3.entries)
         expected = -math.log(lam2 / w3_triple.rho)
         assert fit.gamma == pytest.approx(expected, rel=0.02)
@@ -279,10 +279,10 @@ class TestFitDecay:
         core = Deflation(K, S)
         tail = [(t, core.conditioned_tv(D)) for t, D in enumerate(core.rows(t_max))
                 if t_max // 2 < t]
-        assert conditioned_tv_rate(K, S, t_max=t_max) == fit_log_decay(tail)
+        assert conditioned_tv_rate(core, t_max=t_max) == fit_log_decay(tail)
 
     def test_conditioned_tv_rate_infinite_on_one_state(self, single):
-        fit = conditioned_tv_rate(single, compute_spectral(single), t_max=41)
+        fit = conditioned_tv_rate(Deflation(single, compute_spectral(single)), t_max=41)
         assert fit.gamma == math.inf and fit.C == 0.0
 
     def test_conditioned_tv_rate_infinite_on_one_step_mixing(self):
@@ -293,7 +293,7 @@ class TestFitDecay:
         core = Deflation(K, S)
         series = [core.conditioned_tv(D) for D in core.rows(41)]
         assert series[0] > -math.inf and set(series[1:]) == {-math.inf}
-        fit = conditioned_tv_rate(K, S, t_max=41)
+        fit = conditioned_tv_rate(core, t_max=41)
         assert fit.gamma == math.inf and fit.C == 0.0
 
     def test_tail_rate_rule(self):
