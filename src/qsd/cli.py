@@ -143,7 +143,10 @@ def _load_kernel(args):
 
 
 def _read_f(arg: str, n: int) -> np.ndarray:
-    vals = [float(p) for p in arg.split(",")]
+    try:
+        vals = [float(p) for p in arg.split(",")]
+    except ValueError:
+        raise ValueError(f"--f takes numbers separated by ',', not {arg!r}") from None
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"--f has a non-finite entry: {arg!r}")
     if len(vals) != n:
@@ -294,13 +297,23 @@ def cmd_ergodic(args) -> int:
 _SWEEP_HEADER = "N,T,t0,N_T,estimate,stderr,exact,abs_error,predicted"
 
 
+def _check_x0(x0: int, n: int) -> None:
+    if not 0 <= x0 < n:
+        raise ValueError(f"--x0 must be a state in 0..{n - 1}, not {x0}")
+
+
 def cmd_estimate(args) -> int:
+    if args.T is not None and args.T < 0:
+        raise ValueError(f"--T must be >= 0, not {args.T}")
     K = _load_kernel(args)
+    _check_x0(args.x0, K.n)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
     gamma, gamma_prime = qprocess.fitted_rates(Deflation(K, S))
     T, t0, predicted = estimator.choose_horizon(S.lambda0, gamma, gamma_prime, args.N, args.T)
     if args.t0 is not None:
+        if not 0 <= args.t0 <= T:
+            raise ValueError(f"--t0 must be in 0..{T}, the horizon T, not {args.t0}")
         t0 = args.t0
     batch = estimator.simulate(K, args.x0, T, args.N, args.seed, chunks=args.threads)
     est, se = estimator.estimate_beta(batch, f, ergodic.SamplingPlan.dirac(t0, T))
@@ -314,7 +327,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     N_list = _int_list(args.N_list, "--N-list")
+    if N_list[0] < 1 or any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError(f"--N-list must be positive and strictly increasing, not {args.N_list!r}")
     K = _load_kernel(args)
+    _check_x0(args.x0, K.n)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
     gamma, gamma_prime = qprocess.fitted_rates(Deflation(K, S))
@@ -402,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("estimate", help="Monte Carlo estimate of beta(f)")
     common(sp)
     sp.add_argument("--f", required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_positive_int, required=True)
     sp.add_argument("--T", type=int, default=None)
     sp.add_argument("--t0", type=int, default=None)
     sp.add_argument("--x0", type=int, default=0)
@@ -413,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", required=True)
     sp.add_argument("--N-list", dest="N_list", required=True,
                     help="comma-separated increasing sample counts")
-    sp.add_argument("--reps", type=int, default=32)
+    sp.add_argument("--reps", type=_positive_int, default=32)
     sp.add_argument("--x0", type=int, default=0)
     sp.set_defaults(fn=cmd_sweep)
 

@@ -2,9 +2,9 @@
 
 Simulation randomness is addressed, not streamed: the variate driving
 trajectory i at step s is a pure function of (seed, i, s).  Trajectories
-run in fixed blocks on a thread pool, each block writing only its own
-rows, so a batch is bit-identical whatever the number of workers.  All
-reductions run in trajectory-index order.
+run in fixed blocks on a thread pool, each block returning only its own
+survivors' rows, so a batch is bit-identical whatever the number of
+workers.  All reductions run in trajectory-index order.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .kernels import SubStochasticKernel
 from .rng import derive_key, step_uniforms, trajectory_keys
 from .spectral import SpectralTriple
 
-# Trajectories advanced together: small enough that a block's per-step
-# arrays take a few MiB whatever N is, large enough that numpy's per-call
-# overhead is a small share of each step.
+# Trajectories advanced together: small enough that a block's working set
+# (2 bytes a trajectory a step, plus per-step arrays) is bounded whatever N
+# is, large enough that numpy's per-call overhead is a small share of a step.
 _BLOCK = 1 << 16
 
 __all__ = [
@@ -46,29 +46,25 @@ class ExtinctionError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """N absorbed trajectories up to horizon T with survivor bookkeeping.
+    """N absorbed trajectories up to horizon T, keeping only survivors' histories.
 
-    ``paths[i, s]`` is the state of trajectory i at step s, or -1 from the
-    absorption step onward.  ``survivor_indices`` lists (in increasing
-    order) the trajectories still alive at step T.  ``steps`` counts the
-    transitions sampled: one per trajectory alive before each step.
+    ``survivor_indices`` lists (in increasing order) the trajectories alive
+    at step T; row k of ``survivor_paths`` holds trajectory
+    ``survivor_indices[k]``'s states at steps 0 .. T, as the smallest
+    unsigned dtype that holds n.  ``steps`` counts the transitions sampled.
     """
 
     seed: int
     x0: int
     T: int
     N: int
-    paths: np.ndarray
+    survivor_paths: np.ndarray
     survivor_indices: np.ndarray
     steps: int
 
     @property
     def N_T(self) -> int:
         return int(self.survivor_indices.size)
-
-    @property
-    def survivor_paths(self) -> np.ndarray:
-        return self.paths[self.survivor_indices]
 
     @property
     def extinct(self) -> bool:
@@ -91,8 +87,8 @@ def simulate(
 
     Trajectories run in fixed blocks of ``2**16``, each carried through all
     T steps.  ``chunks`` is the number of worker threads that share the
-    blocks (capped by :func:`worker_count`).  Each block writes only its
-    own rows of ``paths``, so the batch is bit-identical for fixed
+    blocks (capped by :func:`worker_count`).  Blocks return their survivors'
+    rows, joined in block order: O(N_T (T+1)) bytes, bit-identical for fixed
     (seed, x0, T, N) whatever ``chunks`` is.
     """
     if N < 1:
@@ -104,40 +100,43 @@ def simulate(
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
     cum = np.cumsum(K.entries, axis=1)  # u >= cum[s, n-1] means absorption
-    paths = np.empty((N, T + 1), dtype=np.int16)
 
-    def run(lo: int) -> int:
-        return _advance_block(cum, paths, lo, min(lo + _BLOCK, N), x0, seed)
+    def run(lo: int):
+        return _advance_block(cum, lo, min(lo + _BLOCK, N), x0, T, seed)
 
     with ThreadPoolExecutor(max_workers=worker_count(chunks)) as pool:
-        steps = sum(pool.map(run, range(0, N, _BLOCK)))
-    survivors = np.nonzero(paths[:, T] >= 0)[0]
-    return TrajectoryBatch(seed=seed, x0=x0, T=T, N=N, paths=paths,
-                           survivor_indices=survivors, steps=steps)
+        survivors, rows, steps = zip(*pool.map(run, range(0, N, _BLOCK)))
+    return TrajectoryBatch(seed=seed, x0=x0, T=T, N=N, survivor_paths=np.concatenate(rows),
+                           survivor_indices=np.concatenate(survivors), steps=sum(steps))
 
 
-def _advance_block(cum: np.ndarray, paths: np.ndarray, lo: int, hi: int,
-                   x0: int, seed: int) -> int:
-    """Run trajectories lo .. hi-1 through every step, filling their rows of paths.
+def _advance_block(cum: np.ndarray, lo: int, hi: int, x0: int, T: int, seed: int):
+    """(survivor indices, their rows, transitions sampled) of trajectories lo .. hi-1.
 
-    Returns the number of transitions sampled.
+    Each step keeps its survival mask and the surviving states; a walk back
+    through them from the survivors at T fills rows and indices.
     """
     n = cum.shape[0]
-    paths[lo:hi] = -1
-    paths[lo:hi, 0] = x0
-    alive = np.arange(lo, hi, dtype=np.int64)
-    keys = trajectory_keys(seed, alive)
+    keys = trajectory_keys(seed, np.arange(lo, hi, dtype=np.int64))
     states = np.full(hi - lo, x0, dtype=np.min_scalar_type(n))  # holds n: absorbed
+    history = []  # (survival mask, surviving states) per step: 2 bytes a trajectory
     steps = 0
-    for step in range(1, paths.shape[1]):
-        steps += alive.size
+    for step in range(1, T + 1):
+        steps += states.size
         nxt = _next_states(cum, states, step_uniforms(keys, step))
-        keep = np.flatnonzero(nxt < n)
-        alive, keys, states = alive[keep], keys[keep], nxt[keep]
-        paths[alive, step] = states.astype(np.int16)
-        if alive.size == 0:
+        alive = nxt < n
+        keep = np.flatnonzero(alive)  # integer gathers beat boolean masks here
+        keys, states = keys[keep], nxt[keep]
+        history.append((alive, states))
+        if states.size == 0:
             break
-    return steps
+    rows = np.full((states.size, T + 1), x0, dtype=states.dtype)
+    at = np.arange(states.size)  # survivors' positions among those alive after a step
+    for step in range(len(history), 0, -1):
+        alive, visited = history[step - 1]
+        rows[:, step] = visited[at]
+        at = np.flatnonzero(alive)[at]
+    return lo + at, rows, steps
 
 
 def _next_states(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:

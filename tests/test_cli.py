@@ -465,6 +465,36 @@ class TestUsageErrors:
         assert name in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["ergodic", "--f", "1,,0", "--T-grid", "10:60:10"],
+        ["estimate", "--f", "1,0,", "--N", "1000"],
+        ["sweep", "--f", "1,x,0", "--N-list", "100,1000"],
+    ], ids=["ergodic", "estimate", "sweep"])
+    def test_bad_f_entry_names_f(self, tmp_path, w3_file, capsys, argv):
+        assert main(argv + ["--kernel", w3_file, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "--f" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_monte_carlo_arguments_name_their_flag(self, tmp_path, w3_file, capsys):
+        cases = [
+            (["estimate", "--f", "1,0,0", "--N", "1000", "--x0", "5"], "--x0"),
+            (["sweep", "--f", "1,0,0", "--N-list", "100,1000", "--x0", "-1"], "--x0"),
+            (["estimate", "--f", "1,0,0", "--N", "0"], "--N"),
+            (["sweep", "--f", "1,0,0", "--N-list", "100,1000", "--reps", "0"], "--reps"),
+            (["sweep", "--f", "1,0,0", "--N-list", "1000,100"], "--N-list"),
+            (["sweep", "--f", "1,0,0", "--N-list", "0,100"], "--N-list"),
+            (["estimate", "--f", "1,0,0", "--N", "1000", "--T", "-1"], "--T"),
+            (["estimate", "--f", "1,0,0", "--N", "1000", "--T", "5", "--t0", "6"], "--t0"),
+        ]
+        for argv, name in cases:
+            assert main(argv + ["--kernel", w3_file, "--out", str(tmp_path / "x")]) == 2, argv
+            err = capsys.readouterr().err
+            # the flag as a word: "--N" must not pass on "--N-list"
+            assert name in err.replace(":", " ").split(), (argv, err)
+            assert len(err.strip().splitlines()) == 1, (argv, err)
+            assert not (tmp_path / "x").exists()
+
 
 class TestWithoutMpmath:
     def test_reports_run_without_mpmath(self, tmp_path, w3_file):

@@ -99,26 +99,33 @@ class TestSimulate:
         a = simulate(w3, 0, 12, 5_001, seed=9, chunks=1)
         b = simulate(w3, 0, 12, 5_001, seed=9, chunks=4)
         c = simulate(w3, 0, 12, 5_001, seed=9, chunks=13)
-        np.testing.assert_array_equal(a.paths, b.paths)
-        np.testing.assert_array_equal(a.paths, c.paths)
-        np.testing.assert_array_equal(a.survivor_indices, c.survivor_indices)
+        paths, survivors = simulate_reference(w3, 0, 12, 5_001, seed=9)
+        for batch in (a, b, c):
+            np.testing.assert_array_equal(batch.survivor_paths, paths[survivors])
+            np.testing.assert_array_equal(batch.survivor_indices, survivors)
 
     def test_seed_changes_output(self, w3):
         a = simulate(w3, 0, 6, 500, seed=1)
         b = simulate(w3, 0, 6, 500, seed=2)
-        assert not np.array_equal(a.paths, b.paths)
+        assert not np.array_equal(a.survivor_indices, b.survivor_indices)
+        for batch, seed in ((a, 1), (b, 2)):
+            paths, survivors = simulate_reference(w3, 0, 6, 500, seed=seed)
+            np.testing.assert_array_equal(batch.survivor_paths, paths[survivors])
+            np.testing.assert_array_equal(batch.survivor_indices, survivors)
 
     def test_absorbed_recorded_up_to_absorption(self, w3):
+        # absorbed trajectories leave no row, but each step they lived through
+        # is one sampled transition: the reference's count of live states
         batch = simulate(w3, 0, 10, 2_000, seed=3)
-        dead = np.setdiff1d(np.arange(2_000), batch.survivor_indices)
-        row = batch.paths[dead[0]]
-        k = np.argmax(row < 0)
-        assert k > 0
-        assert np.all(row[:k] >= 0) and np.all(row[k:] == -1)
+        paths, survivors = simulate_reference(w3, 0, 10, 2_000, seed=3)
+        assert survivors.size < 2_000
+        np.testing.assert_array_equal(batch.survivor_indices, survivors)
+        np.testing.assert_array_equal(batch.survivor_paths, paths[survivors])
+        assert batch.steps == sum(np.count_nonzero(paths[:, s] >= 0) for s in range(10))
 
     def test_survivor_paths_all_alive(self, w3):
         batch = simulate(w3, 0, 9, 2_000, seed=4)
-        assert np.all(batch.survivor_paths >= 0)
+        assert np.all(batch.survivor_paths >= 0) and np.all(batch.survivor_paths < w3.n)
 
     def test_validation(self, w3):
         with pytest.raises(ValueError):
@@ -126,34 +133,42 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(w3, 5, 5, 10, seed=0)
 
-    @pytest.mark.parametrize("kernel", ["w3", "t3", "single", "rs64", "zero_row"])
-    @pytest.mark.parametrize("N", [1, 2**16 - 1, 2**16 + 3, 3 * 2**16])
-    def test_bit_identical_to_reference_loop(self, request, kernel, N):
-        if kernel == "rs64":
-            K = models.random_substochastic(64, 5)
+    @pytest.mark.parametrize("N,kernel,T", [
+        *(pytest.param(N, kernel, 7, id=f"{N}-{kernel}")
+          for N in (1, 2**16 - 1, 2**16 + 3, 3 * 2**16)
+          for kernel in ("rs64", "single", "t3", "w3", "zero_row")),
+        pytest.param(2**16 + 3, "rs300", 7, id="65539-rs300"),  # n > 255: uint16 states
+        pytest.param(2**16 + 3, "w3", 0, id="65539-w3-T0"),  # the walk back takes no step
+    ])
+    def test_bit_identical_to_reference_loop(self, request, kernel, N, T):
+        if kernel.startswith("rs"):
+            K = models.random_substochastic(int(kernel[2:]), 5)
         elif kernel == "zero_row":
             K = ZERO_ROW
         else:
             K = request.getfixturevalue(kernel)
         x0 = K.n - 1  # != 0 except on the one-state kernel
         # the reference's N x n temporary is split into pieces of 2**14 rows
-        paths, survivors = simulate_reference(K, x0, 7, N, seed=31, chunks=-(-N // 2**14))
+        paths, survivors = simulate_reference(K, x0, T, N, seed=31, chunks=-(-N // 2**14))
         for chunks in (1, 2, 4, 13):
-            batch = simulate(K, x0, 7, N, seed=31, chunks=chunks)
-            np.testing.assert_array_equal(batch.paths, paths)
+            batch = simulate(K, x0, T, N, seed=31, chunks=chunks)
+            np.testing.assert_array_equal(batch.survivor_paths, paths[survivors])
             np.testing.assert_array_equal(batch.survivor_indices, survivors)
+            assert batch.steps == sum(np.count_nonzero(paths[:, s] >= 0) for s in range(T))
 
     def test_blocks_agree_under_fast_thread_switching(self, w3):
-        # each block owns a disjoint row range of paths; a write that landed
-        # in another block's rows, or was lost, would change the batch
+        # each block returns its own survivors' rows; a row that landed in
+        # another block's place, or was lost, would change the batch
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             batches = [simulate(w3, 1, 6, 5 * 2**16 + 7, seed=8, chunks=c) for c in (1, 2, 2)]
         finally:
             sys.setswitchinterval(interval)
-        for batch in batches[1:]:
-            np.testing.assert_array_equal(batch.paths, batches[0].paths)
+        paths, survivors = simulate_reference(w3, 1, 6, 5 * 2**16 + 7, seed=8, chunks=24)
+        for batch in batches:
+            np.testing.assert_array_equal(batch.survivor_paths, paths[survivors])
+            np.testing.assert_array_equal(batch.survivor_indices, survivors)
             assert batch.steps == batches[0].steps
 
     def test_memory_stays_near_paths(self):
@@ -164,11 +179,23 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < batch.paths.nbytes + 16 * 2**20
+        assert peak < batch.survivor_paths.nbytes + 16 * 2**20
+
+    def test_memory_of_a_million_trajectories(self, w3):
+        # only survivors' histories are kept: an N x (T+1) state array would
+        # take 15 MiB here even as uint8
+        tracemalloc.start()
+        try:
+            simulate(w3, 0, 15, 10**6, seed=5, chunks=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_steps_count_live_transitions(self, w3):
         batch = simulate(w3, 0, 9, 2**16 + 3, seed=6)
-        alive_before = [np.count_nonzero(batch.paths[:, s] >= 0) for s in range(9)]
+        paths, _ = simulate_reference(w3, 0, 9, 2**16 + 3, seed=6, chunks=5)
+        alive_before = [np.count_nonzero(paths[:, s] >= 0) for s in range(9)]
         assert batch.steps == sum(alive_before)
         assert simulate(w3, 0, 0, 10, seed=6).steps == 0
 
