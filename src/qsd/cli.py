@@ -186,6 +186,16 @@ def _positive_int(arg: str) -> int:
     return value
 
 
+def _positive_float(arg: str) -> float:
+    try:
+        value = float(arg)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, not {arg!r}")
+    return value
+
+
 def _simulation_record(threads: int, trajectories: int, steps: int, survivors: int) -> dict:
     return {"workers": estimator.worker_count(threads), "trajectories": trajectories,
             "trajectory_steps": steps, "survivors": survivors}
@@ -397,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectral", help="quasi-stationary law and eigenvalue")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=_positive_float, default=1e-12)
     sp.set_defaults(fn=cmd_spectral)
 
     sp = sub.add_parser("verify", help="convergence-bound reports")
@@ -435,8 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("converse", help="bridge contraction certification")
     common(sp)
-    sp.add_argument("--t1-max", dest="t1_max", type=int, default=None)
-    sp.add_argument("--T-max", dest="T_max", type=int, default=200)
+    sp.add_argument("--t1-max", dest="t1_max", type=_positive_int, default=None)
+    sp.add_argument("--T-max", dest="T_max", type=_positive_int, default=200)
     sp.set_defaults(fn=cmd_converse)
 
     return p

@@ -2,9 +2,17 @@
 
 Simulation randomness is addressed, not streamed: the variate driving
 trajectory i at step s is a pure function of (seed, i, s).  Trajectories
-run in fixed blocks on a thread pool, each block returning only its own
-survivors' rows, so a batch is bit-identical whatever the number of
-workers.  All reductions run in trajectory-index order.
+run in fixed blocks, each block returning only its own survivors' rows,
+so a batch is bit-identical whatever the number of workers.  All
+reductions run in trajectory-index order.
+
+A step samples by exact indexed search (Chen & Asau 1974; Devroye,
+*Non-Uniform Random Variate Generation*, 1986, sec. III.2.4): one gather
+from a guide table addressed by the state and the top bits of the step's
+hash settles nearly every trajectory, and a per-state binary search
+settles the rest.  The table is exact, not approximate: it answers only
+where every hash of a bucket gives the same next state, so the sample is
+the one the comparison ``cum[s, j] <= u`` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,13 +26,16 @@ import numpy as np
 
 from .ergodic import SamplingPlan, optimal_t0
 from .kernels import SubStochasticKernel
-from .rng import derive_key, step_uniforms, trajectory_keys
+from .rng import derive_key, hash_uniforms, step_hashes, trajectory_keys
 from .spectral import SpectralTriple
 
 # Trajectories advanced together: small enough that a block's working set
 # (2 bytes a trajectory a step, plus per-step arrays) is bounded whatever N
 # is, large enough that numpy's per-call overhead is a small share of a step.
 _BLOCK = 1 << 16
+# Byte budget of the guide table: it stays in cache, and above n of about
+# 180 it holds fewer than 32 buckets a state, so more lookups fall back.
+_TABLE_BYTES = 1 << 20
 
 __all__ = [
     "ExtinctionError",
@@ -87,9 +98,11 @@ def simulate(
 
     Trajectories run in fixed blocks of ``2**16``, each carried through all
     T steps.  ``chunks`` is the number of worker threads that share the
-    blocks (capped by :func:`worker_count`).  Blocks return their survivors'
-    rows, joined in block order: O(N_T (T+1)) bytes, bit-identical for fixed
-    (seed, x0, T, N) whatever ``chunks`` is.
+    blocks (capped by :func:`worker_count`); with one worker, or one block,
+    they run inline.  Blocks return their survivors' rows, joined in block
+    order: O(N_T (T+1)) bytes, bit-identical for fixed (seed, x0, T, N)
+    whatever ``chunks`` is.  Next states come from :func:`_guide_table`,
+    built once per call when the batch is large enough to repay it.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -100,33 +113,79 @@ def simulate(
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
     cum = np.cumsum(K.entries, axis=1)  # u >= cum[s, n-1] means absorption
+    table, k = _guide_table(cum, N * T)
 
     def run(lo: int):
-        return _advance_block(cum, lo, min(lo + _BLOCK, N), x0, T, seed)
+        return _advance_block(cum, table, k, lo, min(lo + _BLOCK, N), x0, T, seed)
 
-    with ThreadPoolExecutor(max_workers=worker_count(chunks)) as pool:
-        survivors, rows, steps = zip(*pool.map(run, range(0, N, _BLOCK)))
+    workers = worker_count(chunks)
+    if workers == 1 or N <= _BLOCK:
+        survivors, rows, steps = zip(*map(run, range(0, N, _BLOCK)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            survivors, rows, steps = zip(*pool.map(run, range(0, N, _BLOCK)))
     return TrajectoryBatch(seed=seed, x0=x0, T=T, N=N, survivor_paths=np.concatenate(rows),
                            survivor_indices=np.concatenate(survivors), steps=sum(steps))
 
 
-def _advance_block(cum: np.ndarray, lo: int, hi: int, x0: int, T: int, seed: int):
+def _guide_table(cum: np.ndarray, steps: int) -> tuple[np.ndarray | None, int]:
+    """(table, k): the next state of each (state, hash bucket), or n + 1 where it varies.
+
+    A step's hash h gives ``u = (h >> 11) * 2**-53`` exactly, so
+    ``cum[s, j] <= u`` holds iff ``thr[s, j] <= h >> 11`` for the integer
+    ``thr = min(ceil(cum * 2**53), 2**53)``.  Bucket b of state s holds the
+    hashes whose top k bits are b, that is ``h >> 11`` in
+    ``[b << (53-k), (b+1) << (53-k))``.  Where no threshold of row s lies
+    strictly inside that range, every hash of the bucket counts the same
+    thresholds, and ``table[(s << k) + b]`` is that count: the next state,
+    n for absorption.  Elsewhere it holds the sentinel n + 1 and the step
+    falls back to :func:`_next_states`.  A state gets about 32 n buckets,
+    fewer once that would pass ``_TABLE_BYTES``, and never fewer than 2.
+
+    The table is None when ``steps``, the batch's bound N T on the
+    transitions it samples, is below n**2: the build's work on the n**2
+    thresholds would not be repaid (at n = 1000 it costs about as much as
+    10**5 binary-search steps).
+    """
+    n = cum.shape[0]
+    dtype = np.min_scalar_type(n + 1)
+    k = min((32 * n - 1).bit_length(), (_TABLE_BYTES // (n * dtype.itemsize)).bit_length() - 1)
+    k = max(k, 1)
+    if steps < n * n:
+        return None, k
+    shift, buckets = 53 - k, 1 << k
+    thr = np.ldexp(cum, 53)
+    np.ceil(thr, out=thr)
+    thr = np.minimum(thr, 2.0 ** 53, out=thr).astype(np.int64)
+    # a threshold counts from its own bucket on; that bucket is the sentinel's
+    # unless the threshold is its first hash; 2**53 falls in the extra column
+    at = (thr >> shift) + np.arange(0, n * (buckets + 1), buckets + 1)[:, None]
+    table = np.cumsum(np.bincount(at.ravel(), minlength=n * (buckets + 1)).reshape(n, -1),
+                      axis=1, dtype=dtype)
+    table.ravel()[at[(thr & ((1 << shift) - 1)) != 0]] = n + 1
+    return table[:, :buckets].ravel(), k
+
+
+def _advance_block(cum: np.ndarray, table: np.ndarray | None, k: int, lo: int, hi: int,
+                   x0: int, T: int, seed: int):
     """(survivor indices, their rows, transitions sampled) of trajectories lo .. hi-1.
 
-    Each step keeps its survival mask and the surviving states; a walk back
-    through them from the survivors at T fills rows and indices.
+    Each step samples with :func:`_indexed_next_states` and keeps its
+    survival mask and the surviving states; a walk back through them from
+    the survivors at T fills rows and indices.
     """
     n = cum.shape[0]
     keys = trajectory_keys(seed, np.arange(lo, hi, dtype=np.int64))
-    states = np.full(hi - lo, x0, dtype=np.min_scalar_type(n))  # holds n: absorbed
+    state_dtype = np.min_scalar_type(n)  # holds n: absorbed
+    states = np.full(hi - lo, x0, dtype=state_dtype)
     history = []  # (survival mask, surviving states) per step: 2 bytes a trajectory
     steps = 0
     for step in range(1, T + 1):
         steps += states.size
-        nxt = _next_states(cum, states, step_uniforms(keys, step))
+        nxt = _indexed_next_states(cum, table, k, states, step_hashes(keys, step))
         alive = nxt < n
         keep = np.flatnonzero(alive)  # integer gathers beat boolean masks here
-        keys, states = keys[keep], nxt[keep]
+        keys, states = keys[keep], nxt[keep].astype(state_dtype, copy=False)
         history.append((alive, states))
         if states.size == 0:
             break
@@ -139,9 +198,31 @@ def _advance_block(cum: np.ndarray, lo: int, hi: int, x0: int, T: int, seed: int
     return lo + at, rows, steps
 
 
+def _indexed_next_states(cum: np.ndarray, table: np.ndarray | None, k: int,
+                         states: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Next states for hashes ``h``: one gather from :func:`_guide_table`'s table.
+
+    Entries that draw the sentinel, a few percent while the table keeps
+    about 32 n buckets a state, go to :func:`_next_states` with their
+    uniforms alone; without a table, all of them do.  The result is the
+    count of ``cum[states[i]]`` at or below ``hash_uniforms(h)[i]`` for
+    every i.
+    """
+    if table is None:
+        return _next_states(cum, states, hash_uniforms(h))
+    idx = (h >> np.uint64(64 - k)).view(np.int64)
+    idx += np.left_shift(states, k, dtype=np.int64)
+    nxt = table[idx]
+    miss = np.flatnonzero(nxt > cum.shape[0])
+    if miss.size:
+        nxt[miss] = _next_states(cum, states[miss], hash_uniforms(h[miss]))
+    return nxt
+
+
 def _next_states(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """For each i, how many entries of ``cum[states[i]]`` are at or below ``u[i]``.
 
+    The exact search behind the guide table's sentinel entries.
     Trajectories are grouped by state with a stable sort and each group is
     looked up with one ``searchsorted`` in its nondecreasing ``cum`` row:
     the same count as comparing ``u`` with the whole row, without an N x n

@@ -45,17 +45,31 @@ def trajectory_keys(key: int, index: np.ndarray) -> np.ndarray:
     """Per-index hashes ``mix64(mix64(key) ^ index)`` of a counter address.
 
     The part of an address that does not depend on the step: a simulation
-    computes it once per trajectory and feeds it to :func:`step_uniforms`
+    computes it once per trajectory and feeds it to :func:`step_hashes`
     at every step.
     """
     idx = np.asarray(index, dtype=np.uint64)
     return mix64(mix64(np.array([np.uint64(key & 0xFFFFFFFFFFFFFFFF)])) ^ idx)
 
 
+def step_hashes(keys: np.ndarray, step: int) -> np.ndarray:
+    """64-bit hashes of :func:`trajectory_keys` hashes at one step.
+
+    The uniform of an address is its hash's top 53 bits times 2**-53
+    (:func:`hash_uniforms`), so a sampler may compare those bits with
+    integer thresholds instead of forming the float.
+    """
+    return mix64(keys ^ np.uint64(step & 0xFFFFFFFFFFFFFFFF))
+
+
+def hash_uniforms(h: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1): the top 53 bits of each 64-bit hash, times 2**-53 (exact)."""
+    return (h >> np.uint64(11)) * _INV53
+
+
 def step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
     """Uniforms in [0, 1) for :func:`trajectory_keys` hashes at one step."""
-    h = mix64(keys ^ np.uint64(step & 0xFFFFFFFFFFFFFFFF))
-    return (h >> np.uint64(11)) * _INV53
+    return hash_uniforms(step_hashes(keys, step))
 
 
 def counter_uniforms(key: int, index: np.ndarray, step: int) -> np.ndarray:

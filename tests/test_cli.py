@@ -496,6 +496,23 @@ class TestUsageErrors:
             assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("argv, name", [
+        (["converse", "--t1-max", "0"], "--t1-max"),
+        (["converse", "--T-max", "-3"], "--T-max"),
+        (["converse", "--T-max", "2.5"], "--T-max"),
+        (["spectral", "--tol", "0"], "--tol"),
+        (["spectral", "--tol", "inf"], "--tol"),
+        (["spectral", "--tol", "nan"], "--tol"),
+    ], ids=["t1_max_zero", "T_max_negative", "T_max_fraction", "tol_zero", "tol_inf",
+            "tol_nan"])
+    def test_search_limits_and_tol_name_their_flag(self, tmp_path, w3_file, capsys, argv, name):
+        assert main(argv + ["--kernel", w3_file, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert name in err.replace(":", " ").split(), err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
+
 class TestWithoutMpmath:
     def test_reports_run_without_mpmath(self, tmp_path, w3_file):
         # extended precision is a test oracle only: no report may import it

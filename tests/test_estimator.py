@@ -12,7 +12,10 @@ from qsd import models
 from qsd.deflation import Deflation
 from qsd.ergodic import SamplingPlan, conditional_functional
 from qsd.estimator import (
+    _TABLE_BYTES,
     ExtinctionError,
+    _guide_table,
+    _indexed_next_states,
     estimate_beta,
     predict_tradeoff,
     simulate,
@@ -27,6 +30,16 @@ from qsd.spectral import compute_spectral
 # absorption) makes a kernel reducible, so it is built without validation
 ZERO_ROW = SimpleNamespace(
     entries=np.array([[0.2, 0.5, 0.3], [0.0, 0.0, 0.0], [0.4, 0.1, 0.2]]), n=3)
+# zero entries repeat cumulative values; dyadic ones (0.25, 0.5) put
+# thresholds exactly on bucket edges; row 1 absorbs at once; in row 3,
+# cum * 2**53 = 2**45 + 1/2 lies just past a bucket edge (for any k >= 8)
+SPARSE = SimpleNamespace(entries=np.array([
+    [0.25, 0.0, 0.0, 0.25, 0.3],
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.1, 0.0, 0.0, 0.9],
+    [2.0**-8 + 2.0**-54, 0.0, 0.0, 0.0, 0.3],
+    [1 / 3, 0.0, 1 / 3, 0.0, 0.2],
+]), n=5)
 
 
 class TestRng:
@@ -136,8 +149,11 @@ class TestSimulate:
     @pytest.mark.parametrize("N,kernel,T", [
         *(pytest.param(N, kernel, 7, id=f"{N}-{kernel}")
           for N in (1, 2**16 - 1, 2**16 + 3, 3 * 2**16)
-          for kernel in ("rs64", "single", "t3", "w3", "zero_row")),
-        pytest.param(2**16 + 3, "rs300", 7, id="65539-rs300"),  # n > 255: uint16 states
+          for kernel in ("rs64", "single", "t3", "w3", "zero_row", "sparse")),
+        # n > 255: uint16 states; the table's byte cap binds (1024 < 32 n buckets)
+        pytest.param(2**16 + 3, "rs300", 7, id="65539-rs300"),
+        # uint8 states, but the sentinel 256 needs a uint16 table
+        pytest.param(2**16 + 3, "rs255", 7, id="65539-rs255"),
         pytest.param(2**16 + 3, "w3", 0, id="65539-w3-T0"),  # the walk back takes no step
     ])
     def test_bit_identical_to_reference_loop(self, request, kernel, N, T):
@@ -145,6 +161,8 @@ class TestSimulate:
             K = models.random_substochastic(int(kernel[2:]), 5)
         elif kernel == "zero_row":
             K = ZERO_ROW
+        elif kernel == "sparse":
+            K = SPARSE
         else:
             K = request.getfixturevalue(kernel)
         x0 = K.n - 1  # != 0 except on the one-state kernel
@@ -191,6 +209,37 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("kernel", ["w3", "sparse", "rs64", "rs255"])
+    def test_table_exact_at_every_threshold(self, request, kernel):
+        # hashes whose top 53 bits sit on, just below and just above each
+        # threshold thr = ceil(cum * 2**53), with random low bits
+        if kernel.startswith("rs"):
+            K = models.random_substochastic(int(kernel[2:]), 5)
+        else:
+            K = SPARSE if kernel == "sparse" else request.getfixturevalue(kernel)
+        cum = np.cumsum(K.entries, axis=1)
+        table, k = _guide_table(cum, steps=2**63)
+        thr = np.minimum(np.ceil(np.ldexp(cum, 53)), 2.0**53).astype(np.int64)
+        s = np.repeat(np.arange(K.n), K.n)
+        states = s.astype(np.min_scalar_type(K.n))
+        low = np.random.default_rng(0).integers(0, 2**11, s.size, dtype=np.uint64)
+        for d in (0, -1, 1):
+            m = np.clip(thr.ravel() + d, 0, 2**53 - 1).astype(np.uint64)
+            h = (m << np.uint64(11)) | low
+            want = (cum[s] <= (m * 2.0**-53)[:, None]).sum(axis=1)
+            np.testing.assert_array_equal(_indexed_next_states(cum, table, k, states, h), want)
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 181, 200, 255, 300, 1000])
+    def test_table_bytes_bounded(self, n):
+        cum = np.cumsum(np.full((n, n), 0.9 / n), axis=1)
+        table, k = _guide_table(cum, steps=2**63)
+        assert table.nbytes <= _TABLE_BYTES == 2**20
+        assert table.size == n << k
+        # about 32 n buckets a state until the byte cap binds
+        assert (1 << k) >= 32 * n or 2 * table.nbytes > _TABLE_BYTES
+        # a batch of fewer than n**2 steps would not repay the build
+        assert _guide_table(cum, steps=n * n - 1)[0] is None
 
     def test_steps_count_live_transitions(self, w3):
         batch = simulate(w3, 0, 9, 2**16 + 3, seed=6)
