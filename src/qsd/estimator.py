@@ -33,8 +33,9 @@ from .spectral import SpectralTriple
 # (2 bytes a trajectory a step, plus per-step arrays) is bounded whatever N
 # is, large enough that numpy's per-call overhead is a small share of a step.
 _BLOCK = 1 << 16
-# Byte budget of the guide table: it stays in cache, and above n of about
-# 180 it holds fewer than 32 buckets a state, so more lookups fall back.
+# Byte budget of the guide table: it stays in cache, and from n = 129 on
+# (32 n > 2**12 buckets a state) it holds fewer than 32 n buckets a state,
+# so more lookups fall back.
 _TABLE_BYTES = 1 << 20
 
 __all__ = [
@@ -102,7 +103,7 @@ def simulate(
     they run inline.  Blocks return their survivors' rows, joined in block
     order: O(N_T (T+1)) bytes, bit-identical for fixed (seed, x0, T, N)
     whatever ``chunks`` is.  Next states come from :func:`_guide_table`,
-    built once per call when the batch is large enough to repay it.
+    built once per call.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -113,7 +114,7 @@ def simulate(
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
     cum = np.cumsum(K.entries, axis=1)  # u >= cum[s, n-1] means absorption
-    table, k = _guide_table(cum, N * T)
+    table, k = _guide_table(cum)
 
     def run(lo: int):
         return _advance_block(cum, table, k, lo, min(lo + _BLOCK, N), x0, T, seed)
@@ -128,7 +129,7 @@ def simulate(
                            survivor_indices=np.concatenate(survivors), steps=sum(steps))
 
 
-def _guide_table(cum: np.ndarray, steps: int) -> tuple[np.ndarray | None, int]:
+def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, int]:
     """(table, k): the next state of each (state, hash bucket), or n + 1 where it varies.
 
     A step's hash h gives ``u = (h >> 11) * 2**-53`` exactly, so
@@ -141,18 +142,11 @@ def _guide_table(cum: np.ndarray, steps: int) -> tuple[np.ndarray | None, int]:
     n for absorption.  Elsewhere it holds the sentinel n + 1 and the step
     falls back to :func:`_next_states`.  A state gets about 32 n buckets,
     fewer once that would pass ``_TABLE_BYTES``, and never fewer than 2.
-
-    The table is None when ``steps``, the batch's bound N T on the
-    transitions it samples, is below n**2: the build's work on the n**2
-    thresholds would not be repaid (at n = 1000 it costs about as much as
-    10**5 binary-search steps).
     """
     n = cum.shape[0]
     dtype = np.min_scalar_type(n + 1)
     k = min((32 * n - 1).bit_length(), (_TABLE_BYTES // (n * dtype.itemsize)).bit_length() - 1)
     k = max(k, 1)
-    if steps < n * n:
-        return None, k
     shift, buckets = 53 - k, 1 << k
     thr = np.ldexp(cum, 53)
     np.ceil(thr, out=thr)
@@ -166,7 +160,7 @@ def _guide_table(cum: np.ndarray, steps: int) -> tuple[np.ndarray | None, int]:
     return table[:, :buckets].ravel(), k
 
 
-def _advance_block(cum: np.ndarray, table: np.ndarray | None, k: int, lo: int, hi: int,
+def _advance_block(cum: np.ndarray, table: np.ndarray, k: int, lo: int, hi: int,
                    x0: int, T: int, seed: int):
     """(survivor indices, their rows, transitions sampled) of trajectories lo .. hi-1.
 
@@ -198,18 +192,16 @@ def _advance_block(cum: np.ndarray, table: np.ndarray | None, k: int, lo: int, h
     return lo + at, rows, steps
 
 
-def _indexed_next_states(cum: np.ndarray, table: np.ndarray | None, k: int,
+def _indexed_next_states(cum: np.ndarray, table: np.ndarray, k: int,
                          states: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Next states for hashes ``h``: one gather from :func:`_guide_table`'s table.
 
     Entries that draw the sentinel, a few percent while the table keeps
     about 32 n buckets a state, go to :func:`_next_states` with their
-    uniforms alone; without a table, all of them do.  The result is the
+    uniforms alone.  The result is the
     count of ``cum[states[i]]`` at or below ``hash_uniforms(h)[i]`` for
     every i.
     """
-    if table is None:
-        return _next_states(cum, states, hash_uniforms(h))
     idx = (h >> np.uint64(64 - k)).view(np.int64)
     idx += np.left_shift(states, k, dtype=np.int64)
     nxt = table[idx]

@@ -219,7 +219,7 @@ class TestSimulate:
         else:
             K = SPARSE if kernel == "sparse" else request.getfixturevalue(kernel)
         cum = np.cumsum(K.entries, axis=1)
-        table, k = _guide_table(cum, steps=2**63)
+        table, k = _guide_table(cum)
         thr = np.minimum(np.ceil(np.ldexp(cum, 53)), 2.0**53).astype(np.int64)
         s = np.repeat(np.arange(K.n), K.n)
         states = s.astype(np.min_scalar_type(K.n))
@@ -230,16 +230,16 @@ class TestSimulate:
             want = (cum[s] <= (m * 2.0**-53)[:, None]).sum(axis=1)
             np.testing.assert_array_equal(_indexed_next_states(cum, table, k, states, h), want)
 
-    @pytest.mark.parametrize("n", [1, 3, 64, 181, 200, 255, 300, 1000])
+    @pytest.mark.parametrize("n", [1, 3, 64, 128, 129, 181, 200, 255, 300, 1000])
     def test_table_bytes_bounded(self, n):
         cum = np.cumsum(np.full((n, n), 0.9 / n), axis=1)
-        table, k = _guide_table(cum, steps=2**63)
+        table, k = _guide_table(cum)
         assert table.nbytes <= _TABLE_BYTES == 2**20
         assert table.size == n << k
-        # about 32 n buckets a state until the byte cap binds
+        # at least 32 n buckets a state until the byte cap binds, from n = 129
+        # on, where 32 n passes the 2**12 buckets that fit
+        assert ((1 << k) >= 32 * n) == (n <= 128)
         assert (1 << k) >= 32 * n or 2 * table.nbytes > _TABLE_BYTES
-        # a batch of fewer than n**2 steps would not repay the build
-        assert _guide_table(cum, steps=n * n - 1)[0] is None
 
     def test_steps_count_live_transitions(self, w3):
         batch = simulate(w3, 0, 9, 2**16 + 3, seed=6)
