@@ -19,7 +19,6 @@ from .deflation import Deflation
 from .ergodic import (
     SamplingPlan,
     conditional_functional,
-    envelope_grid_minimizer,
     optimal_t0,
     verify_ergodic_theorem,
     verify_general_bound,
@@ -42,19 +41,14 @@ from .kernels import (
     as_distribution,
     bridge_marginals,
     conditioned_evolve,
-    conditioned_marginal_given_T,
-    log_survival_vector,
     read_kernel,
-    survival_probability,
-    survival_vector,
     tv_distance,
     uniformize,
     write_kernel,
 )
-from .models import ModelSpec, build, condition_quality
+from .models import ModelSpec, build
 from .qprocess import (
     BoundReport,
-    QKernel,
     build_q_kernel,
     fitted_rates,
     q_mixing_report,
@@ -71,8 +65,6 @@ from .spectral import (
     compute_spectral,
     conditioned_tv_rate,
     fit_decay,
-    generator_decay_rate,
-    physical_rate,
 )
 
 __version__ = "0.1.0"

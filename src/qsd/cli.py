@@ -5,9 +5,8 @@ atomically (temp file + rename) plus a manifest recording the config
 hash, seed, and library version, and exits with 0 on success, 1 on
 runtime errors, 2 on usage/config errors, and 3 when a certification or
 bound verification fails.  All numbers are serialized with 17 significant
-digits, so reruns diff exactly.  ``--threads`` is the number of threads
-that ``estimate`` and ``sweep`` run their simulation blocks on (at most
-the usable CPUs); it never changes an output file.
+digits, so reruns diff exactly.  ``--threads`` is accepted, for scripts
+that pass it, and changes nothing: simulation runs on one thread.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ def _write_csv(path: str, header: str, rows, trailer: str | None = None) -> None
 
 
 # Arguments that never change an output file: where the input and the
-# output live, and how many threads run the simulation.  The input file's
-# bytes are hashed instead of its path.
+# output live, and the inert --threads.  The input file's bytes are hashed
+# instead of its path.
 _NOT_HASHED = {"kernel", "config", "out", "threads", "fn", "subcommand"}
 # Subcommands whose output depends on --seed.
 _SEEDED = {"model", "estimate", "sweep"}
@@ -196,9 +195,8 @@ def _positive_float(arg: str) -> float:
     return value
 
 
-def _simulation_record(threads: int, trajectories: int, steps: int, survivors: int) -> dict:
-    return {"workers": estimator.worker_count(threads), "trajectories": trajectories,
-            "trajectory_steps": steps, "survivors": survivors}
+def _simulation_record(trajectories: int, steps: int, survivors: int) -> dict:
+    return {"trajectories": trajectories, "trajectory_steps": steps, "survivors": survivors}
 
 
 def _parse_plan(arg: str) -> int | None:
@@ -325,13 +323,12 @@ def cmd_estimate(args) -> int:
         if not 0 <= args.t0 <= T:
             raise ValueError(f"--t0 must be in 0..{T}, the horizon T, not {args.t0}")
         t0 = args.t0
-    batch = estimator.simulate(K, args.x0, T, args.N, args.seed, chunks=args.threads)
+    batch = estimator.simulate(K, args.x0, T, args.N, args.seed)
     est, se = estimator.estimate_beta(batch, f, ergodic.SamplingPlan.dirac(t0, T))
     exact = float(S.beta @ f)
     row = (args.N, T, t0, batch.N_T, est, se, exact, abs(est - exact), predicted)
     _write_csv(os.path.join(args.out, "estimate.csv"), _SWEEP_HEADER, [row])
-    _manifest(args, args.seed, simulation=_simulation_record(
-        args.threads, args.N, batch.steps, batch.N_T))
+    _manifest(args, args.seed, simulation=_simulation_record(args.N, batch.steps, batch.N_T))
     return EXIT_OK
 
 
@@ -345,17 +342,14 @@ def cmd_sweep(args) -> int:
     f = _read_f(args.f, K.n)
     gamma, gamma_prime = qprocess.fitted_rates(Deflation(K, S))
     rows = estimator.sweep_error_vs_N(
-        K, S, f, N_list, args.reps, args.seed, gamma, gamma_prime,
-        x0=args.x0, chunks=args.threads,
-    )
+        K, S, f, N_list, args.reps, args.seed, gamma, gamma_prime, x0=args.x0)
     csv_rows = [
         (r.N, r.T, r.t0, r.N_T, r.estimate, r.stderr, r.exact, r.abs_error, r.predicted)
         for r in rows
     ]
     _write_csv(os.path.join(args.out, "sweep.csv"), _SWEEP_HEADER, csv_rows)
     _manifest(args, args.seed, simulation=_simulation_record(
-        args.threads, args.reps * sum(N_list), sum(r.steps for r in rows),
-        sum(r.survivors for r in rows)))
+        args.reps * sum(N_list), sum(r.steps for r in rows), sum(r.survivors for r in rows)))
     if any(r.flagged for r in rows):
         print("some sweep rows went extinct in every replication", file=sys.stderr)
     return EXIT_OK
@@ -397,8 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=_positive_int, default=1,
-                        help="run simulation blocks on up to min(threads, CPUs) "
-                             "threads; never changes output")
+                        help="accepted for compatibility and ignored: simulation "
+                             "runs on one thread")
 
     sp = sub.add_parser("model", help="build a kernel from a config file")
     sp.add_argument("--config", required=True)

@@ -81,7 +81,7 @@ def certify_converse(
     if t1_max < 1 or T_max < 1:
         raise ValueError("search limits must be positive")
     S = compute_spectral(K)
-    Q = build_q_kernel(K, S).entries
+    Q = build_q_kernel(K, S)
     probed: dict[int, list] = {}
     chosen = None
     for t1 in range(1, t1_max + 1):

@@ -23,7 +23,6 @@ from .qprocess import BoundReport, _fit_validate, _split_half
 __all__ = [
     "SamplingPlan",
     "conditional_functional",
-    "envelope_grid_minimizer",
     "optimal_t0",
     "plan_envelope",
     "verify_ergodic_theorem",
@@ -112,16 +111,6 @@ def optimal_t0(gamma: float, gamma_prime: float, T: int) -> int:
         raise ValueError("rates must be positive")
     t0 = gamma * T / (gamma + gamma_prime)
     return min(max(int(math.floor(t0 + 0.5)), 0), T)
-
-
-def envelope_grid_minimizer(gamma: float, gamma_prime: float, T: int) -> int:
-    """Exact integer minimizer of e^(-gamma' t) + e^(-gamma (T-t)) on [0, T]."""
-    if not (gamma > 0 and gamma_prime > 0):
-        raise ValueError("rates must be positive")
-    return min(
-        range(T + 1),
-        key=lambda t: math.exp(-gamma_prime * t) + math.exp(-gamma * (T - t)),
-    )
 
 
 def verify_general_bound(

@@ -2,9 +2,9 @@
 
 Simulation randomness is addressed, not streamed: the variate driving
 trajectory i at step s is a pure function of (seed, i, s).  Trajectories
-run in fixed blocks, each block returning only its own survivors' rows,
-so a batch is bit-identical whatever the number of workers.  All
-reductions run in trajectory-index order.
+run in fixed blocks, one after another on the calling thread, each
+returning only its own survivors' rows.  All reductions run in
+trajectory-index order.
 
 A step samples by exact indexed search (Chen & Asau 1974; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, sec. III.2.4): one gather
@@ -18,8 +18,6 @@ the one the comparison ``cum[s, j] <= u`` gives, bit for bit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +46,6 @@ __all__ = [
     "predict_tradeoff",
     "simulate",
     "sweep_error_vs_N",
-    "worker_count",
 ]
 
 
@@ -83,27 +80,16 @@ class TrajectoryBatch:
         return self.N_T == 0
 
 
-def worker_count(chunks: int) -> int:
-    """Threads ``simulate`` runs its blocks on: ``chunks``, capped at the usable CPUs."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    return min(chunks, cpus)
-
-
 def simulate(
     K: SubStochasticKernel, x0: int, T: int, N: int, seed: int, chunks: int = 1
 ) -> TrajectoryBatch:
     """Sample N trajectories of the absorbed chain from x0 up to step T.
 
-    Trajectories run in fixed blocks of ``2**16``, each carried through all
-    T steps.  ``chunks`` is the number of worker threads that share the
-    blocks (capped by :func:`worker_count`); with one worker, or one block,
-    they run inline.  Blocks return their survivors' rows, joined in block
-    order: O(N_T (T+1)) bytes, bit-identical for fixed (seed, x0, T, N)
-    whatever ``chunks`` is.  Next states come from :func:`_guide_table`,
-    built once per call.
+    Trajectories run in fixed blocks of ``2**16``, one after another, each
+    carried through all T steps.  Blocks return their survivors' rows,
+    joined in block order: O(N_T (T+1)) bytes.  Next states come from
+    :func:`_guide_table`, built once per call.  ``chunks`` is checked to be
+    at least 1 and changes nothing else.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -116,15 +102,9 @@ def simulate(
     cum = np.cumsum(K.entries, axis=1)  # u >= cum[s, n-1] means absorption
     table, k = _guide_table(cum)
 
-    def run(lo: int):
-        return _advance_block(cum, table, k, lo, min(lo + _BLOCK, N), x0, T, seed)
-
-    workers = worker_count(chunks)
-    if workers == 1 or N <= _BLOCK:
-        survivors, rows, steps = zip(*map(run, range(0, N, _BLOCK)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            survivors, rows, steps = zip(*pool.map(run, range(0, N, _BLOCK)))
+    survivors, rows, steps = zip(*(
+        _advance_block(cum, table, k, lo, min(lo + _BLOCK, N), x0, T, seed)
+        for lo in range(0, N, _BLOCK)))
     return TrajectoryBatch(seed=seed, x0=x0, T=T, N=N, survivor_paths=np.concatenate(rows),
                            survivor_indices=np.concatenate(survivors), steps=sum(steps))
 
@@ -361,7 +341,6 @@ def sweep_error_vs_N(
     gamma: float,
     gamma_prime: float,
     x0: int = 0,
-    chunks: int = 1,
 ) -> list[SweepRow]:
     """Median estimation error at the predicted optimal horizon, per N.
 
@@ -386,7 +365,7 @@ def sweep_error_vs_N(
         estimates, stderrs, survivors, errors = [], [], [], []
         extinct = total_survivors = steps = 0
         for rep in range(replications):
-            batch = simulate(K, x0, T, N, derive_key(seed, iN, rep), chunks=chunks)
+            batch = simulate(K, x0, T, N, derive_key(seed, iN, rep))
             total_survivors += batch.N_T
             steps += batch.steps
             if batch.N_T < 2:

@@ -5,8 +5,8 @@ is represented by its killed transition matrix: the n-by-n block of
 transition probabilities among survivors.  Row deficits (1 - row sum) are
 the per-step absorption probabilities.  All long-horizon products go
 through one stepwise core: a forward pass of renormalized rows and a
-backward pass of rescaled survival vectors, each carrying the log of the
-discarded mass, so horizons in the thousands never underflow.
+backward pass of rescaled survival vectors, each renormalized at every
+step, so horizons in the thousands never underflow.
 
 Distributions over survivor states are plain 1-D numpy arrays; use
 :func:`as_distribution` to validate one.  Kernel and generator entries are
@@ -28,11 +28,7 @@ __all__ = [
     "as_distribution",
     "bridge_marginals",
     "conditioned_evolve",
-    "conditioned_marginal_given_T",
-    "log_survival_vector",
     "read_kernel",
-    "survival_probability",
-    "survival_vector",
     "tv_distance",
     "uniformize",
     "write_kernel",
@@ -191,16 +187,14 @@ def _shifted_solve(A: np.ndarray, shift: float, a: np.ndarray, h: np.ndarray):
 
 
 def _forward(K: SubStochasticKernel, P: np.ndarray, t_max: int):
-    """Yield (P_s, log_mass_s) for s = 0..t_max.
+    """Yield P_s for s = 0..t_max.
 
     ``P`` is a 2-D block of start distributions; row x of ``P_s`` is
-    ``P[x] K^s / (P[x] K^s 1)`` and ``log_mass_s[x]`` the log of the mass
-    ``P[x] K^s 1``.  Each step renormalizes, so nothing underflows
-    while the chain can numerically survive.
+    ``P[x] K^s / (P[x] K^s 1)``.  Each step renormalizes, so nothing
+    underflows while the chain can numerically survive.
     """
     P = np.array(P, dtype=float)
-    log_mass = np.zeros(len(P))
-    yield P, log_mass
+    yield P
     for _ in range(t_max):
         P = P @ K.entries
         mass = P.sum(axis=1)
@@ -210,24 +204,20 @@ def _forward(K: SubStochasticKernel, P: np.ndarray, t_max: int):
                 "too large for the remaining mass"
             )
         P /= mass[:, None]
-        log_mass = log_mass + np.log(mass)
-        yield P, log_mass
+        yield P
 
 
 def _backward(K: SubStochasticKernel, t_max: int):
-    """Yield (v_s, log_scale_s) for s = 0..t_max, with
-    ``K^s 1 = v_s * exp(log_scale_s)`` and ``max v_s = 1``."""
+    """Yield v_s for s = 0..t_max: ``K^s 1`` rescaled to ``max v_s = 1``."""
     v = np.ones(K.n)
-    log_scale = 0.0
-    yield v, log_scale
+    yield v
     for _ in range(t_max):
         v = K.entries @ v
         top = v.max()
         if top <= 0.0:
             raise HorizonTooLarge("all survival probabilities underflowed")
         v /= top
-        log_scale += np.log(top)
-        yield v, log_scale
+        yield v
 
 
 def _last(steps):
@@ -237,37 +227,6 @@ def _last(steps):
     return item
 
 
-def survival_vector(K: SubStochasticKernel, t: int) -> np.ndarray:
-    """Vector of t-step survival probabilities, entry x = (K^t 1)(x)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    v, log_scale = _last(_backward(K, t))
-    return v * np.exp(log_scale)
-
-
-def log_survival_vector(K: SubStochasticKernel, t: int) -> np.ndarray:
-    """Log of the t-step survival probabilities, safe for t in the thousands."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    v, log_scale = _last(_backward(K, t))
-    return np.log(v) + log_scale
-
-
-def _start(K: SubStochasticKernel, mu, t: int) -> np.ndarray:
-    mu = as_distribution(mu)
-    if mu.shape[0] != K.n:
-        raise ValueError("distribution length does not match kernel size")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return mu[None, :]
-
-
-def survival_probability(K: SubStochasticKernel, mu, t: int, log: bool = False) -> float:
-    """P(t < absorption) when started from distribution mu."""
-    _, log_mass = _last(_forward(K, _start(K, mu, t), t))
-    return float(log_mass[0]) if log else float(np.exp(log_mass[0]))
-
-
 def conditioned_evolve(K: SubStochasticKernel, mu, t: int) -> Distribution:
     """Law of X_t given survival to time t, started from mu.
 
@@ -275,17 +234,21 @@ def conditioned_evolve(K: SubStochasticKernel, mu, t: int) -> Distribution:
     numerically survive is fine; a zero-mass step raises
     :class:`HorizonTooLarge`.
     """
-    P, _ = _last(_forward(K, _start(K, mu, t), t))
-    return P[0]
+    mu = as_distribution(mu)
+    if mu.shape[0] != K.n:
+        raise ValueError("distribution length does not match kernel size")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return _last(_forward(K, mu[None, :], t))[0]
 
 
 def _bridge(K: SubStochasticKernel, P: np.ndarray, t: int, T: int) -> np.ndarray:
     """Rows of ``P K^t`` reweighted by the remaining survival ``K^(T-t) 1``,
     each renormalized."""
-    P, _ = _last(_forward(K, P, t))
+    P = _last(_forward(K, P, t))
     if t == T:  # no future to condition on; identical to plain evolution
         return P
-    v, _ = _last(_backward(K, T - t))
+    v = _last(_backward(K, T - t))
     M = P * v
     mass = M.sum(axis=1, keepdims=True)
     if np.any(mass <= 0.0):
@@ -293,25 +256,13 @@ def _bridge(K: SubStochasticKernel, P: np.ndarray, t: int, T: int) -> np.ndarray
     return M / mass
 
 
-def conditioned_marginal_given_T(K: SubStochasticKernel, x: int, t: int, T: int) -> Distribution:
-    """Law of X_t given X_0 = x and survival past the later horizon T.
+def bridge_marginals(K: SubStochasticKernel, t: int, T: int) -> np.ndarray:
+    """Row x is the law of X_t given X_0 = x and survival past the later horizon T.
 
     Weights are proportional to K^t(x, .) reweighted by the remaining
     survival probabilities (K^(T-t) 1); both factors are carried in
     renormalized form, so no underflow occurs at large T.
     """
-    if not 0 <= t <= T:
-        raise ValueError("need 0 <= t <= T")
-    if not 0 <= x < K.n:
-        raise ValueError("state out of range")
-    row = np.zeros((1, K.n))
-    row[0, x] = 1.0
-    return _bridge(K, row, t, T)[0]
-
-
-def bridge_marginals(K: SubStochasticKernel, t: int, T: int) -> np.ndarray:
-    """All conditioned marginals at once: row x is
-    ``conditioned_marginal_given_T(K, x, t, T)``."""
     if not 0 <= t <= T:
         raise ValueError("need 0 <= t <= T")
     return _bridge(K, np.eye(K.n), t, T)

@@ -19,14 +19,13 @@ from importlib import resources
 
 import numpy as np
 
-from .kernels import Generator, SubStochasticKernel, _forward, read_kernel, uniformize
+from .kernels import Generator, SubStochasticKernel, read_kernel, uniformize
 from .rng import counter_uniforms, derive_key, uniform_field
 
 __all__ = [
     "ModelSpec",
     "birth_death",
     "build",
-    "condition_quality",
     "golden_kernel_path",
     "linear_bd_truncated",
     "logistic_bd",
@@ -231,17 +230,3 @@ def build(spec: ModelSpec) -> SubStochasticKernel:
         return ou_discretized(spec.n, **p)
     except TypeError as exc:
         raise ValueError(f"bad parameters for {spec.kind}: {exc}") from None
-
-
-def condition_quality(K: SubStochasticKernel, t0_max: int) -> list[tuple[int, float]]:
-    """Table of (t0, c1): the total mass of the entrywise minimum of the
-    conditioned t0-step laws, for t0 = 1..t0_max.
-
-    For logistic-type kernels c1 stabilizes as n grows; for truncated
-    linear or diffusion kinds it drains toward zero with n (a trend
-    check, not a theorem).
-    """
-    if t0_max < 1:
-        raise ValueError("t0_max must be >= 1")
-    return [(t0, float(rows.min(axis=0).sum()))
-            for t0, (rows, _) in enumerate(_forward(K, np.eye(K.n), t0_max)) if t0]

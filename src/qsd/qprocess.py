@@ -38,7 +38,6 @@ from .spectral import SpectralTriple, _tail_rate_fit, conditioned_tv_rate, fit_l
 
 __all__ = [
     "BoundReport",
-    "QKernel",
     "build_q_kernel",
     "fitted_rates",
     "q_mixing_report",
@@ -48,13 +47,6 @@ __all__ = [
 
 #: A report is valid when no validation point exceeds its bound beyond this.
 VIOLATION_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class QKernel:
-    """Stochastic kernel of the chain conditioned to survive forever."""
-
-    entries: np.ndarray
 
 
 @dataclass
@@ -81,9 +73,10 @@ class BoundReport:
         return self.max_violation <= 1.0 + VIOLATION_SLACK
 
 
-def build_q_kernel(K: SubStochasticKernel, S: SpectralTriple) -> QKernel:
-    """Doob h-transform Q(x,y) = K(x,y) eta(y) / (rho eta(x)).
+def build_q_kernel(K: SubStochasticKernel, S: SpectralTriple) -> np.ndarray:
+    """Doob h-transform Q(x,y) = K(x,y) eta(y) / (rho eta(x)), read-only.
 
+    The stochastic kernel of the chain conditioned to survive forever.
     Rows are renormalized by their own sums (which differ from 1 only by
     the eigen-residual of ``S``); the invariant law of the result is
     beta = eta * alpha.
@@ -99,7 +92,7 @@ def build_q_kernel(K: SubStochasticKernel, S: SpectralTriple) -> QKernel:
     if beta_defect > 1e-10:
         raise ValueError(f"beta is not invariant under the transform (defect {beta_defect:.3e})")
     Q.setflags(write=False)
-    return QKernel(entries=Q)
+    return Q
 
 
 def _exp(x: float) -> float:

@@ -30,8 +30,6 @@ __all__ = [
     "compute_spectral",
     "fit_decay",
     "fit_log_decay",
-    "generator_decay_rate",
-    "physical_rate",
 ]
 
 
@@ -164,20 +162,6 @@ def compute_spectral(
                           iterations=steps)
 
 
-def physical_rate(rate_per_step: float, K: SubStochasticKernel) -> float:
-    """Convert a per-step exponential rate to physical time units."""
-    return rate_per_step / K.time_unit
-
-
-def generator_decay_rate(K: SubStochasticKernel, triple: SpectralTriple) -> float:
-    """Continuous-time decay rate of a uniformized kernel: (1 - rho)/time_unit.
-
-    Exact for kernels built as I + G/theta: the survival eigenvalue shifts
-    along with the generator spectrum.
-    """
-    return (1.0 - triple.rho) / K.time_unit
-
-
 @dataclass(frozen=True)
 class MinorizationCert:
     """Certified constants for the one-shot minorization condition.
@@ -199,7 +183,7 @@ def _pilot_gamma(K: SubStochasticKernel, triple: SpectralTriple) -> float:
     series = []
     steps = _forward(K, np.eye(K.n), 25)
     next(steps)  # t = 0: the start rows themselves
-    for t, (rows, _) in enumerate(steps, start=1):
+    for t, rows in enumerate(steps, start=1):
         worst = 0.5 * float(np.abs(rows - triple.alpha).sum(axis=1).max())
         if worst < 1e-12:
             break
@@ -236,7 +220,7 @@ def certify_minorization(
 
     n = K.n
     t0_used = None
-    for cand, (rows, _) in enumerate(_forward(K, np.eye(n), n * n)):
+    for cand, rows in enumerate(_forward(K, np.eye(n), n * n)):
         if cand < t0:
             continue
         mins = rows.min(axis=0)
@@ -252,7 +236,7 @@ def certify_minorization(
 
     # Survival-ratio curve: P_nu(t < absorption) / max_x P_x(t < absorption),
     # read off the max-rescaled survival shapes.
-    ratios = [1.0] + [float(nu @ v) for t, (v, _) in enumerate(_backward(K, horizon)) if t]
+    ratios = [1.0] + [float(nu @ v) for t, v in enumerate(_backward(K, horizon)) if t]
     probe_min = min(ratios)
 
     # Tail beyond the horizon: survival ratios converge to the eta ratio

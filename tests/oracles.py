@@ -167,6 +167,36 @@ def power_marginal(entries, mu, t: int, dps: int = 60) -> np.ndarray:
     return np.array(out)
 
 
+def power_bridge(entries, t: int, T: int, dps: int = 40) -> np.ndarray:
+    """Row x: law of X_t given X_0 = x and survival past T, by direct
+    extended-precision matrix powers ``K^t(x, .) * (K^(T-t) 1)``, normalized."""
+    n = entries.shape[0]
+    with mp.workdps(dps):
+        M = mp_matrix(entries, dps)
+        P, S = M ** t, M ** (T - t)
+        surv = [sum(S[y, j] for j in range(n)) for y in range(n)]
+        rows = []
+        for x in range(n):
+            w = [P[x, y] * surv[y] for y in range(n)]
+            mass = sum(w)
+            rows.append([float(v / mass) for v in w])
+    return np.array(rows)
+
+
+def power_c1(entries, t0: int) -> float:
+    """Mass of the entrywise minimum of the conditioned t0-step laws, from
+    one direct matrix power ``K^t0`` with its rows normalized."""
+    P = np.linalg.matrix_power(np.asarray(entries, dtype=float), t0)
+    return float((P / P.sum(axis=1, keepdims=True)).min(axis=0).sum())
+
+
+def envelope_argmin(gamma: float, gamma_prime: float, T: int) -> int:
+    """First integer t in [0, T] minimizing e^(-gamma' t) + e^(-gamma (T - t)),
+    by evaluating the envelope at every step."""
+    t = np.arange(T + 1)
+    return int(np.argmin(np.exp(-gamma_prime * t) + np.exp(-gamma * (T - t))))
+
+
 def paths_upto(n: int, length: int):
     return itertools.product(range(n), repeat=length)
 

@@ -9,23 +9,23 @@ from mpmath import mp, mpf
 
 from oracles import (
     enum_functional,
+    envelope_argmin,
     mp_bridge_row,
     mp_conditioned_rows,
     mp_matrix,
     mp_survival_vectors,
     mp_time_average_errors,
+    power_bridge,
 )
 from qsd import models
 from qsd.deflation import Deflation
 from qsd.ergodic import (
     SamplingPlan,
     conditional_functional,
-    envelope_grid_minimizer,
     optimal_t0,
     verify_ergodic_theorem,
     verify_general_bound,
 )
-from qsd.kernels import conditioned_marginal_given_T
 from qsd.qprocess import q_mixing_report, verify_eta_bound
 from qsd.spectral import compute_spectral
 
@@ -78,7 +78,7 @@ class TestConditionalFunctional:
         core = Deflation(w3, compute_spectral(w3))
         for t, T in [(0, 5), (3, 9), (7, 7)]:
             got = conditional_functional(core, 2, f, SamplingPlan.dirac(t, T))
-            want = float(conditioned_marginal_given_T(w3, 2, t, T) @ f)
+            want = float(power_bridge(w3.entries, t, T)[2] @ f)
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -250,6 +250,6 @@ class TestOptimalT0:
         gamma, gamma_prime = fitted_rates(Deflation(w3, w3_triple))
         T_min = 10.0 / min(gamma, gamma_prime)
         for T in (int(math.ceil(T_min)), 20, 40, 80, 160):
-            grid = envelope_grid_minimizer(gamma, gamma_prime, T)
+            grid = envelope_argmin(gamma, gamma_prime, T)
             formula = optimal_t0(gamma, gamma_prime, T)
             assert abs(grid - formula) <= 1

@@ -1,14 +1,13 @@
 import math
-import os
-import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import counter_uniform_reference, simulate_reference
-from qsd import models
+from oracles import counter_uniform_reference, enum_bridge, enum_survival, simulate_reference
+from qsd import estimator, models
 from qsd.deflation import Deflation
 from qsd.ergodic import SamplingPlan, conditional_functional
 from qsd.estimator import (
@@ -20,9 +19,7 @@ from qsd.estimator import (
     predict_tradeoff,
     simulate,
     sweep_error_vs_N,
-    worker_count,
 )
-from qsd.kernels import conditioned_marginal_given_T, survival_probability
 from qsd.rng import counter_uniforms, derive_key, step_uniforms, trajectory_keys
 from qsd.spectral import compute_spectral
 
@@ -94,7 +91,7 @@ class TestSimulate:
     def test_w3_survivor_frequencies_match_bridge(self, w3):
         N, T, t = 60_000, 8, 4
         batch = simulate(w3, 0, T, N, seed=13)
-        want = conditioned_marginal_given_T(w3, 0, t, T)
+        want = enum_bridge(w3.entries, 0, t, T)
         states = batch.survivor_paths[:, t]
         for y in range(3):
             phat = float(np.mean(states == y))
@@ -104,7 +101,7 @@ class TestSimulate:
     def test_expected_survivors(self, w3):
         N, T = 50_000, 6
         batch = simulate(w3, 1, T, N, seed=14)
-        p = survival_probability(w3, [0.0, 1.0, 0.0], T)
+        p = enum_survival(w3.entries, 1, T)
         sigma = math.sqrt(p * (1 - p) / N)
         assert abs(batch.N_T / N - p) < 4 * sigma
 
@@ -174,20 +171,26 @@ class TestSimulate:
             np.testing.assert_array_equal(batch.survivor_indices, survivors)
             assert batch.steps == sum(np.count_nonzero(paths[:, s] >= 0) for s in range(T))
 
-    def test_blocks_agree_under_fast_thread_switching(self, w3):
+    def test_blocks_join_in_order(self, w3):
         # each block returns its own survivors' rows; a row that landed in
         # another block's place, or was lost, would change the batch
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            batches = [simulate(w3, 1, 6, 5 * 2**16 + 7, seed=8, chunks=c) for c in (1, 2, 2)]
-        finally:
-            sys.setswitchinterval(interval)
+        batch = simulate(w3, 1, 6, 5 * 2**16 + 7, seed=8)
         paths, survivors = simulate_reference(w3, 1, 6, 5 * 2**16 + 7, seed=8, chunks=24)
-        for batch in batches:
-            np.testing.assert_array_equal(batch.survivor_paths, paths[survivors])
-            np.testing.assert_array_equal(batch.survivor_indices, survivors)
-            assert batch.steps == batches[0].steps
+        np.testing.assert_array_equal(batch.survivor_paths, paths[survivors])
+        np.testing.assert_array_equal(batch.survivor_indices, survivors)
+        assert batch.steps == sum(np.count_nonzero(paths[:, s] >= 0) for s in range(6))
+
+    def test_simulate_runs_on_the_calling_thread(self, w3, monkeypatch):
+        threads = []
+        advance = estimator._advance_block
+
+        def record(*args):
+            threads.append(threading.get_ident())
+            return advance(*args)
+
+        monkeypatch.setattr(estimator, "_advance_block", record)
+        simulate(w3, 0, 5, 3 * 2**16, seed=2, chunks=8)
+        assert threads == [threading.get_ident()] * 3
 
     def test_memory_stays_near_paths(self):
         K = models.random_substochastic(64, 5)
@@ -247,15 +250,6 @@ class TestSimulate:
         alive_before = [np.count_nonzero(paths[:, s] >= 0) for s in range(9)]
         assert batch.steps == sum(alive_before)
         assert simulate(w3, 0, 0, 10, seed=6).steps == 0
-
-
-class TestWorkerCount:
-    def test_capped_at_usable_cpus(self):
-        assert worker_count(10**9) == len(os.sched_getaffinity(0))
-
-    def test_min_of_threads_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        assert [worker_count(k) for k in (1, 3, 8, 100)] == [1, 3, 8, 8]
 
 
 class TestEstimateBeta:
@@ -364,10 +358,10 @@ class TestSweep:
         )
         assert all(r.abs_error == 0.0 for r in rows)
 
-    def test_deterministic_under_seed_and_chunks(self, w3, w3_triple):
+    def test_deterministic_under_seed(self, w3, w3_triple):
         f = [1.0, 0.0, 0.0]
         a = sweep_error_vs_N(w3, w3_triple, f, [200, 2000], 4, 7, 0.77, 0.77)
-        b = sweep_error_vs_N(w3, w3_triple, f, [200, 2000], 4, 7, 0.77, 0.77, chunks=3)
+        b = sweep_error_vs_N(w3, w3_triple, f, [200, 2000], 4, 7, 0.77, 0.77)
         assert a == b
 
     def test_rows_shape_and_prediction(self, t3, t3_triple):

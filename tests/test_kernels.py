@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_bridge, power_marginal, wielandt_primitive
+from oracles import enum_bridge, power_bridge, power_marginal, wielandt_primitive
 from qsd import models
 from qsd.kernels import (
     Generator,
@@ -13,11 +13,7 @@ from qsd.kernels import (
     as_distribution,
     bridge_marginals,
     conditioned_evolve,
-    conditioned_marginal_given_T,
-    log_survival_vector,
     read_kernel,
-    survival_probability,
-    survival_vector,
     tv_distance,
     uniformize,
     write_kernel,
@@ -91,38 +87,6 @@ class TestDistribution:
         assert v.tolist() == [2.0, 1.0]
 
 
-class TestSurvival:
-    def test_single_state_three_steps(self, single):
-        np.testing.assert_allclose(survival_vector(single, 3), [0.125], rtol=0, atol=1e-15)
-
-    def test_t_zero_is_ones(self, w3):
-        assert survival_vector(w3, 0).tolist() == [1.0, 1.0, 1.0]
-
-    def test_t3_constant_rows(self, t3):
-        np.testing.assert_allclose(survival_vector(t3, 2), [0.49, 0.49], atol=1e-15)
-
-    def test_markov_decomposition(self, w3):
-        # (K^(t+s) 1)(x) = sum_y K^t(x,y) (K^s 1)(y)
-        for t, s in [(1, 1), (3, 2), (5, 7)]:
-            lhs = survival_vector(w3, t + s)
-            rhs = np.linalg.matrix_power(w3.entries, t) @ survival_vector(w3, s)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_log_survival_matches_direct(self, w3):
-        np.testing.assert_allclose(
-            np.exp(log_survival_vector(w3, 20)), survival_vector(w3, 20), rtol=1e-12
-        )
-
-    def test_log_survival_deep_horizon(self, w3):
-        ls = log_survival_vector(w3, 5000)
-        assert np.all(np.isfinite(ls))
-        assert ls.max() < -700  # far beyond double range
-
-    def test_survival_probability_from_mixture(self, t3):
-        p = survival_probability(t3, [0.5, 0.5], 5)
-        assert p == pytest.approx(0.7**5, rel=1e-12)
-
-
 class TestConditionedEvolve:
     def test_single_state_fixed(self, single):
         np.testing.assert_allclose(conditioned_evolve(single, [1.0], 7), [1.0])
@@ -163,37 +127,38 @@ class TestConditionedEvolve:
 
 class TestBridgeMarginal:
     def test_t_zero_is_point_mass(self, w3):
-        np.testing.assert_allclose(
-            conditioned_marginal_given_T(w3, 1, 0, 6), [0.0, 1.0, 0.0]
-        )
+        np.testing.assert_allclose(bridge_marginals(w3, 0, 6)[1], [0.0, 1.0, 0.0])
 
     def test_t_equals_T_reduces_to_evolve(self, w3):
-        got = conditioned_marginal_given_T(w3, 2, 4, 4)
+        got = bridge_marginals(w3, 4, 4)[2]
         want = conditioned_evolve(w3, [0.0, 0.0, 1.0], 4)
         np.testing.assert_array_equal(got, want)
 
     def test_t3_reweighting_is_uniform(self, t3):
         # constant row sums: conditioning on the future adds nothing
         for t, T in [(1, 4), (2, 9), (3, 3)]:
-            got = conditioned_marginal_given_T(t3, 0, t, T)
+            got = bridge_marginals(t3, t, T)[0]
             want = conditioned_evolve(t3, [1.0, 0.0], t)
             np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_w3_matches_path_enumeration(self, w3):
-        got = conditioned_marginal_given_T(w3, 1, 2, 6)
+        got = bridge_marginals(w3, 2, 6)[1]
         want = enum_bridge(w3.entries, 1, 2, 6)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_bridge_marginals_consistent(self, w3):
-        M = bridge_marginals(w3, 3, 11)
-        for x in range(3):
-            np.testing.assert_allclose(
-                M[x], conditioned_marginal_given_T(w3, x, 3, 11), atol=1e-14
-            )
+        np.testing.assert_allclose(bridge_marginals(w3, 3, 11), power_bridge(w3.entries, 3, 11),
+                                   atol=1e-14)
+
+    def test_deep_horizon_never_underflows(self, w3):
+        # K^4999 1 is far below the double range; the rescaled walk is not
+        rows = bridge_marginals(w3, 1, 5000)
+        assert np.all(np.isfinite(rows))
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rejects_bad_times(self, w3):
         with pytest.raises(ValueError):
-            conditioned_marginal_given_T(w3, 0, 5, 3)
+            bridge_marginals(w3, 5, 3)
 
 
 class TestTV:

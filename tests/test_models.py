@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import eig_triple
+from oracles import eig_triple, power_c1
 from qsd.kernels import read_kernel
 from qsd.models import (
     ModelSpec,
     birth_death,
     build,
-    condition_quality,
     golden_kernel_path,
     linear_bd_truncated,
     logistic_bd,
@@ -17,6 +16,11 @@ from qsd.models import (
     w3,
 )
 from qsd.spectral import compute_spectral
+
+
+def best_c1(K, t0_max: int) -> float:
+    """Best one-shot minorization mass over t0 = 1..t0_max."""
+    return max(power_c1(K.entries, t0) for t0 in range(1, t0_max + 1))
 
 
 class TestPinnedKernels:
@@ -72,7 +76,7 @@ class TestLogisticBd:
         for n in (6, 12, 24):
             K = logistic_bd(n, birth0=0.3, birth_step=0.0, death=0.2,
                             death_step=0.02)
-            vals.append(max(c for _, c in condition_quality(K, 2 * n)))
+            vals.append(best_c1(K, 2 * n))
         assert vals[2] > 0.5 * vals[0] > 0
 
 
@@ -113,7 +117,7 @@ class TestContinuousKinds:
         vals = []
         for n in (10, 20, 40):
             K = linear_bd_truncated(n)
-            vals.append(max(c for _, c in condition_quality(K, 2 * n)))
+            vals.append(best_c1(K, 2 * n))
         assert vals[0] > vals[1] > vals[2] > 0
 
     def test_ou_valid(self):
@@ -125,14 +129,12 @@ class TestContinuousKinds:
         vals = []
         for n in (9, 19, 39):
             K = ou_discretized(n)
-            vals.append(max(c for _, c in condition_quality(K, 2 * n)))
+            vals.append(best_c1(K, 2 * n))
         assert vals[0] > vals[1] > vals[2] > 0
 
     def test_uniformized_decay_rate_matches_generator_eigenvalue(self):
         # theta (1 - rho) equals the slowest decay rate of the generator
         import numpy.linalg as npl
-
-        from qsd.spectral import generator_decay_rate
 
         n, b, d = 8, 0.5, 0.55
         K = linear_bd_truncated(n, b, d)
@@ -148,13 +150,7 @@ class TestContinuousKinds:
                 G[i, i - 1] = down
             G[i, i] = -(up + down)
         want = -max(np.real(npl.eigvals(G)))
-        assert generator_decay_rate(K, S) == pytest.approx(want, rel=1e-9)
-
-    def test_physical_rate_scaling(self):
-        from qsd.spectral import physical_rate
-
-        K = linear_bd_truncated(5)
-        assert physical_rate(0.3, K) == pytest.approx(0.3 / K.time_unit)
+        assert (1.0 - S.rho) / K.time_unit == pytest.approx(want, rel=1e-9)
 
 
 class TestBuildDispatch:
@@ -188,22 +184,6 @@ class TestBuildDispatch:
             K = build(spec)
             S = compute_spectral(K)
             assert 0 < S.rho < 1
-
-
-class TestConditionQuality:
-    def test_one_state(self, single):
-        assert condition_quality(single, 3) == [(1, 1.0), (2, 1.0), (3, 1.0)]
-
-    def test_t3_closed_form(self, t3):
-        table = dict(condition_quality(t3, 2))
-        assert table[1] == pytest.approx(6 / 7, abs=1e-13)
-
-    def test_matches_certificate_c1(self, w3):
-        from qsd.spectral import certify_minorization
-
-        cert = certify_minorization(w3, t0=2, horizon=50)
-        table = dict(condition_quality(w3, 4))
-        assert table[2] == pytest.approx(cert.c1, abs=1e-13)
 
 
 class TestAllKernelsSpectrallySane:
