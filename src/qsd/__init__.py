@@ -12,7 +12,6 @@ from .converse import (
     ContractionReport,
     HypothesisReport,
     certify_converse,
-    dobrushin_coeff,
     hypothesis_check,
 )
 from .deflation import Deflation
@@ -39,7 +38,6 @@ from .kernels import (
     HorizonTooLarge,
     SubStochasticKernel,
     as_distribution,
-    bridge_marginals,
     conditioned_evolve,
     read_kernel,
     tv_distance,

@@ -1,4 +1,4 @@
-"""Bridge operators, their contraction, and the converse certification.
+"""Bridge contraction and the converse certification.
 
 The bridge operator at lag t under horizon T maps a starting state to the
 law of X_t conditioned on survival past T.  These operators compose like
@@ -6,6 +6,10 @@ a (time-inhomogeneous) Markov semigroup, so a uniform-in-T contraction of
 the pair supremum at one lag forces geometric decay of the pair supremum
 of the full conditioned evolution - which is what the certification
 checks, and what ultimately pins down a unique quasi-stationary law.
+
+The search forms every bridge law it probes from one forward walk of the
+conditioned rows P_t and one walk of the rescaled survival vectors v_s:
+row x of the bridge at (t, T) is P_t[x] * v_(T-t), renormalized.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deflation import Deflation
-from .kernels import SubStochasticKernel, _max_pair_tv, bridge_marginals
+from .kernels import HorizonTooLarge, SubStochasticKernel, _backward, _forward, _max_pair_tv
 from .qprocess import build_q_kernel
 from .spectral import compute_spectral, fit_decay
 
@@ -24,18 +28,8 @@ __all__ = [
     "ContractionReport",
     "HypothesisReport",
     "certify_converse",
-    "dobrushin_coeff",
     "hypothesis_check",
 ]
-
-
-def dobrushin_coeff(K: SubStochasticKernel, t: int, T: int) -> float:
-    """Largest pair TV distance between bridge laws at lag t, horizon T.
-
-    Exact over all state pairs; survival reweighting is carried in
-    renormalized form, so large T cannot underflow.  Zero for one state.
-    """
-    return _max_pair_tv(bridge_marginals(K, t, T))
 
 
 @dataclass
@@ -82,6 +76,20 @@ def certify_converse(
         raise ValueError("search limits must be positive")
     S = compute_spectral(K)
     Q = build_q_kernel(K, S)
+    forward = _forward(K, np.eye(K.n), t1_max)
+    next(forward)  # P_0
+    surv = list(_backward(K, T_max))
+
+    def bridge_tv(P: np.ndarray, lag: int) -> float:
+        """Pair supremum of the bridge laws: rows of P reweighted by v_lag."""
+        if lag == 0:  # no future to condition on; renormalizing again would move bits
+            return _max_pair_tv(P)
+        M = P * surv[lag]
+        mass = M.sum(axis=1, keepdims=True)
+        if np.any(mass <= 0.0):
+            raise HorizonTooLarge("no surviving mass for the requested bridge")
+        return _max_pair_tv(M / mass)
+
     probed: dict[int, list] = {}
     chosen = None
     for t1 in range(1, t1_max + 1):
@@ -90,7 +98,8 @@ def certify_converse(
         while T <= max(T_max, t1):
             grid.append(T)
             T *= 2
-        deltas = [(T, dobrushin_coeff(K, t1, T)) for T in grid]
+        P = next(forward)
+        deltas = [(T, bridge_tv(P, T - t1)) for T in grid]
         # infinite-horizon limit: as T grows the bridge laws converge to
         # those of the conditioned-forever chain
         limit = _max_pair_tv(np.linalg.matrix_power(Q, t1))
@@ -111,10 +120,13 @@ def certify_converse(
     # probed on the lattice T1 + k t1 (where the floor in the envelope is
     # exact), from the deflated rows, since the true values decay below the
     # double-precision noise floor of a stepwise product.
-    curve_Ts = set(range(T1, T_max + 1, t1))
-    core = Deflation(K, S)
-    decay_curve = [(T, math.exp(core.conditioned_pair_tv(D)))
-                   for T, D in enumerate(core.rows(max(curve_Ts))) if T in curve_Ts]
+    # An empty lattice (T1 > T_max) leaves the envelope check vacuous.
+    curve_Ts = range(T1, T_max + 1, t1)
+    decay_curve = []
+    if curve_Ts:
+        core = Deflation(K, S)
+        decay_curve = [(T, math.exp(core.conditioned_pair_tv(D)))
+                       for T, D in enumerate(core.rows(curve_Ts[-1])) if T in curve_Ts]
     report = ContractionReport(
         t1=t1, T1=T1, delta=delta, decay_curve=decay_curve, certified=True,
         probed=probed, details={"t1_max": t1_max, "T_max": T_max},
@@ -151,17 +163,20 @@ def hypothesis_check(core: Deflation, t_grid, T_grid) -> HypothesisReport:
     The marginal curve at horizon T takes the supremum over probed lags
     t <= T (so ``t_grid`` should stay well below the horizons in
     ``T_grid``); the coupling curve is indexed by the lag alone.  Both
-    come from the deflated propagation and are flagged if they fail to
-    decay.
+    come from one walk of the deflated rows D_t and are flagged if they
+    fail to decay.
     """
     ts = sorted({int(t) for t in t_grid})
     Ts = sorted({int(T) for T in T_grid})
     if not ts or not Ts or ts[0] < 1 or Ts[0] < 1:
         raise ValueError("grids must contain integers >= 1")
     t_set = set(ts)
-    coupling_curve = [(t, math.exp(core.q_pair_tv(D)))
-                      for t, D in enumerate(core.rows(ts[-1])) if t in t_set]
-    gaps = core.bridge_gaps([(t, T) for T in Ts for t in ts if t <= T])
+    surv = list(core.survival(max(Ts[-1] - ts[0], 0)))
+    coupling_curve, gaps = [], {}
+    for t, D in enumerate(core.rows(ts[-1])):
+        if t in t_set:
+            coupling_curve.append((t, math.exp(core.q_pair_tv(D))))
+            gaps.update({(t, T): core.bridge_gap(D, surv[T - t]) for T in Ts if t <= T})
     marginal_curve = [(T, math.exp(max((gaps[(t, T)] for t in ts if t <= T),
                                        default=-math.inf)))
                       for T in Ts]

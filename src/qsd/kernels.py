@@ -6,7 +6,10 @@ transition probabilities among survivors.  Row deficits (1 - row sum) are
 the per-step absorption probabilities.  All long-horizon products go
 through one stepwise core: a forward pass of renormalized rows and a
 backward pass of rescaled survival vectors, each renormalized at every
-step, so horizons in the thousands never underflow.
+step, so horizons in the thousands never underflow.  A bridge law (the
+law of X_t given survival past T) is a forward row reweighted by the
+survival vector at lag T - t; the contraction search in ``converse``
+forms it that way.
 
 Distributions over survivor states are plain 1-D numpy arrays; use
 :func:`as_distribution` to validate one.  Kernel and generator entries are
@@ -26,7 +29,6 @@ __all__ = [
     "HorizonTooLarge",
     "SubStochasticKernel",
     "as_distribution",
-    "bridge_marginals",
     "conditioned_evolve",
     "read_kernel",
     "tv_distance",
@@ -240,32 +242,6 @@ def conditioned_evolve(K: SubStochasticKernel, mu, t: int) -> Distribution:
     if t < 0:
         raise ValueError("t must be >= 0")
     return _last(_forward(K, mu[None, :], t))[0]
-
-
-def _bridge(K: SubStochasticKernel, P: np.ndarray, t: int, T: int) -> np.ndarray:
-    """Rows of ``P K^t`` reweighted by the remaining survival ``K^(T-t) 1``,
-    each renormalized."""
-    P = _last(_forward(K, P, t))
-    if t == T:  # no future to condition on; identical to plain evolution
-        return P
-    v = _last(_backward(K, T - t))
-    M = P * v
-    mass = M.sum(axis=1, keepdims=True)
-    if np.any(mass <= 0.0):
-        raise HorizonTooLarge("no surviving mass for the requested bridge")
-    return M / mass
-
-
-def bridge_marginals(K: SubStochasticKernel, t: int, T: int) -> np.ndarray:
-    """Row x is the law of X_t given X_0 = x and survival past the later horizon T.
-
-    Weights are proportional to K^t(x, .) reweighted by the remaining
-    survival probabilities (K^(T-t) 1); both factors are carried in
-    renormalized form, so no underflow occurs at large T.
-    """
-    if not 0 <= t <= T:
-        raise ValueError("need 0 <= t <= T")
-    return _bridge(K, np.eye(K.n), t, T)
 
 
 class Generator:

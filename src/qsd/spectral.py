@@ -205,9 +205,9 @@ def certify_minorization(
     sandwich (survival ratios converge to eta ratios at the conditioned
     TV decay rate).
 
-    If c1 = 0 at the given t0, t0 is incremented up to n^2 before the
-    condition is reported as not satisfied.  On a primitive kernel some
-    t0 <= n^2 always works.
+    If c1 = 0 at the given t0, t0 is incremented up to max(t0, n^2)
+    before the condition is reported as not satisfied.  On a primitive
+    kernel some t0 <= n^2 always works.
     """
     if t0 < 1:
         raise ValueError("t0 must be >= 1")
@@ -219,8 +219,9 @@ def certify_minorization(
         raise ValueError("horizon must be >= 1")
 
     n = K.n
+    limit = max(t0, n * n)
     t0_used = None
-    for cand, rows in enumerate(_forward(K, np.eye(n), n * n)):
+    for cand, rows in enumerate(_forward(K, np.eye(n), limit)):
         if cand < t0:
             continue
         mins = rows.min(axis=0)
@@ -230,7 +231,7 @@ def certify_minorization(
             break
     if t0_used is None:
         raise MinorizationRefused(
-            f"entrywise minimum of conditioned laws is zero for every t0 <= {n * n}"
+            f"entrywise minimum of conditioned laws is zero for every t0 from {t0} to {limit}"
         )
     nu = mins / c1
 

@@ -391,6 +391,17 @@ class TestConverseSubcommand:
         assert lines[0] == "T,sup_pair_tv,envelope"
         assert "certified=True" in lines[-1]
 
+    def test_horizon_below_certified_lag(self, tmp_path, w3_file, capsys):
+        # t1 = 2 is certified; no decay-curve point T >= 2 fits under T_max = 1
+        out = tmp_path / "c"
+        code = main(["converse", "--kernel", w3_file, "--out", str(out), "--T-max", "1"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        lines = read_lines(out / "converse.csv").splitlines()
+        assert lines[0] == "T,sup_pair_tv,envelope"
+        assert lines[1].startswith("# certified=True t1=2 T1=2 delta=")
+        assert len(lines) == 2
+
     def test_exhausted_search_exits_three(self, tmp_path, w3_file, capsys):
         out = tmp_path / "c"
         code = main(["converse", "--kernel", w3_file, "--out", str(out),

@@ -4,43 +4,44 @@ import numpy as np
 import pytest
 
 from oracles import enum_pair_tv
-from qsd.converse import certify_converse, dobrushin_coeff, hypothesis_check
+from qsd import converse, deflation
+from qsd.converse import certify_converse, hypothesis_check
 from qsd.deflation import Deflation
-from qsd.kernels import bridge_marginals, tv_distance
+from qsd.kernels import tv_distance
 from qsd.spectral import compute_spectral, fit_decay
 
 
+def probes(rep):
+    """(t1, T, pair TV) for every finite-horizon probe of a contraction search."""
+    return [(t1, T, v) for t1, row in rep.probed.items() for T, v in row if T is not None]
+
+
 class TestDobrushin:
+    """The probes are the Dobrushin coefficients of the bridge at (t1, T)."""
+
     def test_one_state_zero(self, single):
-        assert dobrushin_coeff(single, 1, 5) == 0.0
+        rep = certify_converse(single, T_max=50)
+        assert all(v == 0.0 for row in rep.probed.values() for _, v in row)
 
     def test_t3_one_seventh_any_T(self, t3):
-        for T in (1, 3, 9, 40):
-            assert dobrushin_coeff(t3, 1, T) == pytest.approx(1 / 7, abs=1e-13)
+        rep = certify_converse(t3, T_max=100)
+        assert [T for _, T, _ in probes(rep)] == [1, 2, 4, 8, 16, 32, 64]
+        for _, v in rep.probed[1]:
+            assert v == pytest.approx(1 / 7, abs=1e-13)
 
     def test_w3_matches_path_enumeration(self, w3):
-        got = dobrushin_coeff(w3, 2, 10)
-        want = enum_pair_tv(w3.entries, 2, 10)
-        assert got == pytest.approx(want, abs=1e-11)
+        rep = certify_converse(w3, T_max=200)
+        checked = [(t1, T) for t1, T, _ in probes(rep) if T <= 8]
+        assert checked == [(1, 1), (1, 2), (1, 4), (1, 8), (2, 2), (2, 4), (2, 8)]
+        for t1, T, v in probes(rep):
+            if T <= 8:
+                assert v == pytest.approx(enum_pair_tv(w3.entries, t1, T), abs=1e-11)
 
-    def test_range(self, w3):
-        for t, T in [(1, 1), (1, 8), (3, 12)]:
-            assert 0.0 <= dobrushin_coeff(w3, t, T) <= 1.0
-
-    def test_submultiplicative_composition(self, w3):
-        # coefficient of a composed bridge is at most the product of the
-        # two block coefficients
-        for t, s, T in [(1, 1, 10), (2, 1, 12), (2, 3, 16)]:
-            whole = dobrushin_coeff(w3, t + s, T)
-            assert whole <= dobrushin_coeff(w3, t, T) * dobrushin_coeff(w3, s, T - t) + 1e-12
-
-    def test_bridge_semigroup_property(self, w3):
-        # law(X_{t+s} | T) factors through law(X_t | T) and the shifted bridge
-        for t, s, T in [(1, 2, 9), (3, 2, 11), (2, 2, 8)]:
-            left = bridge_marginals(w3, t + s, T)
-            step1 = bridge_marginals(w3, t, T)
-            step2 = bridge_marginals(w3, s, T - t)
-            np.testing.assert_allclose(left, step1 @ step2, atol=1e-10)
+    def test_range(self, w3, random_kernels):
+        for K in (w3, random_kernels[5]):
+            rep = certify_converse(K, T_max=200)
+            for row in rep.probed.values():
+                assert all(0.0 <= v <= 1.0 for _, v in row)
 
 
 class TestCertifyConverse:
@@ -74,6 +75,34 @@ class TestCertifyConverse:
         assert not rep.certified
         assert 1 in rep.probed
         assert math.isnan(rep.delta)
+
+    def test_horizon_below_lag_gives_empty_curve(self, w3):
+        # t1 = 2 is certified, but the lattice T1 + k t1 has no point <= T_max = 1
+        rep = certify_converse(w3, T_max=1)
+        assert rep.certified
+        assert (rep.t1, rep.T1) == (2, 2)
+        assert rep.delta == max(v for _, v in rep.probed[2])
+        assert rep.decay_curve == []
+        assert rep.details["envelope_ok"]
+
+    @pytest.mark.parametrize("kernel", ["w3", "t3"])
+    def test_one_forward_and_one_survival_walk(self, request, monkeypatch, kernel):
+        K = request.getfixturevalue(kernel)
+        calls = {"_forward": 0, "_backward": 0}
+
+        def counting(name):
+            walk = getattr(converse, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return walk(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(converse, name, counting(name))
+        rep = certify_converse(K, T_max=200)
+        assert rep.certified and len(probes(rep)) >= 8
+        assert calls == {"_forward": 1, "_backward": 1}
 
     def test_random_kernels_certify(self, random_kernels):
         for K in random_kernels[:8]:
@@ -110,6 +139,21 @@ class TestHypothesisCheck:
         rep = hypothesis_check(Deflation(single, S), range(1, 6), range(2, 21, 2))
         assert all(v == 0.0 for _, v in rep.marginal_curve)
         assert all(v == 0.0 for _, v in rep.coupling_curve)
+
+    def test_walks_the_rows_once(self, monkeypatch, w3, w3_triple):
+        core = Deflation(w3, w3_triple)
+        count = 0
+        rows = deflation.Deflation.rows
+
+        def counting_rows(self, t_max):
+            nonlocal count
+            for D in rows(self, t_max):
+                count += 1
+                yield D
+
+        monkeypatch.setattr(deflation.Deflation, "rows", counting_rows)
+        hypothesis_check(core, range(1, 9), range(12, 61, 4))
+        assert count == 9  # D_0 .. D_8, for both curves
 
     def test_w3_rates_match_fitted_pair(self, w3, w3_triple):
         from qsd.qprocess import fitted_rates

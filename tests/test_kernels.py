@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_bridge, power_bridge, power_marginal, wielandt_primitive
+from oracles import enum_pair_tv, power_bridge, power_marginal, wielandt_primitive
 from qsd import models
+from qsd.converse import certify_converse
 from qsd.kernels import (
     Generator,
     SubStochasticKernel,
     as_distribution,
-    bridge_marginals,
     conditioned_evolve,
     read_kernel,
     tv_distance,
     uniformize,
     write_kernel,
 )
-from qsd.kernels import _primitivity_defect
+from qsd.kernels import _max_pair_tv, _primitivity_defect
 
 
 class TestConstruction:
@@ -126,39 +126,53 @@ class TestConditionedEvolve:
 
 
 class TestBridgeMarginal:
-    def test_t_zero_is_point_mass(self, w3):
-        np.testing.assert_allclose(bridge_marginals(w3, 0, 6)[1], [0.0, 1.0, 0.0])
+    """Bridge laws as the contraction search forms them from the stepwise
+    core (forward rows reweighted by survival vectors), read through the
+    pair TV of each probe."""
+
+    @staticmethod
+    def probes(rep):
+        return [(t1, T, v) for t1, row in rep.probed.items() for T, v in row if T is not None]
 
     def test_t_equals_T_reduces_to_evolve(self, w3):
-        got = bridge_marginals(w3, 4, 4)[2]
-        want = conditioned_evolve(w3, [0.0, 0.0, 1.0], 4)
-        np.testing.assert_array_equal(got, want)
+        rep = certify_converse(w3, T_max=200)
+        for t1, row in rep.probed.items():
+            rows = np.stack([conditioned_evolve(w3, np.eye(3)[x], t1) for x in range(3)])
+            assert row[0] == (t1, _max_pair_tv(rows))
 
     def test_t3_reweighting_is_uniform(self, t3):
         # constant row sums: conditioning on the future adds nothing
-        for t, T in [(1, 4), (2, 9), (3, 3)]:
-            got = bridge_marginals(t3, t, T)[0]
-            want = conditioned_evolve(t3, [1.0, 0.0], t)
-            np.testing.assert_allclose(got, want, atol=1e-14)
+        rep = certify_converse(t3, T_max=100)
+        for t1, T, v in self.probes(rep):
+            rows = np.stack([conditioned_evolve(t3, np.eye(2)[x], t1) for x in range(2)])
+            assert v == pytest.approx(tv_distance(*rows), abs=1e-14)
 
     def test_w3_matches_path_enumeration(self, w3):
-        got = bridge_marginals(w3, 2, 6)[1]
-        want = enum_bridge(w3.entries, 1, 2, 6)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        # an exhausted search still reports every probe it made
+        rep = certify_converse(w3, t1_max=1, T_max=8)
+        assert not rep.certified
+        assert [T for _, T, _ in self.probes(rep)] == [1, 2, 4, 8]
+        for t1, T, v in self.probes(rep):
+            assert v == pytest.approx(enum_pair_tv(w3.entries, t1, T), abs=1e-12)
 
     def test_bridge_marginals_consistent(self, w3):
-        np.testing.assert_allclose(bridge_marginals(w3, 3, 11), power_bridge(w3.entries, 3, 11),
-                                   atol=1e-14)
+        rep = certify_converse(w3, T_max=200)
+        assert max(T for _, T, _ in self.probes(rep)) == 128
+        for t1, T, v in self.probes(rep):
+            rows = power_bridge(w3.entries, t1, T)
+            assert v == pytest.approx(_max_pair_tv(rows), abs=1e-14)
 
     def test_deep_horizon_never_underflows(self, w3):
-        # K^4999 1 is far below the double range; the rescaled walk is not
-        rows = bridge_marginals(w3, 1, 5000)
-        assert np.all(np.isfinite(rows))
-        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+        # K^4095 1 is far below the double range; the rescaled walk is not
+        rep = certify_converse(w3, t1_max=1, T_max=5000)
+        assert max(T for _, T, _ in self.probes(rep)) == 4096
+        for _, v in rep.probed[1]:
+            assert np.isfinite(v) and 0.0 <= v <= 1.0
 
     def test_rejects_bad_times(self, w3):
-        with pytest.raises(ValueError):
-            bridge_marginals(w3, 5, 3)
+        for limits in ({"t1_max": 0}, {"T_max": 0}):
+            with pytest.raises(ValueError):
+                certify_converse(w3, **limits)
 
 
 class TestTV:

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dense_perron, eig_triple, second_eigenvalue_magnitude
+from oracles import dense_perron, eig_triple, power_c1, second_eigenvalue_magnitude
 from qsd import models
 from qsd.deflation import Deflation
 from qsd.kernels import SubStochasticKernel, conditioned_evolve, tv_distance
@@ -240,6 +240,16 @@ class TestMinorization:
         cert = certify_minorization(K, t0=1)
         assert cert.t0 >= 2
         assert cert.c1 > 0
+
+    def test_t0_above_n_squared_is_searched(self, t3):
+        cert = certify_minorization(t3, t0=5)
+        assert cert.t0 == 5
+        assert cert.c1 == pytest.approx(power_c1(t3.entries, 5), rel=1e-14)
+
+    def test_single_state_above_n_squared(self, single):
+        cert = certify_minorization(single, t0=2)
+        assert cert.t0 == 2
+        assert cert.c1 == 1.0
 
     def test_horizon_recorded(self, t3):
         cert = certify_minorization(t3, t0=1, horizon=37)
