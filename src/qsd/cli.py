@@ -96,6 +96,16 @@ def _manifest(args, seed, **records) -> None:
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _finite_param(key: str, value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number")
+    return number
+
+
 def parse_model_config(path: str) -> models.ModelSpec:
     """Line-oriented config: ``kind``, ``n``, ``seed``, ``params.<name>``."""
     kind = None
@@ -119,7 +129,7 @@ def parse_model_config(path: str) -> models.ModelSpec:
                 elif key == "seed":
                     seed = int(value)
                 elif key.startswith("params."):
-                    params[key[len("params."):]] = float(value)
+                    params[key[len("params."):]] = _finite_param(key, value)
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except ValueError as exc:
@@ -236,7 +246,8 @@ def cmd_spectral(args) -> int:
     rows = [(x, S.alpha[x], S.eta[x], S.beta[x]) for x in range(K.n)]
     _write_csv(os.path.join(args.out, "spectral.csv"), header, rows)
     _manifest(args, args.seed,
-              perron_solve={"iterations": S.iterations, "residual": S.residual})
+              perron_solve={"iterations": S.iterations, "power_steps": S.power_steps,
+                            "residual": S.residual})
     return EXIT_OK
 
 

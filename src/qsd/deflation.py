@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _max_pair_tv, _shifted_solve
+from .kernels import _eigen_residual, _max_pair_tv, _shifted_solve
 
 __all__ = ["Deflation", "Deviation"]
 
@@ -77,11 +77,6 @@ def _log_pair_half_l1(exp: int, rows: np.ndarray) -> float:
     return _log(_max_pair_tv(rows)) + exp * LN2
 
 
-def _residual(K: np.ndarray, alpha: np.ndarray, rho: float, eta: np.ndarray) -> float:
-    return max(float(np.max(np.abs(alpha @ K - rho * alpha))),
-               float(np.max(np.abs(K @ eta - rho * eta))) / float(np.max(eta)))
-
-
 def _refine_triple(K: np.ndarray, triple):
     """(alpha, rho, eta) refined by up to three steps of inverse iteration
     with a Rayleigh shift.
@@ -91,7 +86,7 @@ def _refine_triple(K: np.ndarray, triple):
     returned bit for bit.  alpha sums to 1 and alpha . eta = 1.
     """
     alpha, rho, eta = triple.alpha, float(triple.rho), triple.eta
-    best = _residual(K, alpha, rho, eta)
+    best = _eigen_residual(alpha, alpha @ K, eta, K @ eta, rho)
     for _ in range(3):
         if best == 0.0:
             break
@@ -101,8 +96,9 @@ def _refine_triple(K: np.ndarray, triple):
             break
         a = a / a.sum()
         h = h / (a @ h)
-        r = float(a @ K @ h)
-        res = _residual(K, a, r, h)
+        aK = a @ K
+        r = float(aK @ h)
+        res = _eigen_residual(a, aK, h, K @ h, r)
         if not res < best:
             break
         alpha, rho, eta, best = a, r, h, res

@@ -188,6 +188,17 @@ def _shifted_solve(A: np.ndarray, shift: float, a: np.ndarray, h: np.ndarray):
     return np.linalg.solve(M.T, a), np.linalg.solve(M, h)
 
 
+def _eigen_residual(a: np.ndarray, aK: np.ndarray, h: np.ndarray, Kh: np.ndarray,
+                    rho: float) -> float:
+    """Eigen-equation defect ``max(|aK - rho a|, |Kh - rho h| / max h)``.
+
+    Takes the products ``aK = a @ K`` and ``Kh = K @ h`` so that a caller
+    that needs them anyway forms each once.
+    """
+    return max(float(np.max(np.abs(aK - rho * a))),
+               float(np.max(np.abs(Kh - rho * h))) / float(np.max(h)))
+
+
 def _forward(K: SubStochasticKernel, P: np.ndarray, t_max: int):
     """Yield P_s for s = 0..t_max.
 

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Distribution, SubStochasticKernel, _backward, _forward, _shifted_solve
+from .kernels import (
+    Distribution,
+    SubStochasticKernel,
+    _backward,
+    _eigen_residual,
+    _forward,
+    _shifted_solve,
+)
 
 __all__ = [
     "DecayFit",
@@ -53,7 +60,8 @@ class SpectralTriple:
     eigenvalue, eta the positive right eigenvector with alpha . eta = 1,
     and beta = eta * alpha (entrywise).  ``residual`` is the largest
     eigen-equation defect actually achieved, ``iterations`` the power steps
-    plus shifted inverse solves it took.
+    plus shifted inverse solves it took, and ``power_steps`` the first of
+    these two counts.
     """
 
     alpha: Distribution
@@ -62,6 +70,7 @@ class SpectralTriple:
     beta: Distribution
     residual: float
     iterations: int = 0
+    power_steps: int = 0
 
     @property
     def lambda0(self) -> float:
@@ -69,30 +78,44 @@ class SpectralTriple:
         return -math.log(self.rho)
 
 
-#: Shifted power steps before the solve switches to shifted inverse iteration.
-#: Fast-mixing kernels converge well inside it (a few dozen to ~160 steps).
+#: Most shifted power steps before the solve switches to shifted inverse
+#: iteration.  Fast-mixing kernels converge inside it (a few dozen to about 190
+#: steps); a kernel whose warm-up cannot reach ``tol`` by its end hands off
+#: earlier (see :data:`HANDOFF_WINDOW`).
 WARMUP_STEPS = 200
 
+#: From warm-up step ``2 * HANDOFF_WINDOW`` on, the per-step contraction of the
+#: residual is read off the residuals ``HANDOFF_WINDOW`` steps apart.
+HANDOFF_WINDOW = 10
 
-def _eigen_residual(A: np.ndarray, a: np.ndarray, h: np.ndarray) -> tuple[float, float]:
-    """(rho, residual) of a left vector summing to 1 and a right vector of max 1."""
-    rho = float((a @ A).sum())
-    res_a = float(np.max(np.abs(a @ A - rho * a)))
-    res_h = float(np.max(np.abs(A @ h - rho * h)))
-    return rho, max(res_a, res_h)
+#: The warm-up hands off once that contraction, continued to step
+#: :data:`WARMUP_STEPS`, leaves the residual above ``HANDOFF_MARGIN * tol``.
+#: An early window sees the residual fall faster than it will later (faster
+#: modes still decay), so the projection errs towards staying in the warm-up.
+HANDOFF_MARGIN = 1e3
 
 
-def _perron_upper_bound(A: np.ndarray, a: np.ndarray, h: np.ndarray) -> float:
+def _warm_up_cannot_converge(residuals: list[float], tol: float) -> bool:
+    """Whether the warm-up, at step ``len(residuals)``, visibly cannot reach ``tol``."""
+    t = len(residuals)
+    if t < 2 * HANDOFF_WINDOW:
+        return False
+    q = (residuals[-1] / residuals[-1 - HANDOFF_WINDOW]) ** (1.0 / HANDOFF_WINDOW)
+    return q >= 1.0 or residuals[-1] * q ** (WARMUP_STEPS - t) > HANDOFF_MARGIN * tol
+
+
+def _perron_upper_bound(row_max: float, a: np.ndarray, aA: np.ndarray,
+                        h: np.ndarray, Ah: np.ndarray) -> float:
     """Collatz-Wielandt upper bound on rho, a few ulps up.
 
     ``max (A h / h)`` and ``max (a A / a)`` bound rho from above when the
-    vector is positive; the largest row sum always does.
+    vector is positive; the largest row sum ``row_max`` always does.
     """
-    bounds = [float(A.sum(axis=1).max())]
+    bounds = [row_max]
     if np.all(h > 0):
-        bounds.append(float(np.max(A @ h / h)))
+        bounds.append(float(np.max(Ah / h)))
     if np.all(a > 0):
-        bounds.append(float(np.max(a @ A / a)))
+        bounds.append(float(np.max(aA / a)))
     sigma = min(bounds)
     return sigma + 4 * float(np.spacing(sigma))
 
@@ -103,15 +126,21 @@ def compute_spectral(
     """Left/right Perron pair: shifted power iteration, then Noda iteration.
 
     Up to :data:`WARMUP_STEPS` steps iterate on (K + I/2)/1.5; the shift
-    suppresses any residual periodicity without moving eigenvectors.  A
-    kernel that has not converged by then (spectral-gap ratio near 1)
-    continues with Noda's shifted inverse iteration (Numer. Math. 17, 1971):
-    solve ``(sigma I - K) h' = h`` and ``(sigma I - K)^T a' = a`` with sigma
-    the Collatz-Wielandt upper bound on rho, which converges to rho
-    superlinearly, so a few solves reach the rounding floor.
+    suppresses any residual periodicity without moving eigenvectors.  From
+    step ``2 * HANDOFF_WINDOW`` on, the warm-up ends early once its residual,
+    contracting at the rate of the last :data:`HANDOFF_WINDOW` steps, would
+    still be above ``HANDOFF_MARGIN * tol`` at step :data:`WARMUP_STEPS`
+    (spectral-gap ratio near 1).  The solve then continues with Noda's
+    shifted inverse iteration (Numer. Math. 17, 1971): solve
+    ``(sigma I - K) h' = h`` and ``(sigma I - K)^T a' = a`` with sigma the
+    Collatz-Wielandt upper bound on rho, which converges to rho
+    superlinearly, so a few solves reach the rounding floor.  Each step of
+    either phase forms ``a @ K`` and ``K @ h`` once, and rho, the residual,
+    the bound and the next power step all read them.
 
     Deterministic: fixed uniform start, fixed iteration order.
-    ``max_iters`` counts the steps of both phases.  Raises
+    ``max_iters`` counts the steps of both phases, and the triple records
+    the warm-up's share as ``power_steps``.  Raises
     :class:`PowerIterationError` with the last residual when ``max_iters``
     is exhausted or an inverse step stops lowering the residual above
     ``tol``, and rejects kernels whose survival eigenvalue reaches 1.
@@ -122,33 +151,43 @@ def compute_spectral(
     n = K.n
     a = np.full(n, 1.0 / n)
     h = np.ones(n)
+    aA, Ah = a @ A, A @ h
+    residuals: list[float] = []
     residual = math.inf
     steps = 0
-    while residual > tol and steps < min(WARMUP_STEPS, max_iters):
-        a_new = (a @ A + 0.5 * a) / 1.5
+    while (residual > tol and steps < min(WARMUP_STEPS, max_iters)
+           and not _warm_up_cannot_converge(residuals, tol)):
+        a_new = (aA + 0.5 * a) / 1.5
         a = a_new / a_new.sum()
-        h_new = (A @ h + 0.5 * h) / 1.5
+        h_new = (Ah + 0.5 * h) / 1.5
         h = h_new / h_new.max()
-        rho, residual = _eigen_residual(A, a, h)
+        aA, Ah = a @ A, A @ h
+        rho = float(aA.sum())
+        residual = _eigen_residual(a, aA, h, Ah, rho)  # max h is exactly 1
+        residuals.append(residual)
         steps += 1
+    power_steps = steps
+    row_max = float(A.sum(axis=1).max())
     while residual > tol and steps < max_iters:
         steps += 1
         try:
-            a_new, h_new = _shifted_solve(A, _perron_upper_bound(A, a, h), a, h)
+            a_new, h_new = _shifted_solve(A, _perron_upper_bound(row_max, a, aA, h, Ah), a, h)
         except np.linalg.LinAlgError:  # the bound is an exact eigenvalue: nothing to gain
             res_new = math.inf
         else:
             a_new = a_new / a_new.sum()
             # max |h| = 1 and positive: a shift within rounding of rho may flip the sign
             h_new = h_new / h_new[np.argmax(np.abs(h_new))]
-            rho_new, res_new = _eigen_residual(A, a_new, h_new)
+            aA_new, Ah_new = a_new @ A, A @ h_new
+            rho_new = float(aA_new.sum())
+            res_new = _eigen_residual(a_new, aA_new, h_new, Ah_new, rho_new)
         if not res_new < residual:
             raise PowerIterationError(
                 f"inverse iteration stalled after {steps} iterations "
                 f"(residual {residual:.3e})",
                 residual,
             )
-        a, h, rho, residual = a_new, h_new, rho_new, res_new
+        a, h, aA, Ah, rho, residual = a_new, h_new, aA_new, Ah_new, rho_new, res_new
     if residual > tol:
         raise PowerIterationError(
             f"no convergence after {max_iters} iterations (residual {residual:.3e})",
@@ -159,7 +198,7 @@ def compute_spectral(
     eta = h / float(a @ h)
     beta = a * eta
     return SpectralTriple(alpha=a, rho=rho, eta=eta, beta=beta, residual=residual,
-                          iterations=steps)
+                          iterations=steps, power_steps=power_steps)
 
 
 @dataclass(frozen=True)

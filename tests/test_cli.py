@@ -62,6 +62,13 @@ class TestModelSubcommand:
         assert main(["model", "--config", str(cfg), "--out", str(out)]) == 2
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "fast"])
+    def test_param_that_is_not_a_finite_number_names_its_key(self, tmp_path, capsys, value):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"kind birth_death\nn 4\nparams.birth {value}\n")
+        assert main(["model", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: params.birth must be a finite number\n"
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text("kind w3\nn 3\nwhatever 1\n")
@@ -90,6 +97,8 @@ class TestSpectralSubcommand:
         manifest = json.loads(read_lines(out / "manifest.json"))
         assert manifest["subcommand"] == "spectral"
         assert "config_hash" in manifest and "timestamp" in manifest
+        solve = manifest["perron_solve"]
+        assert (solve["power_steps"], solve["iterations"]) == (61, 61)
 
     def test_manifest_records_perron_solve(self, tmp_path):
         kf = tmp_path / "ou.txt"
@@ -99,7 +108,8 @@ class TestSpectralSubcommand:
         solve = json.loads(read_lines(out / "manifest.json"))["perron_solve"]
         head = dict(kv.split("=") for kv in read_lines(out / "spectral.csv").split("\n")[0].split())
         assert solve["residual"] == float(head["residual"]) <= 1e-14
-        assert 200 < solve["iterations"] <= 210
+        assert solve["power_steps"] < solve["iterations"] <= solve["power_steps"] + 10
+        assert solve["iterations"] <= 30
 
     def test_manifest_stable_modulo_timestamp(self, tmp_path, w3_file):
         out = tmp_path / "s"

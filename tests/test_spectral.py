@@ -9,6 +9,7 @@ from qsd import models
 from qsd.deflation import Deflation
 from qsd.kernels import SubStochasticKernel, conditioned_evolve, tv_distance
 from qsd.spectral import (
+    HANDOFF_WINDOW,
     WARMUP_STEPS,
     PowerIterationError,
     certify_minorization,
@@ -18,6 +19,16 @@ from qsd.spectral import (
     fit_log_decay,
     _tail_rate_fit,
 )
+
+
+class _CountingProducts(np.ndarray):
+    """A kernel matrix that counts the matrix products it enters."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _CountingProducts) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 class TestComputeSpectral:
@@ -73,8 +84,11 @@ class TestComputeSpectral:
     def test_warm_up_is_plain_shifted_power_iteration(self, w3, t3, random_kernels):
         # a kernel that converges inside the warm-up gets the bytes of the
         # plain loop on (K + I/2)/1.5, and the step count; ou_discretized
-        # n=12 takes 163 steps
-        for K in [w3, t3, models.ou_discretized(12)] + random_kernels:
+        # n=12 and n=13 take 163 and 188 steps, the birth-death chain 195,
+        # so the hand-off rule stays quiet up to the end of the warm-up
+        slow = [models.ou_discretized(12), models.ou_discretized(13),
+                models.birth_death(6, birth=0.3, death=0.5)]
+        for K in [w3, t3] + slow + random_kernels:
             A = K.entries
             a, h = np.full(K.n, 1.0 / K.n), np.ones(K.n)
             for step in range(1, WARMUP_STEPS + 1):
@@ -90,7 +104,21 @@ class TestComputeSpectral:
             S = compute_spectral(K)
             np.testing.assert_array_equal(S.alpha, a)
             np.testing.assert_array_equal(S.eta, h / float(a @ h))
-            assert (S.rho, S.residual, S.iterations) == (rho, residual, step)
+            assert (S.rho, S.residual, S.iterations, S.power_steps) == (rho, residual, step, step)
+        assert [compute_spectral(K).iterations for K in slow] == [163, 188, 195]
+
+    @pytest.mark.parametrize("kind", ["w3", "ou200"])
+    def test_two_products_per_step(self, kind):
+        K = models.w3() if kind == "w3" else models.ou_discretized(200)
+        plain = compute_spectral(K)
+        K.entries = A = K.entries.view(_CountingProducts)
+        A.products = 0
+        S = compute_spectral(K)
+        # two for the start vectors, then a @ K and K @ h once per step of either phase
+        assert A.products == 2 * (S.iterations + 1)
+        assert (S.rho, S.residual, S.iterations) == (plain.rho, plain.residual, plain.iterations)
+        np.testing.assert_array_equal(S.alpha, plain.alpha)
+        np.testing.assert_array_equal(S.eta, plain.eta)
 
     @pytest.mark.parametrize("tol", [1e-20, 1e-300])
     @pytest.mark.parametrize("kind", ["w3", "ou200"])
@@ -105,7 +133,7 @@ class TestComputeSpectral:
     def test_max_iters_counts_both_phases(self):
         K = models.ou_discretized(200)
         S = compute_spectral(K)
-        assert WARMUP_STEPS < S.iterations <= WARMUP_STEPS + 10
+        assert S.power_steps < S.iterations <= 2 * HANDOFF_WINDOW + 10
         with pytest.raises(PowerIterationError, match="no convergence") as exc:
             compute_spectral(K, max_iters=S.iterations - 1)
         assert exc.value.residual > 1e-12
@@ -151,7 +179,7 @@ STRESS = {
 
 
 class TestSlowMixingSolve:
-    """Gap ratios 0.997 to 0.9998: the warm-up ends and inverse iteration finishes."""
+    """Gap ratios 0.997 to 0.9998: the warm-up hands off early and inverse iteration finishes."""
 
     @pytest.mark.parametrize("case", list(STRESS))
     def test_matches_dense_eig(self, case):
@@ -159,7 +187,7 @@ class TestSlowMixingSolve:
         A = K.entries
         S = compute_spectral(K)
         assert S.residual <= 1e-12
-        assert WARMUP_STEPS < S.iterations <= WARMUP_STEPS + 10
+        assert S.power_steps < S.iterations <= 2 * HANDOFF_WINDOW + 10
         assert np.all(S.alpha > 0) and np.all(S.eta > 0)
         alpha, rho, eta, gap, cond = dense_perron(A)
         # tolerances scale with the condition number over the spectral gap
