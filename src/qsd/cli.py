@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -72,21 +73,37 @@ _NOT_HASHED = {"kernel", "config", "out", "threads", "fn", "subcommand"}
 _SEEDED = {"model", "estimate", "sweep"}
 
 
-def _config_hash(args) -> str:
-    source = getattr(args, "kernel", None) or args.config
-    with open(source, "rb") as fh:
-        content = hashlib.sha256(fh.read()).hexdigest()
+def _read_input(path, split) -> tuple[list[str], str]:
+    """The lines ``split`` cuts from an input file's text, decoded as
+    ``open(path)`` decodes it, and the SHA-256 of its bytes, from one read.
+
+    Only the lines outlive the call: a kernel file at n = 500 is 4.5 MB.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
+    del data
+    return split(text), digest
+
+
+def _config_lines(text: str) -> list[str]:
+    """A config file's lines, as iterating over the open file yields them."""
+    return text.split("\n")
+
+
+def _config_hash(args, input_sha256: str) -> str:
     skip = _NOT_HASHED if args.subcommand in _SEEDED else _NOT_HASHED | {"seed"}
     config = {k: v for k, v in vars(args).items() if k not in skip}
-    payload = json.dumps({"subcommand": args.subcommand, "input_sha256": content,
+    payload = json.dumps({"subcommand": args.subcommand, "input_sha256": input_sha256,
                           "args": config}, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _manifest(args, seed, **records) -> None:
+def _manifest(args, input_sha256: str, seed, **records) -> None:
     manifest = {
         "subcommand": args.subcommand,
-        "config_hash": _config_hash(args),
+        "config_hash": _config_hash(args, input_sha256),
         "seed": seed,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -106,48 +123,70 @@ def _finite_param(key: str, value: str) -> float:
     return number
 
 
+def _int_value(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, not {value!r}") from None
+
+
 def parse_model_config(path: str) -> models.ModelSpec:
     """Line-oriented config: ``kind``, ``n``, ``seed``, ``params.<name>``."""
+    with open(path) as fh:
+        return _parse_config(path, _config_lines(fh.read()))
+
+
+def _parse_config(path, lines: list[str]) -> models.ModelSpec:
+    """The model config in ``lines``, those of the file ``path``."""
     kind = None
     n = None
     seed = None
     params: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected '<key> <value>'")
-            key, value = parts
-            try:
-                if key == "kind":
-                    kind = value.strip()
-                elif key == "n":
-                    n = int(value)
-                elif key == "seed":
-                    seed = int(value)
-                elif key.startswith("params."):
-                    params[key[len("params."):]] = _finite_param(key, value)
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    param_lines: dict = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected '<key> <value>'")
+        key, value = parts
+        try:
+            if key == "kind":
+                kind = value.strip()
+            elif key == "n":
+                n = _int_value(key, value)
+            elif key == "seed":
+                seed = _int_value(key, value)
+            elif key.startswith("params."):
+                params[key[len("params."):]] = _finite_param(key, value)
+                param_lines[key[len("params."):]] = lineno
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if kind is None:
         raise ValueError(f"{path}: missing 'kind'")
     if kind not in models.KINDS:
         raise ValueError(f"{path}: unknown kind {kind!r}")
+    for name, lineno in param_lines.items():
+        problem = models.parameter_error(kind, name)
+        if problem:
+            raise ValueError(f"{path}:{lineno}: {problem}")
     if n is None and kind not in ("w3", "t3"):
         raise ValueError(f"{path}: missing 'n'")
     return models.ModelSpec(kind=kind, n=n or 0, seed=seed, params=params)
 
 
 def _load_kernel(args):
+    """(kernel, SHA-256 of the input file's bytes), from one read of the
+    ``--kernel`` or ``--config`` file."""
     if getattr(args, "kernel", None):
-        return read_kernel(args.kernel)
+        lines, digest = _read_input(args.kernel, str.splitlines)
+        return read_kernel(args.kernel, lines), digest
     if getattr(args, "config", None):
-        return models.build(parse_model_config(args.config))
+        lines, digest = _read_input(args.config, _config_lines)
+        return models.build(_parse_config(args.config, lines)), digest
     raise ValueError("give --kernel FILE or --config FILE")
 
 
@@ -227,25 +266,26 @@ def _report_csv(out_path: str, report) -> None:
 
 
 def cmd_model(args) -> int:
-    spec = parse_model_config(args.config)
+    lines, digest = _read_input(args.config, _config_lines)
+    spec = _parse_config(args.config, lines)
     if args.seed is not None:
         spec = models.ModelSpec(kind=spec.kind, n=spec.n, seed=args.seed,
                                 params=spec.params)
     K = models.build(spec)
     os.makedirs(args.out, exist_ok=True)
     write_kernel(K, os.path.join(args.out, "kernel.txt"))
-    _manifest(args, spec.seed)
+    _manifest(args, digest, spec.seed)
     return EXIT_OK
 
 
 def cmd_spectral(args) -> int:
-    K = _load_kernel(args)
+    K, digest = _load_kernel(args)
     S = spectral.compute_spectral(K, tol=args.tol)
     header = (f"rho={_fmt(S.rho)} lambda0_per_step={_fmt(S.lambda0)} "
               f"residual={_fmt(S.residual)}\nstate,alpha,eta,beta")
     rows = [(x, S.alpha[x], S.eta[x], S.beta[x]) for x in range(K.n)]
     _write_csv(os.path.join(args.out, "spectral.csv"), header, rows)
-    _manifest(args, args.seed,
+    _manifest(args, digest, args.seed,
               perron_solve={"iterations": S.iterations, "power_steps": S.power_steps,
                             "residual": S.residual})
     return EXIT_OK
@@ -258,7 +298,7 @@ def cmd_verify(args) -> int:
         raise ValueError("--pair-lag-max must be >= 2: one lag to fit, one to validate")
     if args.pair_t_max < 1:
         raise ValueError("--pair-t-max must be >= 1")
-    K = _load_kernel(args)
+    K, digest = _load_kernel(args)
     S = spectral.compute_spectral(K)
     qprocess.build_q_kernel(K, S)  # refuses a kernel whose h-transform is ill-conditioned
     core = Deflation(K, S)
@@ -273,7 +313,7 @@ def cmd_verify(args) -> int:
     _report_csv(os.path.join(args.out, "eta_bound.csv"), eta_rep)
     _report_csv(os.path.join(args.out, "qproc_approx.csv"), q_rep)
     _report_csv(os.path.join(args.out, "q_mixing.csv"), mix_rep)
-    _manifest(args, args.seed)
+    _manifest(args, digest, args.seed)
     bad = [r.name for r in (eta_rep, q_rep, mix_rep) if not r.valid]
     if bad:
         print(f"bound violated on validation grid: {', '.join(bad)}", file=sys.stderr)
@@ -287,7 +327,7 @@ def cmd_ergodic(args) -> int:
     if t0 is None and len(set(Ts)) < 2:
         raise ValueError("--T-grid needs two or more horizons for the uniform plan: "
                          "one to fit, one to validate")
-    K = _load_kernel(args)
+    K, digest = _load_kernel(args)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
     core = Deflation(K, S)
@@ -301,12 +341,11 @@ def cmd_ergodic(args) -> int:
         gamma, gamma_prime = qprocess.fitted_rates(core)
         f_inf = float(np.max(np.abs(f))) or 1.0
         rows = []
-        for plan, log_err in zip(plans, core.plan_errors(f, plans)):
-            err = math.exp(log_err)
+        for plan, (err, _) in zip(plans, core.plan_errors(f, plans)):
             env = f_inf * ergodic.plan_envelope(gamma, gamma_prime, plan)
             rows.append((plan.T, err, env, err / env if env > 0 else 0.0))
     _write_csv(os.path.join(args.out, "ergodic.csv"), "time,error,bound,ratio", rows)
-    _manifest(args, args.seed)
+    _manifest(args, digest, args.seed)
     if violated:
         print("bound violated on validation grid: ergodic_theorem", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
@@ -324,7 +363,7 @@ def _check_x0(x0: int, n: int) -> None:
 def cmd_estimate(args) -> int:
     if args.T is not None and args.T < 0:
         raise ValueError(f"--T must be >= 0, not {args.T}")
-    K = _load_kernel(args)
+    K, digest = _load_kernel(args)
     _check_x0(args.x0, K.n)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
@@ -339,7 +378,7 @@ def cmd_estimate(args) -> int:
     exact = float(S.beta @ f)
     row = (args.N, T, t0, batch.N_T, est, se, exact, abs(est - exact), predicted)
     _write_csv(os.path.join(args.out, "estimate.csv"), _SWEEP_HEADER, [row])
-    _manifest(args, args.seed, simulation=_simulation_record(args.N, batch.steps, batch.N_T))
+    _manifest(args, digest, args.seed, simulation=_simulation_record(args.N, batch.steps, batch.N_T))
     return EXIT_OK
 
 
@@ -347,7 +386,7 @@ def cmd_sweep(args) -> int:
     N_list = _int_list(args.N_list, "--N-list")
     if N_list[0] < 1 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError(f"--N-list must be positive and strictly increasing, not {args.N_list!r}")
-    K = _load_kernel(args)
+    K, digest = _load_kernel(args)
     _check_x0(args.x0, K.n)
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
@@ -359,7 +398,7 @@ def cmd_sweep(args) -> int:
         for r in rows
     ]
     _write_csv(os.path.join(args.out, "sweep.csv"), _SWEEP_HEADER, csv_rows)
-    _manifest(args, args.seed, simulation=_simulation_record(
+    _manifest(args, digest, args.seed, simulation=_simulation_record(
         args.reps * sum(N_list), sum(r.steps for r in rows), sum(r.survivors for r in rows)))
     if any(r.flagged for r in rows):
         print("some sweep rows went extinct in every replication", file=sys.stderr)
@@ -367,14 +406,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_converse(args) -> int:
-    K = _load_kernel(args)
+    K, digest = _load_kernel(args)
     rep = converse.certify_converse(K, t1_max=args.t1_max, T_max=args.T_max)
     rows = [(T, v, rep.envelope(T)) for T, v in rep.decay_curve]
     trailer = (f"# certified={rep.certified} t1={rep.t1} T1={rep.T1} "
                f"delta={_fmt(rep.delta)}")
     _write_csv(os.path.join(args.out, "converse.csv"), "T,sup_pair_tv,envelope",
                rows, trailer)
-    _manifest(args, args.seed)
+    _manifest(args, digest, args.seed)
     if not rep.certified:
         print("contraction not certified within the search limits", file=sys.stderr)
         return EXIT_NOT_CERTIFIED

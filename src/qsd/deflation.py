@@ -217,74 +217,99 @@ class Deflation:
                 gaps.update({(t, T): self.bridge_gap(D, surv[T - t]) for T in by_t.get(t, ())})
         return gaps
 
-    def path_gap(self, t: int, e_lag: Deviation, e_T: Deviation) -> float:
-        """ln sup_x TV between the laws of the path (X_1..X_t) from x given
-        survival past T = t + lag and under Q, by enumerating all n^t paths.
-
-        Path by path the difference of the two laws is the path's weight
-        under K/rho times
-        [eta(x) e_lag(end) - eta(end) e_T(x)] / (eta(x) (eta(x) + e_T(x))).
-        """
-        n = len(self.eta)
-        worst = -math.inf
-        for x in range(n):
-            w, ends = np.ones(1), np.array([x])
-            for _ in range(t):
-                w = (w[:, None] * self.step[ends]).ravel()
-                ends = np.tile(np.arange(n), len(ends))
-            gap = w * np.abs(self.eta[x] * e_lag.hat[ends]
-                             - self.eta[ends] * np.ldexp(e_T.hat[x], e_T.exp - e_lag.exp))
-            tv = 0.5 * float(gap.sum()) / (self.eta[x] * (self.eta[x] + e_T.value[x]))
-            worst = max(worst, _log(tv) + e_lag.exp * LN2)
-        return worst
+    def _dots(self, V: np.ndarray) -> np.ndarray:
+        """alpha . v for each row v of ``V``, one dot product per row, so a
+        row's value does not depend on the rows stacked with it."""
+        return np.matmul(V[:, None, :], self.alpha)[:, 0]
 
     def plan_deviations(self, f: np.ndarray, plans) -> list[Deviation]:
         """Per plan, E_x(f against plan | survival past plan.T) - beta(f) for
         every start state x, signed.
 
-        One streamed pass over D_0, D_1, ... adds each plan's atoms as their
-        time passes, so one row block is alive at a time; only the survival
-        deviations (n-vectors) are listed.  Per atom (t, w), with d = D_t[x]
-        and e = e_(T-t), the conditional expectation minus beta(f) is
-        [(alpha e).f + (d eta).f + (d e).f - (d . e) beta(f)] / (1 + d . e).
-        The atoms at one step are evaluated together on their stacked e,
-        with one matrix-vector product per atom (batched), so a plan's value
-        does not depend on which other plans share its steps; each plan sums
-        its atoms at a common binary scale, kept in an exponent array.  Both
-        laws have mass 1, so f is first shifted by its midrange, which leaves
-        the deviation unchanged and keeps it exactly 0 for a constant f.
+        Since D_t = diag(1/eta) R^t, with R = proj(K/rho), and
+        1 + D_t[x] . e_(T-t) = 1 + e_T(x)/eta(x) for every t, a plan's
+        deviation for all start states at once is
+        (h/eta + sum_t w_t alpha . (e_(T-t) f)) / (1 + e_T/eta), where
+        h = sum_t w_t R^t proj(g_(T-t)) and g_lag = eta f + e_lag (f - beta(f)).
+        h comes from the Horner recursion h <- proj((K/rho) h) + w_t proj(g_(T-t)),
+        run from the plan's last atom down to t = 0: O(n^2) per step, with
+        only the survival deviations e_0 .. e_T listed.  Every plan runs in
+        one descending step loop, one matrix-vector product per plan
+        (batched), and h and the constant carry binary exponents, so a
+        plan's value does not depend on which plans share the loop and
+        deviations far below 1e-308 keep their digits.  Both laws have mass
+        1, so f is first shifted by its midrange, which leaves the deviation
+        unchanged and keeps it exactly 0 for a constant f.
         """
+        plans = list(plans)
         f = f - 0.5 * (f.max() + f.min())
         beta_f = float(self.beta @ f)
-        atoms = defaultdict(dict)  # t -> {plan index: (weight, lag)}, repeated times merged
-        for i, plan in enumerate(plans):
+        merged = []  # per plan, {t: weight} with repeated times merged
+        for plan in plans:
+            at = {}
             for t, w in plan.atoms:
-                atoms[t][i] = (atoms[t].get(i, (0.0,))[0] + w, plan.T - t)
-        surv = list(self.survival(max(lag for at in atoms.values() for _, lag in at.values())))
+                at[t] = at.get(t, 0.0) + w
+            merged.append(at)
+        surv = list(self.survival(max(plan.T for plan in plans)))
         e_hat, e_exp = np.array([e.hat for e in surv]), np.array([e.exp for e in surv])
-        alpha_e_f = np.array([float((self.alpha * e.hat) @ f) for e in surv])
-        # empty sums: 0 * 2**exp with exp below any scale an atom brings
-        exp = np.full((len(plans), 1), np.iinfo(np.int32).min)
-        total = np.zeros((len(plans), len(self.eta)))
-        for t, D in enumerate(self.rows(max(atoms))):
-            if t not in atoms:
-                continue
-            idx = list(atoms[t])
-            w, lags = map(np.array, zip(*atoms[t].values()))
-            E, e_k = e_hat[lags], e_exp[lags, None]
-            r, r_f = np.split(np.matmul(D.hat, np.concatenate([E, E * f])[..., None])[..., 0], 2)
-            top = np.maximum(D.exp, e_k)
-            term = w[:, None] * (np.ldexp(alpha_e_f[lags, None], e_k - top)
-                                 + np.ldexp((D.hat * self.eta) @ f, D.exp - top)
-                                 + np.ldexp(r_f - r * beta_f, D.exp + e_k - top)
-                                 ) / (1.0 + np.ldexp(r, D.exp + e_k))
-            k = np.maximum(exp[idx], top)
-            total[idx] = np.ldexp(total[idx], exp[idx] - k) + np.ldexp(term, top - k)
-            exp[idx] = k
-        return [Deviation(int(k), v) for k, v in zip(exp[:, 0], total)]
+        # proj(g_lag) for every lag: the e_lag part only matters where it is
+        # representable next to eta f, so it enters at its plain value
+        g = self.eta * f + np.ldexp(e_hat, e_exp[:, None]) * (f - beta_f)
+        g -= self._dots(g)[:, None] * self.eta
+        alpha_e_f = self._dots(e_hat * f)
 
-    def plan_errors(self, f: np.ndarray, plans) -> list[float]:
-        """ln sup_x |E_x(f against plan | survival past plan.T) - beta(f)| per
-        plan, from :meth:`plan_deviations`."""
-        return [_log(float(np.max(np.abs(d.hat)))) + d.exp * LN2
-                for d in self.plan_deviations(f, plans)]
+        # exponent of an exact zero: below any scale a nonzero term brings
+        zero_exp = np.iinfo(np.int32).min
+        m, n = len(merged), len(self.eta)
+        ends = [max(at) for at in merged]
+        order = sorted(range(m), key=lambda i: -ends[i])  # the plans active at t: a prefix
+        last = [ends[i] for i in order]
+        at_t = defaultdict(list)  # t -> [(position in order, weight, lag)]
+        const = []  # per position: (hat, exp) of sum_t w alpha . (e_(T-t) f)
+        for pos, i in enumerate(order):
+            ts = np.fromiter(merged[i], dtype=np.int64)
+            ws = np.fromiter(merged[i].values(), dtype=float)
+            lags = plans[i].T - ts
+            for t, w, lag in zip(ts.tolist(), ws.tolist(), lags.tolist()):
+                at_t[t].append((pos, w, lag))
+            vals, exps = ws * alpha_e_f[lags], e_exp[lags]
+            k = int(exps[vals != 0.0].max(initial=zero_exp))
+            const.append((float(np.ldexp(vals, exps - k).sum()), k))
+
+        hat = np.zeros((m, n))
+        exp = np.full(m, zero_exp, dtype=np.int64)
+        k = 0  # plans whose last atom is at t or later
+        for t in range(last[0], -1, -1):
+            while k < m and last[k] >= t:
+                k += 1
+            H = np.matmul(self.step, hat[:k, :, None])[..., 0]
+            H -= self._dots(H)[:, None] * self.eta
+            if t in at_t:
+                pos, w, lags = (np.array(v) for v in zip(*at_t[t]))
+                H[pos] = np.ldexp(H[pos], exp[pos, None]) + w[:, None] * g[lags]
+                exp[pos] = 0
+            scale = np.frexp(np.abs(H).max(axis=1))[1]
+            hat[:k] = np.ldexp(H, -scale[:, None])
+            exp[:k] += scale
+
+        out = [None] * m
+        for pos, i in enumerate(order):
+            c_hat, c_exp = const[pos]
+            k = max(int(exp[pos]), c_exp)
+            e_T = surv[plans[i].T]
+            num = np.ldexp(hat[pos] / self.eta, int(exp[pos]) - k) + math.ldexp(c_hat, c_exp - k)
+            out[i] = Deviation(k, num / (1.0 + e_T.value / self.eta))
+        return out
+
+    def plan_errors(self, f: np.ndarray, plans) -> list[tuple[float, float]]:
+        """(sup_x |E_x(f against plan | survival past plan.T) - beta(f)|, its
+        ln) per plan, from :meth:`plan_deviations`.
+
+        The sup is read off the deviation without a round trip through its
+        log; below ~1e-308 it underflows to 0 while the ln stays finite.
+        """
+        out = []
+        for d in self.plan_deviations(f, plans):
+            top = float(np.max(np.abs(d.hat)))
+            out.append((math.ldexp(top, d.exp), _log(top) + d.exp * LN2))
+        return out

@@ -57,7 +57,7 @@ class SamplingPlan:
                 raise ValueError("atom weights must be >= 0")
             total += w
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"atom weights sum to {total!r}, not 1")
+            raise ValueError(f"atom weights sum to {float(total)!r}, not 1")
 
     @classmethod
     def uniform(cls, T: int) -> "SamplingPlan":
@@ -151,13 +151,13 @@ def verify_general_bound(
     rate = min(gamma, gamma_prime)
 
     if not (math.isfinite(gamma) and math.isfinite(gamma_prime)):
-        rows = [(_plan_time(p), p.T, math.exp(v), 0.0, 0.0) for p, v in zip(plans, observed)]
+        rows = [(_plan_time(p), p.T, obs, 0.0, 0.0) for p, (obs, _) in zip(plans, observed)]
         return BoundReport("general_bound", constant=0.0, rate=rate, grid=fit_Ts,
                            max_violation=0.0, rows=rows, details=details)
 
-    points = [(i, _plan_time(p), p.T, math.exp(v), v,
+    points = [(i, _plan_time(p), p.T, obs, v,
                _log(f_inf * plan_envelope(gamma, gamma_prime, p)))
-              for i, (p, v) in enumerate(zip(plans, observed))]
+              for i, (p, (obs, v)) in enumerate(zip(plans, observed))]
     n_fit = len(fit_plans)
     return _fit_validate("general_bound", rate, fit_Ts, points, set(range(n_fit)),
                          set(range(n_fit, len(plans))), details)
@@ -174,7 +174,7 @@ def verify_ergodic_theorem(core: Deflation, f, T_grid) -> BoundReport:
     expectation - beta(f)| with a4 ||f||_inf / T; a4 is the supremum of
     T * error / ||f||_inf over the first half of the grid, validated on
     the second half, where the report also checks that T * error does not
-    grow.  The errors come from :meth:`Deflation.plan_errors` as logs, so
+    grow.  The errors come from :meth:`Deflation.plan_errors` with their logs, so
     an error below double-precision resolution is measured, not rounding
     noise, and an exactly zero error (constant f) is exactly 0.
     """
@@ -184,10 +184,10 @@ def verify_ergodic_theorem(core: Deflation, f, T_grid) -> BoundReport:
         raise ValueError("T_grid must contain integers >= 1")
     f_inf = float(np.max(np.abs(f)))
 
-    log_errors = core.plan_errors(f, [SamplingPlan.uniform(T) for T in Ts])
+    errors = core.plan_errors(f, [SamplingPlan.uniform(T) for T in Ts])
 
     fit_Ts, val_Ts = _split_half(Ts)
-    scaled = {T: T * math.exp(v) / f_inf if f_inf > 0 else 0.0 for T, v in zip(Ts, log_errors)}
+    scaled = {T: T * obs / f_inf if f_inf > 0 else 0.0 for T, (obs, _) in zip(Ts, errors)}
     non_increasing = all(scaled[b] <= scaled[a] + 1e-9 for a, b in zip(val_Ts, val_Ts[1:]))
     details = {
         "fit_grid": fit_Ts,
@@ -195,5 +195,5 @@ def verify_ergodic_theorem(core: Deflation, f, T_grid) -> BoundReport:
         "non_increasing_on_validation": non_increasing,
         "beta_f": float(core.triple.beta @ f),
     }
-    points = [(T, None, T, math.exp(v), v, _log(f_inf / T)) for T, v in zip(Ts, log_errors)]
+    points = [(T, None, T, obs, v, _log(f_inf / T)) for T, (obs, v) in zip(Ts, errors)]
     return _fit_validate("ergodic_theorem", 0.0, Ts, points, set(fit_Ts), set(val_Ts), details)

@@ -60,7 +60,7 @@ def as_distribution(weights, normalized: bool = True) -> Distribution:
     if np.any(w < 0):
         raise ValueError("distribution has negative entries")
     if normalized and abs(w.sum() - 1.0) > _MASS_TOL:
-        raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+        raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
     return w
 
 
@@ -143,7 +143,7 @@ class SubStochasticKernel:
         rs = m.sum(axis=1)
         if np.any(rs > 1.0 + _MASS_TOL):
             bad = int(np.argmax(rs))
-            raise ValueError(f"row {bad} sums to {rs[bad]!r} > 1")
+            raise ValueError(f"row {bad} sums to {float(rs[bad])!r} > 1")
         if not np.any(rs < 1.0 - _MASS_TOL):
             raise ValueError("no absorption: every row sum equals 1")
         if not (time_unit > 0 and np.isfinite(time_unit)):
@@ -314,10 +314,19 @@ def write_kernel(K: SubStochasticKernel, path) -> None:
             fh.write(row_format % tuple(row.tolist()))
 
 
-def read_kernel(path) -> SubStochasticKernel:
-    """Parse the plain-text kernel format; rejects NaN and negative entries."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+def read_kernel(path, raw: list[str] | None = None) -> SubStochasticKernel:
+    """Parse the plain-text kernel format; rejects NaN and negative entries.
+
+    ``raw`` is the file's text cut by ``str.splitlines``, for a caller that
+    has read the file already; by default the file is read here.  The body
+    is parsed in one C pass (``np.loadtxt``) over the same non-blank lines
+    the header check counted.  When that pass raises, finds another shape
+    than n x n, or meets a NaN or negative entry, the lines are parsed
+    again one at a time, and the first bad one names itself.
+    """
+    if raw is None:
+        with open(path) as fh:
+            raw = fh.read().splitlines()
     lines = [(i + 1, s) for i, s in enumerate(raw) if s.strip()]
     if not lines:
         raise ValueError(f"{path}: empty kernel file")
@@ -332,10 +341,23 @@ def read_kernel(path) -> SubStochasticKernel:
         raise ValueError(f"{path}:{lineno}: bad header values: {exc}") from None
     if n <= 0:
         raise ValueError(f"{path}:{lineno}: n must be positive")
+    if not (time_unit > 0 and math.isfinite(time_unit)):
+        raise ValueError(f"{path}:{lineno}: time_unit must be a positive real")
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
+    try:
+        entries = np.loadtxt([s for _, s in lines[1:]], comments=None, ndmin=2, max_rows=n)
+    except ValueError:
+        entries = None
+    if entries is None or entries.shape != (n, n) or not (entries >= 0.0).all():
+        entries = _parse_rows(path, n, lines[1:])
+    return SubStochasticKernel(entries, time_unit=time_unit)
+
+
+def _parse_rows(path, n: int, lines) -> np.ndarray:
+    """The kernel body line by line; raises at the first bad line."""
     entries = np.empty((n, n))
-    for r, (lineno, s) in enumerate(lines[1:]):
+    for r, (lineno, s) in enumerate(lines):
         parts = s.split()
         if len(parts) != n:
             raise ValueError(f"{path}:{lineno}: expected {n} entries, found {len(parts)}")
@@ -346,7 +368,7 @@ def read_kernel(path) -> SubStochasticKernel:
         if row is None or not (row >= 0.0).all():  # a bad token, NaN or a negative entry
             row = _parse_tokens(path, lineno, parts)
         entries[r] = row
-    return SubStochasticKernel(entries, time_unit=time_unit)
+    return entries
 
 
 def _parse_tokens(path, lineno: int, parts: list[str]) -> list[float]:

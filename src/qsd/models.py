@@ -14,6 +14,7 @@ of fidelity to any continuum limit.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -30,21 +31,11 @@ __all__ = [
     "linear_bd_truncated",
     "logistic_bd",
     "ou_discretized",
+    "parameter_error",
     "random_substochastic",
     "t3",
     "w3",
 ]
-
-KINDS = (
-    "birth_death",
-    "logistic_bd",
-    "random_substochastic",
-    "linear_bd_truncated",
-    "ou_discretized",
-    "w3",
-    "t3",
-)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -207,26 +198,43 @@ def ou_discretized(n: int, half_width: float = 3.0, sigma: float = 1.0) -> SubSt
     return uniformize(Generator(G), theta)
 
 
+_BUILDERS = {
+    "birth_death": birth_death,
+    "logistic_bd": logistic_bd,
+    "random_substochastic": random_substochastic,
+    "linear_bd_truncated": linear_bd_truncated,
+    "ou_discretized": ou_discretized,
+    "w3": w3,
+    "t3": t3,
+}
+KINDS = tuple(_BUILDERS)
+
+# The keyword parameters of each kind (``params.<name>`` in a model config).
+_PARAMETERS = {kind: tuple(p for p in inspect.signature(fn).parameters if p not in ("n", "seed"))
+               for kind, fn in _BUILDERS.items()}
+
+
+def parameter_error(kind: str, name: str) -> str:
+    """Why ``name`` is not a parameter of ``kind``, or "" when it is."""
+    if name in _PARAMETERS[kind]:
+        return ""
+    known = ", ".join(f"params.{p}" for p in _PARAMETERS[kind]) or "none"
+    return f"params.{name} is not a parameter of {kind} (known: {known})"
+
+
 def build(spec: ModelSpec) -> SubStochasticKernel:
     """Construct the kernel a :class:`ModelSpec` describes."""
     if spec.kind not in KINDS:
         raise ValueError(f"unknown model kind {spec.kind!r}; known: {', '.join(KINDS)}")
-    p = dict(spec.params)
-    try:
-        if spec.kind == "w3":
-            return w3()
-        if spec.kind == "t3":
-            return t3()
-        if spec.kind == "birth_death":
-            return birth_death(spec.n, **p)
-        if spec.kind == "logistic_bd":
-            return logistic_bd(spec.n, **p)
-        if spec.kind == "random_substochastic":
-            if spec.seed is None:
-                raise ValueError("random_substochastic needs a seed")
-            return random_substochastic(spec.n, spec.seed, **p)
-        if spec.kind == "linear_bd_truncated":
-            return linear_bd_truncated(spec.n, **p)
-        return ou_discretized(spec.n, **p)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for {spec.kind}: {exc}") from None
+    for name in spec.params:
+        problem = parameter_error(spec.kind, name)
+        if problem:
+            raise ValueError(problem)
+    builder = _BUILDERS[spec.kind]
+    if spec.kind in ("w3", "t3"):
+        return builder()
+    if spec.kind == "random_substochastic":
+        if spec.seed is None:
+            raise ValueError("random_substochastic needs a seed")
+        return builder(spec.n, spec.seed, **spec.params)
+    return builder(spec.n, **spec.params)

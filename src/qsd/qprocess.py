@@ -181,7 +181,6 @@ def verify_qproc_approx(
     pairs,
     gamma: float | None = None,
     a1: float | None = None,
-    events: str = "marginal",
 ) -> BoundReport:
     """Envelope for TV(conditioned-forever law, survival-past-T law).
 
@@ -191,10 +190,9 @@ def verify_qproc_approx(
     fitted on the pairs whose lag T - t falls in the first half of the lag
     range and validated on the rest.
 
-    ``events`` selects the sigma-field: "marginal" compares the laws of
-    X_t (the displayed form of the bound); "paths" compares the laws of
-    the whole trajectory (X_1..X_t) by path enumeration, which costs n^t
-    terms and is therefore only offered for n <= 4 and t <= 6.
+    The two laws of the whole path (X_0..X_t) differ by a density that,
+    by the Markov property at t, is a function of X_t alone, so the
+    marginal TV compared here is also the TV of the path laws.
 
     ``gamma`` defaults to the conditioned-TV decay rate fitted on a fresh
     grid.  If ``a1`` (from :func:`verify_eta_bound`) is given, pairs below
@@ -206,16 +204,8 @@ def verify_qproc_approx(
         raise ValueError("no (t, T) pairs supplied")
     if any(t < 0 or T < t for t, T in pts):
         raise ValueError("pairs must satisfy 0 <= t <= T")
-    if events not in ("marginal", "paths"):
-        raise ValueError(f"unknown event family {events!r}")
-    n = core.kernel.n
     t_max = max(t for t, _ in pts)
     lag_max = max(T - t for t, T in pts)
-    if events == "paths" and (n > 4 or t_max > 6):
-        raise ValueError(
-            "path-event verification enumerates n^t cylinders and is only "
-            "offered for n <= 4 and t <= 6"
-        )
 
     if gamma is None:
         gamma = conditioned_tv_rate(core, t_max=max(40, min(120, 4 * lag_max))).gamma
@@ -226,16 +216,12 @@ def verify_qproc_approx(
                            max_violation=0.0, rows=rows,
                            details={"gamma": math.inf})
 
-    if events == "marginal":
-        observed = core.bridge_gaps(pts)
-    else:
-        surv = list(core.survival(max(T for _, T in pts)))
-        observed = {(t, T): core.path_gap(t, surv[T - t], surv[T]) for t, T in pts}
+    observed = core.bridge_gaps(pts)
 
     lags = sorted({T - t for t, T in pts})
     fit_lags, val_lags = _split_half(lags)
     details: dict = {"gamma": gamma, "fit_lags": fit_lags,
-                     "validation_lags": val_lags, "events": events}
+                     "validation_lags": val_lags}
 
     sup_by_lag = {
         lag: max(observed[p] for p in pts if p[1] - p[0] == lag) for lag in lags

@@ -194,7 +194,7 @@ def compute_spectral(
             residual,
         )
     if rho >= 1.0 - 1e-12:
-        raise ValueError(f"survival eigenvalue {rho!r} >= 1: kernel has no absorption")
+        raise ValueError(f"survival eigenvalue {float(rho)!r} >= 1: kernel has no absorption")
     eta = h / float(a @ h)
     beta = a * eta
     return SpectralTriple(alpha=a, rho=rho, eta=eta, beta=beta, residual=residual,

@@ -272,6 +272,38 @@ def enum_pair_tv(entries, t: int, T: int) -> float:
     )
 
 
+def enum_path_tv(entries, t: int, T: int, dps: int = 80) -> float:
+    """sup_x TV between the laws of the path (X_1..X_t) from x given survival
+    past T and under the h-transform Q, summed over all n^t paths.
+
+    A path's weight ``K(x, x_1) ... K(x_(t-1), x_t)`` is enumerated in
+    float64.  The first law multiplies it by ``s_(T-t)(x_t) / s_T(x)`` with
+    ``s_k = K^k 1`` from mpmath matrix powers, the second by
+    ``eta(x_t) / (rho^t eta(x))`` from a dense mpmath eigensolve; the
+    difference of the two factors is formed in mpmath, so it keeps its
+    digits however close the laws are.
+    """
+    n = entries.shape[0]
+    with mp.workdps(dps):
+        M = mp_matrix(entries, dps)
+        _, rho, eta = mp_perron(M)
+        surv_T = M ** T * matrix([1] * n)
+        surv_lag = M ** (T - t) * matrix([1] * n)
+        factor = [[float(abs(surv_lag[y] / surv_T[x] - eta[y] / (rho ** t * eta[x])))
+                   for y in range(n)] for x in range(n)]
+    worst = 0.0
+    for x in range(n):
+        tv = 0.0
+        for path in paths_upto(n, t):
+            p, prev = 1.0, x
+            for s in path:
+                p *= entries[prev, s]
+                prev = s
+            tv += p * factor[x][prev]
+        worst = max(worst, 0.5 * tv)
+    return worst
+
+
 def mp_time_average_errors(entries, f, Ts, dps: int = 60) -> dict:
     """sup_x |E_x(mean of f(X_0..X_(T-1)) | survival past T) - beta(f)| per T.
 

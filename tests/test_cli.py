@@ -75,6 +75,25 @@ class TestModelSubcommand:
         with pytest.raises(ValueError, match="unknown key"):
             parse_model_config(str(cfg))
 
+    @pytest.mark.parametrize("text, message", [
+        ("kind birth_death\nn abc\n", "{cfg}:2: n must be an integer, not 'abc'"),
+        ("kind random_substochastic\nseed x\nn 4\n", "{cfg}:2: seed must be an integer, not 'x'"),
+        ("kind linear_bd_truncated\nn 5\nparams.bogus 3\n",
+         "{cfg}:3: params.bogus is not a parameter of linear_bd_truncated "
+         "(known: params.birth, params.death)"),
+        ("params.foo 1\nkind w3\n", "{cfg}:1: params.foo is not a parameter of w3 (known: none)"),
+    ], ids=["n", "seed", "unknown_param", "param_of_w3"])
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        for argv in (["model", "--config", str(cfg)], ["spectral", "--config", str(cfg)]):
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+    def test_build_refuses_unknown_parameter(self):
+        with pytest.raises(ValueError, match=r"^params.bogus is not a parameter of ou_discretized"):
+            models.build(models.ModelSpec("ou_discretized", 5, params={"bogus": 1.0}))
+
 
 class TestSpectralSubcommand:
     def test_csv_matches_eigen_oracle(self, tmp_path, w3_file, w3):
@@ -134,6 +153,34 @@ class TestSpectralSubcommand:
         hashes = {self._config_hash(a, tmp_path / "o1", "1"),
                   self._config_hash(b, tmp_path / "o2", "4")}
         assert len(hashes) == 1
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["spectral", "--kernel", "{dir}/w3.txt"],
+         "4572f5e17ff51e7836ae746a64d0c1351f8dfd3f3b322b939df65696727b0cb2"),
+        (["spectral", "--config", "{dir}/m.cfg"],
+         "b022312ac0b80f0bbe810eccf8e353226b31a9457947507f4c283161dc5e3e9a"),
+        (["model", "--config", "{dir}/m.cfg"],
+         "c1a984c30a143148d8746335a91b9f9d64c207dd49855b256f1af95188042ed9"),
+    ], ids=["kernel", "config", "model"])
+    def test_input_read_once_and_hash_kept(self, tmp_path, w3, monkeypatch, argv, digest):
+        # the digests were recorded before the input file was read only once
+        import builtins
+
+        write_kernel(w3, tmp_path / "w3.txt")
+        (tmp_path / "m.cfg").write_text("kind logistic_bd\nn 4\nparams.death 0.3\n")
+        argv = [a.format(dir=tmp_path) for a in argv]
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        monkeypatch.undo()
+        assert opened.count(argv[2]) == 1
+        assert json.loads(read_lines(tmp_path / "o" / "manifest.json"))["config_hash"] == digest
 
     def test_config_hash_follows_kernel_content(self, tmp_path, w3, t3):
         kf = tmp_path / "k.txt"
@@ -418,6 +465,38 @@ class TestConverseSubcommand:
                      "--t1-max", "1", "--T-max", "40"])
         assert code == 3
         assert "not certified" in capsys.readouterr().err
+
+
+class TestPlainNumberMessages:
+    """Diagnostics print numbers as plain floats and name the file and line."""
+
+    def test_row_sum_above_one(self, tmp_path, capsys):
+        p = tmp_path / "k.txt"
+        p.write_text("n 2 time_unit 1\n5 5.3\n0.2 0.3\n")
+        assert main(["spectral", "--kernel", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: row 0 sums to 10.3 > 1\n"
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_time_unit_names_file_and_line(self, tmp_path, capsys, value):
+        p = tmp_path / "k.txt"
+        p.write_text(f"\nn 2 time_unit {value}\n0.1 0.2\n0.2 0.3\n")
+        assert main(["spectral", "--kernel", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {p}:2: time_unit must be a positive real\n"
+
+    def test_survival_eigenvalue_at_one(self, tmp_path, capsys):
+        p = tmp_path / "k.txt"
+        write_kernel(SubStochasticKernel([[0.9, 0.1], [0.5, 0.5 - 1.1e-12]]), p)
+        assert main(["spectral", "--kernel", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: survival eigenvalue 0.99999999999")
+        assert err.endswith(" >= 1: kernel has no absorption\n") and "np." not in err
+
+    def test_weights_that_do_not_sum_to_one(self):
+        from qsd.kernels import as_distribution
+
+        with pytest.raises(ValueError) as exc:
+            as_distribution(np.array([0.5, 0.25]))
+        assert str(exc.value) == "weights sum to 0.75, not 1"
 
 
 class TestUsageErrors:

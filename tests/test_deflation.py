@@ -54,7 +54,7 @@ def _core_series(K, t_max, f):
         for s in BRIDGE_TS:
             if s <= t:
                 out[("bridge_gap", s, t)] = core.bridge_gap(D[s], e[t - s])
-    for k, log_err in enumerate(core.plan_errors(f, PLANS)):
+    for k, (_, log_err) in enumerate(core.plan_errors(f, PLANS)):
         out[("plan_error", k)] = log_err
     return out
 

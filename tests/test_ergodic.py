@@ -13,6 +13,7 @@ from oracles import (
     mp_bridge_row,
     mp_conditioned_rows,
     mp_matrix,
+    mp_perron,
     mp_survival_vectors,
     mp_time_average_errors,
     power_bridge,
@@ -46,6 +47,11 @@ class TestSamplingPlan:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="sum"):
             SamplingPlan.custom([(0, 0.4), (1, 0.4)], T=2)
+
+    def test_bad_numpy_weights_print_plain_numbers(self):
+        with pytest.raises(ValueError) as exc:
+            SamplingPlan("custom", 2, ((0, np.float64(0.5)), (1, np.float64(0.25))))
+        assert str(exc.value) == "atom weights sum to 0.75, not 1"
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -181,6 +187,61 @@ class TestStreamedPlanErrors:
                  SamplingPlan.uniform(10), SamplingPlan.uniform(25), SamplingPlan.uniform(33)]
         together = core.plan_errors(f, plans)
         assert together == [core.plan_errors(f, [p])[0] for p in plans]
+
+    @pytest.mark.parametrize("n", [37, 200])
+    def test_together_equal_each_alone_on_wide_kernels(self, n):
+        # from about n = 20 on, one BLAS product over the stacked plans would
+        # round a plan's entries differently with the number of plans
+        K = models.random_substochastic(n, 3)
+        core = Deflation(K, compute_spectral(K))
+        f = np.sin(np.arange(K.n) + 1.0)
+        plans = [SamplingPlan.uniform(40), SamplingPlan.dirac(5, 30), SamplingPlan.dirac(0, 7),
+                 SamplingPlan.custom([(20, 0.5), (3, 0.5)], 25), SamplingPlan.uniform(33)]
+        together = core.plan_errors(f, plans)
+        assert together == [core.plan_errors(f, [p])[0] for p in plans]
+
+    def test_never_walks_the_rows(self, monkeypatch):
+        K = models.random_substochastic(8, 3)
+        core = Deflation(K, compute_spectral(K))
+        walked = []
+        monkeypatch.setattr(Deflation, "rows", lambda self, t_max: walked.append(t_max) or iter(()))
+        f = np.sin(np.arange(K.n) + 1.0)
+        core.plan_deviations(f, [SamplingPlan.uniform(40), SamplingPlan.dirac(5, 30)])
+        verify_ergodic_theorem(core, f, range(10, 61, 10))
+        conditional_functional(core, 2, f, SamplingPlan.uniform(20))
+        assert walked == []
+
+    @pytest.mark.parametrize("t, T", [(400, 400), (1000, 1300), (3000, 3000)])
+    def test_t3_deep_dirac_keeps_its_digits(self, t3, t, T):
+        # from either state the error of dirac(t, T) with f = (1, -1) is 7^-t
+        # exactly, far below the range of a double from t = 365 on
+        core = Deflation(t3, compute_spectral(t3))
+        (obs, log_err), = core.plan_errors(np.array([1.0, -1.0]), [SamplingPlan.dirac(t, T)])
+        assert log_err == pytest.approx(-t * math.log(7.0), rel=1e-13)
+        assert obs == 0.0  # the value underflows, its log does not
+
+    def test_w3_deep_plans_match_extended_precision(self, w3):
+        # an atom at t with lag T - t contributes about 0.46^t + 0.46^(T-t):
+        # these deviations lie near 1e-200, 1e-330 and 1e-340
+        f = np.array([0.3, -1.2, 2.0])
+        plans = [SamplingPlan.dirac(600, 1600), SamplingPlan.dirac(1000, 2000),
+                 SamplingPlan.custom([(1000, 0.5), (1010, 0.5)], 2030)]
+        core = Deflation(w3, compute_spectral(w3))
+        got = [v for _, v in core.plan_errors(f, plans)]
+        assert got[1] < math.log(1e-308)
+        with mp.workdps(420):
+            M = mp_matrix(w3.entries, 420)
+            alpha, _, eta = mp_perron(M)
+            beta_f = sum(a * h * mpf(float(v)) for a, h, v in zip(alpha, eta, f))
+            surv = mp_survival_vectors(M, 1030)
+            times = {t for plan in plans for t, _ in plan.atoms}
+            rows_at = {t: [list(r) for r in rows] for t, rows in mp_conditioned_rows(M, 1010)
+                       if t in times}
+            for plan, log_err in zip(plans, got):
+                want = max(abs(sum(mpf(w) * sum(p * mpf(float(v)) for p, v in zip(
+                    mp_bridge_row(rows_at[t][x], surv[plan.T - t]), f)) for t, w in plan.atoms)
+                    - beta_f) for x in range(3))
+                assert math.expm1(log_err - float(mp.log(want))) == pytest.approx(0.0, abs=1e-10)
 
     def test_general_bound_memory_flat_in_horizon(self):
         # rows D_t are n x n: listing all 151 of them took 47 MiB here

@@ -349,3 +349,85 @@ class TestKernelFile:
         p.write_text("n 3 time_unit 1\n0.5 0.2 0\n0.1 0.5 0.1\n")
         with pytest.raises(ValueError, match="expected 3 rows"):
             read_kernel(p)
+
+
+def _token_parse(path):
+    """The body of a kernel file, one Python ``float`` per token."""
+    lines = [s for s in open(path).read().splitlines() if s.strip()][1:]
+    return np.array([[float(tok) for tok in s.split()] for s in lines])
+
+
+_PARSE_KERNELS = {
+    "w3": models.w3,
+    "t3": models.t3,
+    "rs500": lambda: models.random_substochastic(500, 7),
+    "ou200": lambda: models.ou_discretized(200),
+    "lbd60": lambda: models.linear_bd_truncated(60),
+    "log100": lambda: models.logistic_bd(100, birth_step=0.003),
+}
+
+
+class TestOnePassParse:
+    """The one C pass over the body gives the token-by-token bits, and every
+    file it cannot take falls back to the line-by-line diagnostics."""
+
+    @pytest.mark.parametrize("name", sorted(_PARSE_KERNELS) + ["random-corpus"])
+    def test_bits_equal_token_by_token_parse(self, name, tmp_path, random_kernels):
+        kernels = random_kernels if name == "random-corpus" else [_PARSE_KERNELS[name]()]
+        for K in kernels:
+            p = tmp_path / "k.txt"
+            write_kernel(K, p)
+            got = read_kernel(p).entries
+            assert got.tobytes() == _token_parse(p).tobytes()
+            assert got.tobytes() == K.entries.tobytes()
+
+    def test_one_pass_takes_well_formed_bodies(self, tmp_path, monkeypatch):
+        from qsd import kernels
+
+        calls = []
+        monkeypatch.setattr(kernels, "_parse_rows", lambda *a: calls.append(a))
+        p = tmp_path / "k.txt"
+        write_kernel(models.random_substochastic(20, 1), p)
+        read_kernel(p)
+        assert calls == []
+
+    # (file text, message with {path}) as the line-by-line parse words them
+    MALFORMED = {
+        "hash_token": ("n 2 time_unit 1\n0.1 #\n0.2 0.3\n", "{path}:2: not a number: '#'"),
+        "hash_line": ("n 2 time_unit 1\n# c\n0.1 0.2\n0.2 0.3\n", "{path}: expected 2 rows, found 3"),
+        "hex_float": ("n 2 time_unit 1\n0x1p-2 0.1\n0.2 0.3\n", "{path}:2: not a number: '0x1p-2'"),
+        "underscore": ("n 2 time_unit 1\n1_0 0.1\n0.2 0.3\n", "row 0 sums to 10.1 > 1"),
+        "nan": ("n 2 time_unit 1\n0.1 0.2\nnan 0.3\n", "{path}:3: NaN entry"),
+        "negative": ("n 2 time_unit 1\n0.1 -0.1\n0.2 0.3\n", "{path}:2: negative entry '-0.1'"),
+        "ragged": ("n 2 time_unit 1\n0.1 0.2 0.3\n0.2 0.3\n", "{path}:2: expected 2 entries, found 3"),
+        "short_row": ("n 2 time_unit 1\n0.1 0.2\n0.3\n", "{path}:3: expected 2 entries, found 1"),
+        "extra_row": ("n 2 time_unit 1\n0.1 0.2\n0.2 0.3\n0.1 0.1\n",
+                      "{path}: expected 2 rows, found 3"),
+        "form_feed": ("n 2 time_unit 1\n0.1\f0.2\n0.2 0.3\n", "{path}: expected 2 rows, found 3"),
+        "infinite": ("n 2 time_unit 1\ninf 0.2\n0.2 0.3\n", "kernel has non-finite entries"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_gives_line_by_line_message(self, case, tmp_path, capsys):
+        from qsd.cli import main
+
+        text, message = self.MALFORMED[case]
+        p = tmp_path / "k.txt"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValueError) as exc:
+            read_kernel(p)
+        assert str(exc.value) == message.format(path=p)
+        assert main(["spectral", "--kernel", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=p)}\n"
+
+    @pytest.mark.parametrize("text", [
+        "\nn 2 time_unit 1\n\n0.1 0.2\n   \n\n0.2 0.3\n\n",  # blank lines between rows
+        "n 2 time_unit 1\r\n0.1\t0.2\r\n\t0.2\t0.3 \r\n",  # tabs and CRLF
+        "n 2 time_unit 1\n0.1 0.2\f\n0.2 0.3\n",  # a form feed that leaves a blank line
+        "n 2 time_unit 1\n0.1_5 0.1\n0.2 0.3\n",  # an underscore Python's float takes
+        "n 2 time_unit 1\n０.1 0.2\n0.2 0.3\n",  # a full-width digit
+    ], ids=["blank_lines", "tabs_crlf", "form_feed_blank", "underscore", "full_width"])
+    def test_odd_but_accepted_file_keeps_token_bits(self, text, tmp_path):
+        p = tmp_path / "k.txt"
+        p.write_bytes(text.encode())
+        assert read_kernel(p).entries.tobytes() == _token_parse(p).tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import power_bridge, second_eigenvalue_magnitude
+from oracles import enum_path_tv, power_bridge, second_eigenvalue_magnitude
 from qsd import models
 from qsd.deflation import Deflation
 from qsd.kernels import SubStochasticKernel, tv_distance
@@ -161,35 +161,24 @@ class TestQprocApprox:
         with pytest.raises(ValueError):
             verify_qproc_approx(core, [(5, 3)])
 
-    def test_path_events_dominate_marginals(self, w3, w3_triple):
-        # whole-trajectory TV can only exceed the time-marginal TV, and the
-        # exponential envelope must still validate
-        core = Deflation(w3, w3_triple)
-        pairs = [(t, t + lag) for t in range(1, 7) for lag in range(1, 21)]
-        marg = verify_qproc_approx(core, pairs, events="marginal")
-        path = verify_qproc_approx(core, pairs, events="paths")
-        m_obs = {(r[0], r[1]): r[2] for r in marg.rows}
-        for t, T, obs, _, _ in path.rows:
-            assert obs >= m_obs[(t, T)] - 1e-15
-        assert path.max_violation <= 1.0 + 1e-9
-        assert path.constant >= marg.constant - 1e-12
-
-    def test_path_events_zero_on_t3(self, t3, t3_triple):
-        core = Deflation(t3, t3_triple)
-        pairs = [(t, t + lag) for t in range(1, 5) for lag in range(1, 9)]
-        rep = verify_qproc_approx(core, pairs, events="paths")
-        assert rep.constant == 0.0
-        assert rep.max_violation == 0.0
-
-    def test_path_events_size_guard(self, w3, w3_triple, random_kernels):
-        core = Deflation(w3, w3_triple)
-        with pytest.raises(ValueError, match="n <= 4"):
-            verify_qproc_approx(core, [(7, 9)], events="paths")
-        big = next(K for K in random_kernels if K.n > 4)
-        S = compute_spectral(big)
-        core_b = Deflation(big, S)
-        with pytest.raises(ValueError, match="n <= 4"):
-            verify_qproc_approx(core_b, [(1, 3)], events="paths")
+    @pytest.mark.parametrize("name", ["w3", "t3", "random"])
+    def test_path_law_tv_equals_bridge_gap(self, name, random_kernels):
+        # the path-law density is a function of X_t alone, so the TV of the
+        # whole-path laws, summed over every path, is the marginal bridge gap
+        kernels = {"w3": [models.w3()], "t3": [models.t3()],
+                   "random": [K for K in random_kernels if K.n <= 4]}[name]
+        for K in kernels:
+            core = Deflation(K, compute_spectral(K))
+            surv = list(core.survival(26))
+            for t, D in enumerate(core.rows(6)):
+                for lag in (1, 2, 5, 20) if t else ():
+                    want = enum_path_tv(K.entries, t, t + lag)
+                    got = core.bridge_gap(D, surv[lag])
+                    if want < 1e-40:  # t3: the laws coincide
+                        assert got == -math.inf, (K.n, t, lag)
+                    else:
+                        assert math.exp(got) == pytest.approx(want, rel=1e-13, abs=0.0), \
+                            (K.n, t, lag)
 
 
 class TestQMixing:
