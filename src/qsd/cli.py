@@ -12,6 +12,7 @@ that pass it, and changes nothing: simulation runs on one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -68,7 +69,7 @@ def _write_csv(path: str, header: str, rows, trailer: str | None = None) -> None
 # Arguments that never change an output file: where the input and the
 # output live, and the inert --threads.  The input file's bytes are hashed
 # instead of its path.
-_NOT_HASHED = {"kernel", "config", "out", "threads", "fn", "subcommand"}
+_NOT_HASHED = {"kernel", "config", "out", "threads", "subcommand"}
 # Subcommands whose output depends on --seed.
 _SEEDED = {"model", "estimate", "sweep"}
 
@@ -427,7 +428,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    A parse leaves the parser as it was: every default is immutable, and
+    ``main`` looks the subcommand's function up by name at each call.
+    """
     p = _Parser(
         prog="qsd",
         description="Quasi-stationary analysis of finite absorbed Markov chains.",
@@ -447,19 +454,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("model", help="build a kernel from a config file")
     sp.add_argument("--config", required=True)
     common(sp, kernel=False)
-    sp.set_defaults(fn=cmd_model)
 
     sp = sub.add_parser("spectral", help="quasi-stationary law and eigenvalue")
     common(sp)
     sp.add_argument("--tol", type=_positive_float, default=1e-12)
-    sp.set_defaults(fn=cmd_spectral)
 
     sp = sub.add_parser("verify", help="convergence-bound reports")
     common(sp)
     sp.add_argument("--t-max", dest="t_max", type=int, default=200)
     sp.add_argument("--pair-t-max", dest="pair_t_max", type=int, default=10)
     sp.add_argument("--pair-lag-max", dest="pair_lag_max", type=int, default=50)
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("ergodic", help="conditional time-average envelopes")
     common(sp)
@@ -467,7 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T-grid", dest="T_grid", required=True,
                     help="'lo:hi[:step]' or comma-separated horizons")
     sp.add_argument("--plan", default="uniform", help="'uniform' or 'dirac:<t0>'")
-    sp.set_defaults(fn=cmd_ergodic)
 
     sp = sub.add_parser("estimate", help="Monte Carlo estimate of beta(f)")
     common(sp)
@@ -476,7 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=int, default=None)
     sp.add_argument("--t0", type=int, default=None)
     sp.add_argument("--x0", type=int, default=0)
-    sp.set_defaults(fn=cmd_estimate)
 
     sp = sub.add_parser("sweep", help="error-versus-N tradeoff sweep")
     common(sp)
@@ -485,13 +487,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated increasing sample counts")
     sp.add_argument("--reps", type=_positive_int, default=32)
     sp.add_argument("--x0", type=int, default=0)
-    sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("converse", help="bridge contraction certification")
     common(sp)
     sp.add_argument("--t1-max", dest="t1_max", type=_positive_int, default=None)
     sp.add_argument("--T-max", dest="T_max", type=_positive_int, default=200)
-    sp.set_defaults(fn=cmd_converse)
 
     return p
 
@@ -503,7 +503,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.subcommand}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -125,8 +125,8 @@ def certify_converse(
     decay_curve = []
     if curve_Ts:
         core = Deflation(K, S)
-        decay_curve = [(T, math.exp(core.conditioned_pair_tv(D)))
-                       for T, D in enumerate(core.rows(curve_Ts[-1])) if T in curve_Ts]
+        decay_curve = [(T, math.exp(v)) for Ts, D in core.blocks(curve_Ts)
+                       for T, v in zip(Ts, core.conditioned_pair_tv(D))]
     report = ContractionReport(
         t1=t1, T1=T1, delta=delta, decay_curve=decay_curve, certified=True,
         probed=probed, details={"t1_max": t1_max, "T_max": T_max},
@@ -170,14 +170,9 @@ def hypothesis_check(core: Deflation, t_grid, T_grid) -> HypothesisReport:
     Ts = sorted({int(T) for T in T_grid})
     if not ts or not Ts or ts[0] < 1 or Ts[0] < 1:
         raise ValueError("grids must contain integers >= 1")
-    t_set = set(ts)
-    surv = list(core.survival(max(Ts[-1] - ts[0], 0)))
-    coupling_curve, gaps = [], {}
-    for t, D in enumerate(core.rows(ts[-1])):
-        if t in t_set:
-            coupling_curve.append((t, math.exp(core.q_pair_tv(D))))
-            gaps.update({(t, T): core.bridge_gap(D, surv[T - t]) for T in Ts if t <= T})
-    marginal_curve = [(T, math.exp(max((gaps[(t, T)] for t in ts if t <= T),
+    walked = core.bridge_gaps([(t, T) for t in ts for T in Ts if t <= T], pair_ts=ts)
+    coupling_curve = [(t, math.exp(walked[t])) for t in ts]
+    marginal_curve = [(T, math.exp(max((walked[(t, T)] for t in ts if t <= T),
                                        default=-math.inf)))
                       for T in Ts]
 

@@ -21,13 +21,26 @@ returned as its natural logarithm (``-inf`` for an exact zero), so grids
 far past ``e^-700`` stay representable; a plan's signed per-state
 deviation is returned with its binary scale as a :class:`Deviation`.
 
+Observables take one step or a stack of consecutive steps (a
+:class:`Deviation` whose ``hat`` has a leading step axis and whose ``exp``
+is an integer array, one exponent per step).  :meth:`Deflation.blocks`
+walks D_t once and stacks the steps a caller asks for in chunks of at most
+:data:`CHUNK_BYTES` (never less than one step), so the per-step work of
+the series, the bridge gaps and the pair suprema is a few numpy calls per
+chunk, not per step.  A stack's values are bit for bit those of its steps
+taken one at a time: every reduction runs along the contiguous last axis,
+the bridge gaps of a step take one matrix-vector product per lag, and each
+log is one ``math.log`` of one scalar.
+
 A command builds one :class:`Deflation` and hands it to every report, so
-the triple is refined once, and :meth:`Deflation.series` keeps its longest
-walk, so reports that read shorter series share one walk of D_t and e_t.
+the triple is refined once.  :meth:`Deflation.series` keeps its longest
+walk, so reports that read shorter series share one walk of D_t and e_t,
+and the core keeps its longest survival walk the same way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -40,6 +53,15 @@ __all__ = ["Deflation", "Deviation"]
 
 LN2 = math.log(2.0)
 
+#: Bytes one stack of n x n blocks may take: series steps, bridge-gap lags
+#: and decay-curve points are batched up to this, never below one step.
+CHUNK_BYTES = 2**20
+
+
+def _chunk(n: int) -> int:
+    """Steps (or lags) per stack of n x n float64 blocks."""
+    return max(1, CHUNK_BYTES // (8 * n * n))
+
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
@@ -47,15 +69,43 @@ def _log(x: float) -> float:
 
 @dataclass(frozen=True)
 class Deviation:
-    """The array ``hat * 2**exp``; propagated ones have ``max |hat|`` in [1/2, 1) or 0."""
+    """The array ``hat * 2**exp``; propagated ones have ``max |hat|`` in [1/2, 1) or 0.
 
-    exp: int
+    A stack of steps carries an integer array ``exp``, one exponent per
+    index of ``hat``'s leading axis.
+    """
+
+    exp: int | np.ndarray
     hat: np.ndarray
 
     @property
     def value(self) -> np.ndarray:
         """The deviation itself (entries below ~1e-308 underflow to 0)."""
-        return np.ldexp(self.hat, self.exp)
+        if isinstance(self.exp, int):
+            return np.ldexp(self.hat, self.exp)
+        return _ldexp(self.hat, self.exp.reshape(self.exp.shape + (1,) * (self.hat.ndim - 1)))
+
+
+def _ldexp(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """``x * 2**exp`` for an integer array ``exp`` that broadcasts against x.
+
+    numpy's ldexp is fast only for C-int exponents; an exponent past their
+    range gives the 0 or inf it gives at the end of the range.
+    """
+    return np.ldexp(x, np.clip(exp, -2**31, 2**31 - 1).astype(np.intc))
+
+
+def _per_step(ndim: int):
+    """Let an observable of a stack of steps (a list of values) also take one
+    step, whose ``hat`` has ``ndim`` axes, and return its one value."""
+    def wrap(observable):
+        @functools.wraps(observable)
+        def either(self, d: Deviation):
+            if d.hat.ndim == ndim:
+                return observable(self, Deviation(np.array([d.exp]), d.hat[None]))[0]
+            return observable(self, d)
+        return either
+    return wrap
 
 
 def _rescaled(v: np.ndarray, exp: int) -> Deviation:
@@ -66,15 +116,19 @@ def _rescaled(v: np.ndarray, exp: int) -> Deviation:
     return Deviation(exp + k, np.ldexp(v, -k))
 
 
-def _log_half_l1(exp: int, rows: np.ndarray) -> float:
-    """ln of the largest half-L1 norm among ``rows * 2**exp``."""
-    worst = 0.5 * float(np.abs(rows).sum(axis=-1).max())
-    return _log(worst) + exp * LN2
+def _logs(worst: np.ndarray, exps: np.ndarray) -> list[float]:
+    """ln(worst * 2**exp) per step, one ``math.log`` per scalar."""
+    return [_log(w) + e * LN2 for w, e in zip(worst.tolist(), exps.tolist())]
 
 
-def _log_pair_half_l1(exp: int, rows: np.ndarray) -> float:
-    """ln of the largest half-L1 distance between two rows of ``rows * 2**exp``."""
-    return _log(_max_pair_tv(rows)) + exp * LN2
+def _log_half_l1(exps: np.ndarray, rows: np.ndarray) -> list[float]:
+    """Per step, ln of the largest half-L1 norm among the rows of ``rows * 2**exp``."""
+    return _logs(0.5 * np.abs(rows).sum(axis=-1).max(axis=-1), exps)
+
+
+def _log_pair_half_l1(exps: np.ndarray, rows: np.ndarray) -> list[float]:
+    """Per step, ln of the largest half-L1 distance between two rows of ``rows * 2**exp``."""
+    return _logs(_max_pair_tv(rows), exps)
 
 
 def _refine_triple(K: np.ndarray, triple):
@@ -120,6 +174,7 @@ class Deflation:
         self.beta = self.alpha * self.eta
         self.step = K.entries / self.rho
         self._series = ([], [], [])
+        self._surv = Deviation(np.zeros(0, dtype=np.int64), np.zeros((0, len(self.eta))))
 
     # -- propagation ---------------------------------------------------------
     def _project_rows(self, D: np.ndarray, exp: int) -> Deviation:
@@ -144,6 +199,36 @@ class Deflation:
             e = self._project_survival(self.step @ e.hat, e.exp)
             yield e
 
+    def blocks(self, steps):
+        """Yield (ts, D): the steps ``steps`` of one walk of D_t, in increasing
+        order, stacked ``len(ts)`` at a time.
+
+        A stack holds at most :data:`CHUNK_BYTES` of rows, and never less
+        than one step; the walk stops at the last step asked for.
+        """
+        steps = sorted(steps)
+        size = _chunk(len(self.eta))
+        walk = enumerate(self.rows(steps[-1] if steps else -1))
+        for i in range(0, len(steps), size):
+            ts = steps[i:i + size]
+            exp = np.empty(len(ts), dtype=np.int64)
+            hat = np.empty((len(ts),) + self.step.shape)
+            for k, t in enumerate(ts):
+                for s, D in walk:
+                    if s == t:
+                        break
+                exp[k], hat[k] = D.exp, D.hat
+            yield ts, Deviation(exp, hat)
+
+    def survivals(self, t_max: int) -> Deviation:
+        """e_0 .. e_{t_max}, stacked.  The core keeps the longest survival walk
+        it has made, so a shorter request is a slice of it."""
+        if len(self._surv.hat) <= t_max:
+            walked = list(self.survival(t_max))
+            self._surv = Deviation(np.array([e.exp for e in walked]),
+                                   np.array([e.hat for e in walked]))
+        return Deviation(self._surv.exp[:t_max + 1], self._surv.hat[:t_max + 1])
+
     def series(self, t_max: int) -> tuple[list, list, list]:
         """ln :meth:`conditioned_tv`, ln :meth:`q_tv` and ln :meth:`eta_defect`
         for t = 0 .. t_max, from one walk of D_t and e_t.
@@ -152,40 +237,63 @@ class Deflation:
         request is a slice of it.
         """
         if len(self._series[0]) <= t_max:
-            walked = [(self.conditioned_tv(D), self.q_tv(D), self.eta_defect(e))
-                      for D, e in zip(self.rows(t_max), self.survival(t_max))]
-            self._series = tuple(map(list, zip(*walked)))
+            tvs, q_tvs = [], []
+            for _, D in self.blocks(range(t_max + 1)):
+                tvs += self.conditioned_tv(D)
+                q_tvs += self.q_tv(D)
+            self._series = (tvs, q_tvs, self.eta_defect(self.survivals(t_max)))
         return tuple(s[:t_max + 1] for s in self._series)
 
     # -- observables (natural logs) ------------------------------------------
+    # Each takes one step and returns a float, or a stack of steps and
+    # returns a list.
     def _conditioned(self, D: Deviation) -> np.ndarray:
         """Row x: (law of X_t | X_0 = x, survival to t) - alpha, over 2**D.exp.
 
         The law is (alpha + d)/(1 + d . 1), so its gap to alpha is
         (d - alpha (d . 1)) / (1 + d . 1).
         """
-        mass = 1.0 + D.value.sum(axis=1)
-        return (D.hat - np.outer(D.hat.sum(axis=1), self.alpha)) / mass[:, None]
+        mass = 1.0 + D.value.sum(axis=-1)
+        return (D.hat - D.hat.sum(axis=-1)[..., None] * self.alpha) / mass[..., None]
 
-    def conditioned_tv(self, D: Deviation) -> float:
+    @_per_step(2)
+    def conditioned_tv(self, D: Deviation):
         """ln sup_x TV(law of X_t | survival, alpha)."""
         return _log_half_l1(D.exp, self._conditioned(D))
 
-    def conditioned_pair_tv(self, D: Deviation) -> float:
+    @_per_step(2)
+    def conditioned_pair_tv(self, D: Deviation):
         """ln sup_{x,y} TV between the conditioned laws from x and from y."""
         return _log_pair_half_l1(D.exp, self._conditioned(D))
 
-    def q_tv(self, D: Deviation) -> float:
+    @_per_step(2)
+    def q_tv(self, D: Deviation):
         """ln sup_x TV(Q^t(x, .), beta); Q^t(x, .) - beta = D_t[x] * eta."""
         return _log_half_l1(D.exp, D.hat * self.eta)
 
-    def q_pair_tv(self, D: Deviation) -> float:
+    @_per_step(2)
+    def q_pair_tv(self, D: Deviation):
         """ln sup_{x,y} TV(Q^t(x, .), Q^t(y, .))."""
         return _log_pair_half_l1(D.exp, D.hat * self.eta)
 
-    def eta_defect(self, e: Deviation) -> float:
+    @_per_step(1)
+    def eta_defect(self, e: Deviation):
         """ln sup_x |eta_t(x) - eta(x)| / eta_t(x), with eta_t = eta + e_t."""
-        return _log(float(np.max(np.abs(e.hat) / (self.eta + e.value)))) + e.exp * LN2
+        return _logs(np.max(np.abs(e.hat) / (self.eta + e.value), axis=-1), e.exp)
+
+    def _gap_block(self, Dv: np.ndarray, P: np.ndarray, E: Deviation) -> list[float]:
+        """ln :meth:`bridge_gap` of one step's rows ``Dv`` = D_t, with
+        ``P = alpha + Dv``, against each e_lag of the stack ``E``: one
+        matrix-vector product per lag (a matrix-matrix product's columns
+        move in the last bits with their count)."""
+        r = np.matmul(Dv, E.hat[:, :, None])[..., 0]
+        gap = P * E.hat[:, None, :]
+        cross = r[..., None] * P
+        cross *= self.eta
+        gap -= cross
+        del cross
+        gap /= (1.0 + _ldexp(r, E.exp[:, None]))[..., None]
+        return _log_half_l1(E.exp, gap)
 
     def bridge_gap(self, D: Deviation, e: Deviation) -> float:
         """ln sup_x TV(law of X_t | survival past t + lag, Q^t(x, .)).
@@ -195,27 +303,40 @@ class Deflation:
         At t = 0 both laws are the point mass at x and this formula returns
         rounding noise in place of the exact 0.
         """
-        P = self.alpha + D.value
-        r = D.value @ e.hat
-        gap = (P * e.hat - r[:, None] * P * self.eta) / (1.0 + np.ldexp(r, e.exp))[:, None]
-        return _log_half_l1(e.exp, gap)
+        Dv = D.value
+        return self._gap_block(Dv, self.alpha + Dv, Deviation(np.array([e.exp]), e.hat[None]))[0]
 
-    def bridge_gaps(self, pairs) -> dict:
-        """:meth:`bridge_gap` per (t, T) pair, in one streamed pass over D_t.
+    def bridge_gaps(self, pairs, pair_ts=()) -> dict:
+        """:meth:`bridge_gap` per (t, T) pair, keyed by the pair, from one walk
+        of D_t.
 
-        One row block is alive at a time; only the survival deviations
-        (n-vectors) are listed.  At t = 0 both laws are the point mass at
-        the start, so those pairs are exactly 0 (-inf).
+        The gaps of all lags at one t are batched, :data:`CHUNK_BYTES` of
+        n x n blocks at a time, against the core's survival walk.  At t = 0
+        both laws are the point mass at the start, so those pairs are
+        exactly 0 (-inf).  With ``pair_ts`` the same walk also gives
+        :meth:`q_pair_tv` at each of those t, keyed by t.
         """
         by_t = defaultdict(list)
         for t, T in pairs:
-            by_t[t].append(T)
-        surv = list(self.survival(max((T - t for t, T in pairs), default=0)))
-        gaps = {(0, T): -math.inf for T in by_t.get(0, ())}
-        for t, D in enumerate(self.rows(max(by_t, default=0))):
-            if t:
-                gaps.update({(t, T): self.bridge_gap(D, surv[T - t]) for T in by_t.get(t, ())})
-        return gaps
+            by_t[t].append(T - t)
+        surv = self.survivals(max((T - t for t, T in pairs), default=0))
+        size = _chunk(len(self.eta))
+        out = {(0, T): -math.inf for T in by_t.pop(0, ())}  # at t = 0 the lag is T
+        pair_ts = set(pair_ts)
+        for ts, D in self.blocks(set(by_t) | pair_ts):
+            at = [k for k, t in enumerate(ts) if t in pair_ts]
+            if at:
+                out.update(zip([ts[k] for k in at],
+                               self.q_pair_tv(Deviation(D.exp[at], D.hat[at]))))
+            for k, t in enumerate(ts):
+                lags = by_t.get(t, [])
+                Dv = np.ldexp(D.hat[k], int(D.exp[k]))
+                P = self.alpha + Dv
+                for i in range(0, len(lags), size):
+                    chunk = np.array(lags[i:i + size])
+                    logs = self._gap_block(Dv, P, Deviation(surv.exp[chunk], surv.hat[chunk]))
+                    out.update(((t, t + lag), v) for lag, v in zip(chunk.tolist(), logs))
+        return out
 
     def _dots(self, V: np.ndarray) -> np.ndarray:
         """alpha . v for each row v of ``V``, one dot product per row, so a

@@ -168,12 +168,17 @@ class SubStochasticKernel:
         return f"SubStochasticKernel(n={self.n}, time_unit={self.time_unit})"
 
 
-def _max_pair_tv(rows: np.ndarray) -> float:
-    """Largest TV distance between two rows; 0 for fewer than two rows."""
-    worst = 0.0
-    for i in range(len(rows) - 1):
-        worst = max(worst, 0.5 * float(np.abs(rows[i + 1:] - rows[i]).sum(axis=1).max()))
-    return worst
+def _max_pair_tv(rows: np.ndarray):
+    """Largest TV distance between two rows; 0 for fewer than two rows.
+
+    A stack of row blocks (more than two axes) gives an array, one value
+    per block, from the same loop over the rows.
+    """
+    worst = np.zeros(rows.shape[:-2])
+    for i in range(rows.shape[-2] - 1):
+        tv = np.abs(rows[..., i + 1:, :] - rows[..., i, None, :]).sum(axis=-1).max(axis=-1)
+        worst = np.maximum(worst, 0.5 * tv)
+    return worst if worst.ndim else float(worst)
 
 
 def _shifted_solve(A: np.ndarray, shift: float, a: np.ndarray, h: np.ndarray):

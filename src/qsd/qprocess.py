@@ -223,9 +223,9 @@ def verify_qproc_approx(
     details: dict = {"gamma": gamma, "fit_lags": fit_lags,
                      "validation_lags": val_lags}
 
-    sup_by_lag = {
-        lag: max(observed[p] for p in pts if p[1] - p[0] == lag) for lag in lags
-    }
+    sup_by_lag = dict.fromkeys(lags, -math.inf)
+    for t, T in pts:
+        sup_by_lag[T - t] = max(sup_by_lag[T - t], observed[(t, T)])
     positive = [(lag, v) for lag, v in sup_by_lag.items() if v > -math.inf]
     if len(positive) >= 3:
         details["fitted_rate"] = fit_log_decay(positive).gamma

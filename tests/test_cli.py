@@ -611,6 +611,31 @@ class TestUsageErrors:
         assert not (tmp_path / "x").exists()
 
 
+class TestParserBuiltOnce:
+    def test_one_parser_with_immutable_defaults(self):
+        from qsd import cli
+
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        subparsers = [a for a in parser._actions if a.choices and isinstance(a.choices, dict)]
+        defaults = [(name, a.dest, a.default) for sp in subparsers
+                    for name, p in sp.choices.items() for a in p._actions]
+        assert len(defaults) > 50
+        for name, dest, value in defaults:
+            assert value is None or isinstance(value, (bool, int, float, str)), (name, dest)
+
+    def test_a_parse_leaves_no_trace_on_the_next(self, tmp_path, w3_file, monkeypatch, capsys):
+        from qsd import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "cmd_converse", lambda args: seen.append(vars(args)) or 0)
+        base = ["converse", "--kernel", w3_file, "--out", str(tmp_path / "o")]
+        assert main(base + ["--T-max", "7", "--seed", "4"]) == 0
+        assert main(["spectral", "--tol", "nan", "--out", str(tmp_path / "x")]) == 2
+        assert main(base) == 0
+        assert [(a["T_max"], a["seed"], a["t1_max"]) for a in seen] == [(7, 4, None), (200, 0, None)]
+
+
 class TestWithoutMpmath:
     def test_reports_run_without_mpmath(self, tmp_path, w3_file):
         # extended precision is a test oracle only: no report may import it
@@ -731,6 +756,26 @@ class TestOneCorePerCommand:
         assert counts["refine"] == 1
         # D_0 .. D_200 for the series, D_0 .. D_10 for the bridge gaps
         assert counts["rows"] <= 200 + 10 + 2
+
+    @pytest.mark.parametrize("kernel", ["w3", "rs64"])
+    def test_verify_batches_the_bridge_gaps(self, tmp_path, monkeypatch, kernel):
+        from qsd import deflation
+
+        calls = {"_gap_block": 0, "bridge_gap": 0}
+        for name in calls:
+            def counting(self, *args, _name=name, _fn=getattr(deflation.Deflation, name)):
+                calls[_name] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(deflation.Deflation, name, counting)
+        K = models.w3() if kernel == "w3" else models.random_substochastic(64, 5)
+        kf = tmp_path / "k.txt"
+        write_kernel(K, kf)
+        assert main(["verify", "--kernel", str(kf), "--out", str(tmp_path / "v")]) == 0
+        # per t = 1 .. pair_t_max, one batched product per chunk of the 50
+        # lags (all of them at n = 3), and none per pair
+        per_t = -(-50 // deflation._chunk(K.n))
+        assert calls == {"_gap_block": 10 * per_t, "bridge_gap": 0}
+        assert per_t == (1 if kernel == "w3" else 2)
 
     @pytest.mark.parametrize("argv", [
         ["ergodic", "--f", "0,0.5,1", "--T-grid", "5:60:5", "--plan", "dirac:5"],

@@ -23,9 +23,11 @@ from oracles import (
     mp_tv,
     second_eigenvalue_magnitude,
 )
-from qsd import models
+from qsd import deflation, models
+from qsd.converse import certify_converse, hypothesis_check
 from qsd.deflation import Deflation
 from qsd.ergodic import SamplingPlan
+from qsd.kernels import SubStochasticKernel
 from qsd.spectral import compute_spectral
 
 BRIDGE_TS = (1, 3)
@@ -165,3 +167,125 @@ def test_series_served_from_a_longer_walk_equals_a_fresh_walk(name):
     e = list(core.survival(60))
     assert core.series(60) == ([core.conditioned_tv(d) for d in D], [core.q_tv(d) for d in D],
                                [core.eta_defect(v) for v in e])
+
+
+# -- stacked steps against one step at a time ----------------------------------
+# The references below are the observables' closed forms applied to one step,
+# written out here, so the stacks are checked against code they do not share.
+
+BATCH_KERNELS = {
+    "w3": models.w3,
+    "t3": models.t3,
+    "rs8": lambda: models.random_substochastic(8, 3),
+    "rs64": lambda: models.random_substochastic(64, 5),
+    "ou12": lambda: models.ou_discretized(12),
+    "lbd10": lambda: models.linear_bd_truncated(10),
+    "half": lambda: SubStochasticKernel([[0.5]]),
+}
+LN2 = math.log(2.0)
+# verify's default pairs, with the t = 0 pairs added
+GAP_PAIRS = [(t, t + lag) for t in range(0, 11) for lag in range(1, 51)]
+
+
+def _ln(x, exp):
+    return (math.log(x) if x > 0.0 else -math.inf) + exp * LN2
+
+
+def _ref_half_l1(exp, rows):
+    return _ln(0.5 * float(np.abs(rows).sum(axis=1).max()), exp)
+
+
+def _ref_pair(exp, rows):
+    worst = 0.0
+    for i in range(len(rows) - 1):
+        worst = max(worst, 0.5 * float(np.abs(rows[i + 1:] - rows[i]).sum(axis=1).max()))
+    return _ln(worst, exp)
+
+
+def _ref_conditioned(core, D):
+    mass = 1.0 + np.ldexp(D.hat, D.exp).sum(axis=1)
+    return (D.hat - np.outer(D.hat.sum(axis=1), core.alpha)) / mass[:, None]
+
+
+def _ref_gap(core, D, e):
+    Dv = np.ldexp(D.hat, D.exp)
+    P = core.alpha + Dv
+    r = Dv @ e.hat
+    gap = (P * e.hat - r[:, None] * P * core.eta) / (1.0 + np.ldexp(r, e.exp))[:, None]
+    return _ref_half_l1(e.exp, gap)
+
+
+def _reference(K, t_max=200):
+    """Series, pair suprema, bridge gaps and the converse decay curve, one step
+    at a time, as float hex."""
+    S = compute_spectral(K)
+    core = Deflation(K, S)
+    D = list(core.rows(t_max))
+    e = list(core.survival(t_max))
+    out = {
+        "conditioned_tv": [_ref_half_l1(d.exp, _ref_conditioned(core, d)) for d in D],
+        "q_tv": [_ref_half_l1(d.exp, d.hat * core.eta) for d in D],
+        "eta_defect": [_ln(float(np.max(np.abs(v.hat) / (core.eta + np.ldexp(v.hat, v.exp)))),
+                           v.exp) for v in e],
+        "conditioned_pair_tv": [_ref_pair(d.exp, _ref_conditioned(core, d)) for d in D],
+        "q_pair_tv": [_ref_pair(d.exp, d.hat * core.eta) for d in D],
+        "bridge_gaps": [_ref_gap(core, D[t], e[T - t]) if t else -math.inf
+                        for t, T in GAP_PAIRS],
+    }
+    rep = certify_converse(K)
+    lattice = {T for T, _ in rep.decay_curve}
+    out["decay_curve"] = [math.exp(_ref_pair(d.exp, _ref_conditioned(core, d)))
+                          for T, d in enumerate(D) if T in lattice]
+    return {k: [v.hex() for v in vals] for k, vals in out.items()}
+
+
+def _batched(K, t_max=200):
+    core = Deflation(K, compute_spectral(K))
+    tvs, q_tvs, errs = core.series(t_max)
+    pair, q_pair = [], []
+    for _, D in core.blocks(range(t_max + 1)):
+        pair += core.conditioned_pair_tv(D)
+        q_pair += core.q_pair_tv(D)
+    gaps = core.bridge_gaps(GAP_PAIRS)
+    out = {"conditioned_tv": tvs, "q_tv": q_tvs, "eta_defect": errs,
+           "conditioned_pair_tv": pair, "q_pair_tv": q_pair,
+           "bridge_gaps": [gaps[p] for p in GAP_PAIRS],
+           "decay_curve": [v for _, v in certify_converse(K).decay_curve]}
+    return {k: [v.hex() for v in vals] for k, vals in out.items()}
+
+
+@pytest.mark.parametrize("name", list(BATCH_KERNELS))
+def test_stacked_observables_equal_one_step_at_a_time(name):
+    K = BATCH_KERNELS[name]()
+    want = _reference(K)
+    assert _batched(K) == want
+    if name == "half":  # one state: every deviation is exactly 0
+        assert {v for k, vals in want.items() if k != "decay_curve" for v in vals} == {"-inf"}
+    if name == "t3":  # the bridge laws equal the Q-process laws exactly
+        assert set(want["bridge_gaps"]) == {"-inf"}
+
+
+@pytest.mark.parametrize("name", ["w3", "rs8", "rs64", "half"])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_chunk_size_changes_no_value(monkeypatch, name, steps):
+    K = BATCH_KERNELS[name]()
+    want = _batched(K)
+    S = compute_spectral(K)
+    hyp = hypothesis_check(Deflation(K, S), range(1, 9), range(12, 61, 4))
+    monkeypatch.setattr(deflation, "CHUNK_BYTES", steps * 8 * K.n ** 2)
+    assert deflation._chunk(K.n) == steps
+    assert _batched(K) == want
+    assert hypothesis_check(Deflation(K, S), range(1, 9), range(12, 61, 4)) == hyp
+
+
+def test_blocks_stack_the_steps_asked_for(monkeypatch):
+    K = models.random_substochastic(8, 3)
+    core = Deflation(K, compute_spectral(K))
+    monkeypatch.setattr(deflation, "CHUNK_BYTES", 2 * 8 * K.n ** 2)
+    rows = list(core.rows(9))
+    got = list(core.blocks([9, 0, 4, 5, 7]))
+    assert [ts for ts, _ in got] == [[0, 4], [5, 7], [9]]
+    for ts, D in got:
+        assert D.exp.tolist() == [rows[t].exp for t in ts]
+        assert np.array_equal(D.hat, np.array([rows[t].hat for t in ts]))
+    assert list(core.blocks([])) == []
