@@ -5,8 +5,11 @@ atomically (temp file + rename) plus a manifest recording the config
 hash, seed, and library version, and exits with 0 on success, 1 on
 runtime errors, 2 on usage/config errors, and 3 when a certification or
 bound verification fails.  All numbers are serialized with 17 significant
-digits, so reruns diff exactly.  ``--threads`` is accepted, for scripts
-that pass it, and changes nothing: simulation runs on one thread.
+digits, so reruns diff exactly.  ``sweep --threads N`` runs its
+replications on up to N forked worker processes (processes, because the
+sampler's numpy gathers hold the GIL), and its output is byte-identical
+for every N.  ``estimate`` and every other subcommand run in one process
+and accept ``--threads`` without using it.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ def _write_csv(path: str, header: str, rows, trailer: str | None = None) -> None
 
 
 # Arguments that never change an output file: where the input and the
-# output live, and the inert --threads.  The input file's bytes are hashed
-# instead of its path.
+# output live, and --threads, which only sets sweep's worker count.  The
+# input file's bytes are hashed instead of its path.
 _NOT_HASHED = {"kernel", "config", "out", "threads", "subcommand"}
 # Subcommands whose output depends on --seed.
 _SEEDED = {"model", "estimate", "sweep"}
@@ -393,7 +396,8 @@ def cmd_sweep(args) -> int:
     f = _read_f(args.f, K.n)
     gamma, gamma_prime = qprocess.fitted_rates(Deflation(K, S))
     rows = estimator.sweep_error_vs_N(
-        K, S, f, N_list, args.reps, args.seed, gamma, gamma_prime, x0=args.x0)
+        K, S, f, N_list, args.reps, args.seed, gamma, gamma_prime, x0=args.x0,
+        workers=args.threads)
     csv_rows = [
         (r.N, r.T, r.t0, r.N_T, r.estimate, r.stderr, r.exact, r.abs_error, r.predicted)
         for r in rows
@@ -448,8 +452,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=_positive_int, default=1,
-                        help="accepted for compatibility and ignored: simulation "
-                             "runs on one thread")
+                        help="worker processes for sweep's replications, at most "
+                             "the usable CPUs; the output is the same for any value. "
+                             "Every other subcommand runs in one process")
 
     sp = sub.add_parser("model", help="build a kernel from a config file")
     sp.add_argument("--config", required=True)

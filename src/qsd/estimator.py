@@ -4,7 +4,10 @@ Simulation randomness is addressed, not streamed: the variate driving
 trajectory i at step s is a pure function of (seed, i, s).  Trajectories
 run in fixed blocks, one after another on the calling thread, each
 returning only its own survivors' rows.  All reductions run in
-trajectory-index order.
+trajectory-index order.  A sweep's replications, each addressed by its
+own key, may run on forked worker processes; the parent reduces their
+results in replication order, so the rows do not depend on the worker
+count.
 
 A step samples by exact indexed search (Chen & Asau 1974; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, sec. III.2.4): one gather
@@ -18,6 +21,8 @@ the one the comparison ``cum[s, j] <= u`` gives, bit for bit.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +93,8 @@ def simulate(
     Trajectories run in fixed blocks of ``2**16``, one after another, each
     carried through all T steps.  Blocks return their survivors' rows,
     joined in block order: O(N_T (T+1)) bytes.  Next states come from
-    :func:`_guide_table`, built once per call.  ``chunks`` is checked to be
-    at least 1 and changes nothing else.
+    :func:`_sampler`, built once per call.  ``chunks`` is checked to be at
+    least 1 and changes nothing else.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -99,11 +104,19 @@ def simulate(
         raise ValueError("x0 out of range")
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
-    cum = np.cumsum(K.entries, axis=1)  # u >= cum[s, n-1] means absorption
-    table, k = _guide_table(cum)
+    return _simulate(_sampler(K), x0, T, N, seed)
 
+
+def _sampler(K: SubStochasticKernel) -> tuple[np.ndarray, np.ndarray, int]:
+    """(cum, table, k): K's cumulative rows and their :func:`_guide_table`."""
+    cum = np.cumsum(K.entries, axis=1)  # u >= cum[s, n-1] means absorption
+    return (cum, *_guide_table(cum))
+
+
+def _simulate(sampler, x0: int, T: int, N: int, seed: int) -> TrajectoryBatch:
+    """:func:`simulate` on checked arguments, with a built :func:`_sampler`."""
     survivors, rows, steps = zip(*(
-        _advance_block(cum, table, k, lo, min(lo + _BLOCK, N), x0, T, seed)
+        _advance_block(*sampler, lo, min(lo + _BLOCK, N), x0, T, seed)
         for lo in range(0, N, _BLOCK)))
     return TrajectoryBatch(seed=seed, x0=x0, T=T, N=N, survivor_paths=np.concatenate(rows),
                            survivor_indices=np.concatenate(survivors), steps=sum(steps))
@@ -341,6 +354,7 @@ def sweep_error_vs_N(
     gamma: float,
     gamma_prime: float,
     x0: int = 0,
+    workers: int = 1,
 ) -> list[SweepRow]:
     """Median estimation error at the predicted optimal horizon, per N.
 
@@ -350,48 +364,118 @@ def sweep_error_vs_N(
     tail when few trajectories survive).  Replications that go extinct are
     counted but not resampled: the extinction-versus-horizon tradeoff is
     the phenomenon under study.  Fully deterministic for a fixed seed.
+
+    A replication is one :func:`simulate` then :func:`estimate_beta`.  With
+    ``workers > 1`` they run on that many forked worker processes, capped
+    at the usable CPUs and the replication count; processes, not threads,
+    because the sampler's gathers and compares hold the GIL.  The sampler
+    is built once, before the fork.  Each worker returns four numbers a
+    replication and the parent reduces them in replication order, so the
+    rows are the same for every ``workers``.  Without ``fork``, with one
+    worker, or beside other threads, the replications run in this process.
     """
     N_list = [int(N) for N in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be strictly increasing")
+    if N_list and N_list[0] < 1:
+        raise ValueError("N must be >= 1")
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if not 0 <= x0 < K.n:
+        raise ValueError("x0 out of range")
     f = np.asarray(f, dtype=float)
     exact = float(S.beta @ f)
+    horizons = [choose_horizon(S.lambda0, gamma, gamma_prime, N) for N in N_list]
+    jobs = [(N, T, t0, derive_key(seed, iN, rep))
+            for iN, (N, (T, t0, _)) in enumerate(zip(N_list, horizons))
+            for rep in range(replications)]
+    results = _replications((_sampler(K), x0, f), jobs, workers)
     rows = []
-    for iN, N in enumerate(N_list):
-        T, t0, predicted = choose_horizon(S.lambda0, gamma, gamma_prime, N)
-        plan = SamplingPlan.dirac(t0, T)
-        estimates, stderrs, survivors, errors = [], [], [], []
-        extinct = total_survivors = steps = 0
-        for rep in range(replications):
-            batch = simulate(K, x0, T, N, derive_key(seed, iN, rep))
-            total_survivors += batch.N_T
-            steps += batch.steps
-            if batch.N_T < 2:
-                extinct += 1
-                continue
-            est, se = estimate_beta(batch, f, plan)
-            estimates.append(est)
-            stderrs.append(se)
-            survivors.append(batch.N_T)
-            errors.append(abs(est - exact))
-        if not errors:
+    for iN, (N, (T, t0, predicted)) in enumerate(zip(N_list, horizons)):
+        reps = results[iN * replications:(iN + 1) * replications]
+        total_survivors = sum(r[0] for r in reps)
+        steps = sum(r[1] for r in reps)
+        kept = [r for r in reps if r[2] is not None]
+        if not kept:
             rows.append(SweepRow(N=N, T=T, t0=t0, N_T=0.0, estimate=math.nan,
                                  stderr=math.nan, exact=exact, abs_error=math.nan,
-                                 predicted=predicted, extinct_replications=extinct,
+                                 predicted=predicted, extinct_replications=len(reps),
                                  survivors=total_survivors, steps=steps))
             continue
+        survivors, _, estimates, stderrs = zip(*kept)
         rows.append(SweepRow(
             N=N, T=T, t0=t0,
             N_T=float(np.median(survivors)),
             estimate=float(np.median(estimates)),
             stderr=float(np.median(stderrs)),
             exact=exact,
-            abs_error=float(np.median(errors)),
+            abs_error=float(np.median([abs(est - exact) for est in estimates])),
             predicted=predicted,
-            extinct_replications=extinct,
+            extinct_replications=len(reps) - len(kept),
             survivors=total_survivors,
             steps=steps,
         ))
     return rows
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _replications(inputs, jobs: list, workers: int) -> list:
+    """:func:`_replicate` of each job, in job order, on up to ``workers`` processes.
+
+    The pool's initializer binds ``inputs`` (sampler, x0, f) in each worker:
+    on fork they are inherited, not pickled a job.  Jobs go in largest N
+    first, so the last ones to finish are short.  Every worker has exited
+    when this returns or raises; a worker that dies raises
+    ``BrokenProcessPool``, a ``RuntimeError``.  A fork copies the calling
+    thread alone, and a lock another thread held would stay held in the
+    copy, so with other threads alive the jobs run here.
+    """
+    workers = min(workers, _usable_cpus(), len(jobs))
+    if workers > 1 and threading.active_count() == 1:
+        # about 25 ms to import, paid by a parallel sweep alone
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_bind, initargs=(inputs,))
+            try:
+                futures = [pool.submit(_replicate_bound, *job) for job in reversed(jobs)]
+                return [future.result() for future in reversed(futures)]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [_replicate(inputs, *job) for job in jobs]
+
+
+# A worker's (sampler, x0, f), set by the pool's initializer.
+_bound = None
+
+
+def _bind(inputs) -> None:
+    global _bound
+    _bound = inputs
+
+
+def _replicate_bound(N: int, T: int, t0: int, key: int):
+    return _replicate(_bound, N, T, t0, key)
+
+
+def _replicate(inputs, N: int, T: int, t0: int, key: int):
+    """(survivors, steps, estimate, stderr) of one replication.
+
+    Below two survivors there is nothing to estimate, and the last two are
+    None.
+    """
+    sampler, x0, f = inputs
+    batch = _simulate(sampler, x0, T, N, key)
+    if batch.N_T < 2:
+        return batch.N_T, batch.steps, None, None
+    return (batch.N_T, batch.steps, *estimate_beta(batch, f, SamplingPlan.dirac(t0, T)))

@@ -6,11 +6,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qsd import models
+from qsd import estimator, models
 from qsd.spectral import compute_spectral
 
 # the 20 seeded random kernels (n <= 8) used by the acceptance criteria
 RANDOM_KERNEL_SPECS = [(2 + k % 7, 1000 + k) for k in range(20)]
+
+
+@pytest.fixture(autouse=True)
+def at_most_two_workers(monkeypatch):
+    """No test starts more than two worker processes, whatever the host's CPUs."""
+    usable = estimator._usable_cpus
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: min(2, usable()))
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from oracles import (
     mp_perron,
     mp_survival_vectors,
 )
-from qsd import models
+from qsd import estimator, models
 from qsd.cli import main, parse_model_config
 from qsd.kernels import SubStochasticKernel, read_kernel, write_kernel
 from qsd.models import golden_kernel_path
@@ -698,14 +701,14 @@ PINNED_RUNS = {
 PINNED_DIGESTS = Path(__file__).with_name("pinned_runs.json")
 
 
-def pinned_digests(name, workdir, capsys):
+def pinned_digests(name, workdir, capsys, runs=PINNED_RUNS):
     """{run: {"exit": code, "stderr": sha256, <csv name>: sha256}} for one kernel."""
     K = PINNED_KERNELS[name]()
     kf = Path(workdir) / f"{name}.txt"
     write_kernel(K, kf)
     f = "1" if name == "half" else ",".join(str((x % 3) / 2) for x in range(K.n))
     digests = {}
-    for run, argv in PINNED_RUNS.items():
+    for run, argv in runs.items():
         out = Path(workdir) / run
         extra = ["--f", f] if argv[0] in ("ergodic", "estimate", "sweep") else []
         capsys.readouterr()
@@ -726,6 +729,112 @@ class TestPinnedRuns:
         for run in PINNED_RUNS:
             for key in sorted(set(want[run]) | set(got[run])):
                 assert got[run].get(key) == want[run].get(key), f"{name} {run}: {key} differs"
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KERNELS))
+    def test_sweep_on_two_workers_matches_pinned_digests(self, tmp_path, capsys, monkeypatch,
+                                                         name):
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+        want = json.loads(PINNED_DIGESTS.read_text())[name]["sweep"]
+        got = pinned_digests(name, tmp_path, capsys,
+                             {"sweep": PINNED_RUNS["sweep"] + ["--threads", "2"]})
+        assert got["sweep"] == want
+        assert multiprocessing.active_children() == []
+
+
+class TestSweepWorkers:
+    """sweep --threads N: how many worker processes, and that none outlives the sweep."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+
+    @staticmethod
+    def sweep(w3_file, out, threads="2"):
+        return main(["sweep", "--kernel", w3_file, "--out", str(out), "--f", "0,0.5,1",
+                     "--N-list", "50,500", "--reps", "3", "--seed", "5", "--threads", threads])
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """The size of each pool a sweep asks for; its jobs run at once, in this process."""
+        asked = []
+
+        class Recording:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def submit(self, fn, *args):
+                done = concurrent.futures.Future()
+                done.set_result(fn(*args))
+                return done
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(estimator, "_bound", None)
+        return asked
+
+    @pytest.mark.parametrize("threads,cpus,want", [
+        ("64", 3, [3]),  # capped at the usable CPUs
+        ("64", 64, [6]),  # capped at the 2 x 3 replications
+        ("2", 64, [2]),
+        ("64", 1, []),  # one worker: the inline loop, no pool
+        ("1", 64, []),
+    ])
+    def test_worker_count_capped(self, tmp_path, w3_file, monkeypatch, pools, threads, cpus,
+                                 want):
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
+        assert self.sweep(w3_file, tmp_path / "inline", "1") == 0
+        assert self.sweep(w3_file, tmp_path / "pool", threads) == 0
+        assert pools == want
+        assert (read_lines(tmp_path / "pool" / "sweep.csv")
+                == read_lines(tmp_path / "inline" / "sweep.csv"))
+
+    def test_no_fork_beside_another_thread(self, tmp_path, w3_file, pools):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert self.sweep(w3_file, tmp_path / "s", "2") == 0
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pools == []
+
+    def test_no_worker_outlives_a_sweep(self, tmp_path, w3_file, capfd):
+        assert self.sweep(w3_file, tmp_path / "s") == 0
+        assert multiprocessing.active_children() == []
+        # the pool's threads are gone too, so the next sweep may fork again
+        assert threading.active_count() == 1
+        assert capfd.readouterr().err == ""
+
+    def test_worker_value_error_is_one_line_exit_two(self, tmp_path, w3_file, monkeypatch,
+                                                      capfd):
+        parent = os.getpid()
+
+        def refuse(*args):
+            assert os.getpid() != parent, "a replication ran in the parent"
+            raise ValueError("refused in a worker")
+
+        monkeypatch.setattr(estimator, "_simulate", refuse)
+        assert self.sweep(w3_file, tmp_path / "s") == 2
+        assert capfd.readouterr().err == "error: refused in a worker\n"
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_one_line_exit_one(self, tmp_path, w3_file, monkeypatch, capfd):
+        parent = os.getpid()
+
+        def die(*args):
+            assert os.getpid() != parent, "a replication ran in the parent"
+            os._exit(7)
+
+        monkeypatch.setattr(estimator, "_simulate", die)
+        assert self.sweep(w3_file, tmp_path / "s") == 1
+        err = capfd.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1, err
+        assert multiprocessing.active_children() == []
 
 
 class TestOneCorePerCommand:

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from qsd.estimator import (
     ExtinctionError,
     _guide_table,
     _indexed_next_states,
+    _usable_cpus,
     estimate_beta,
     predict_tradeoff,
     simulate,
@@ -399,3 +401,46 @@ class TestSweep:
             np.log([r.N for r in rows]), np.log([r.abs_error for r in rows]), 1
         )[0])
         assert abs(slope + zeta) <= 0.15
+
+
+class TestParallelSweep:
+    """Replications on forked workers give the rows of the inline loop."""
+
+    @pytest.mark.parametrize("case", ["w3", "t3", "rs8", "single"])
+    def test_two_workers_match_one(self, request, monkeypatch, case):
+        K = (models.random_substochastic(8, 3) if case == "rs8"
+             else request.getfixturevalue(case))
+        S = compute_spectral(K)
+        args, x0 = {
+            # the largest N spans two blocks of 2**16 trajectories
+            "w3": (([0.0, 0.5, 1.0], [1000, 2**16 + 5], 3, 7, 0.77, 0.77), 2),
+            "t3": (([1.0, 0.0], [100, 1000, 10_000], 5, 3, math.log(7.0), math.log(7.0)), 0),
+            "rs8": (([(x % 3) / 2 for x in range(8)], [100, 400], 4, 11, 1.79, 1.79), 5),
+            # every replication leaves fewer than two survivors
+            "single": (([1.0], [10, 20], 3, 1, 1e-3, 1e-3), 0),
+        }[case]
+        inline = sweep_error_vs_N(K, S, *args, x0=x0)
+        parent, replicate = os.getpid(), estimator._replicate
+
+        def in_a_worker(*job):
+            assert os.getpid() != parent, "a replication ran in the parent"
+            return replicate(*job)
+
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimator, "_replicate", in_a_worker)
+        forked = sweep_error_vs_N(K, S, *args, x0=x0, workers=2)
+        assert [repr(r) for r in forked] == [repr(r) for r in inline]
+        assert all(r.flagged for r in inline) == (case == "single")
+
+    def test_workers_must_be_positive(self, w3, w3_triple):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_error_vs_N(w3, w3_triple, [1.0, 0, 0], [100], 2, 1, 0.7, 0.7, workers=0)
+
+    def test_usable_cpus_reads_the_affinity_set(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert _usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
