@@ -60,10 +60,32 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _cell_spec(x) -> str:
+    """The ``%`` conversion that formats one cell as :func:`_fmt` does.
+
+    ``"%.17g" % x`` equals ``format(float(x), ".17g")``; ints keep ``%d``,
+    because ``%.17g`` rounds them above 2**53.  ``None`` is an empty cell.
+    """
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
 def _write_csv(path: str, header: str, rows, trailer: str | None = None) -> None:
+    """Write the rows a line at a time: one ``%`` template per row of cell
+    types, built on the first row of those types, formats the whole row."""
     lines = [header]
+    templates = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_cell_spec, row))
+        if type(None) in kinds:
+            row = [x for x in row if x is not None]
+        lines.append(template % tuple(row))
     if trailer:
         lines.append(trailer)
     _write_atomic(path, "\n".join(lines) + "\n")

@@ -73,45 +73,79 @@ def tv_distance(mu: Distribution, nu: Distribution) -> float:
     return 0.5 * float(np.abs(mu - nu).sum())
 
 
+def _unreached(packed: np.ndarray, lev: list | None = None) -> int:
+    """Bit mask of the states a breadth-first search from state 0 misses.
+
+    Row x of ``packed`` is the bit-packed (little-endian) set of the states
+    one step from x.  A level ORs the rows of its frontier states, read as
+    Python ints, so it costs a few word operations per state.  With ``lev``
+    the search runs to its end and sets ``lev[x]`` to the distance of x;
+    without, it stops as soon as every state is seen.
+    """
+    n, width = packed.shape
+    rows = packed.tobytes()
+    everything = (1 << n) - 1
+    seen = frontier = 1
+    level = 0
+    while frontier and (lev is not None or seen != everything):
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            x = low.bit_length() - 1
+            if lev is not None:
+                lev[x] = level
+            reach |= int.from_bytes(rows[x * width:(x + 1) * width], "little")
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+        level += 1
+    return everything & ~seen
+
+
+def _lowest(mask: int, count: int) -> list[int]:
+    """The positions of the ``count`` lowest set bits of ``mask``."""
+    out = []
+    while mask and len(out) < count:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _primitivity_defect(entries: np.ndarray) -> str:
     """Why the kernel is not primitive, or "" when it is.
 
     A nonnegative matrix is primitive iff its graph is strongly connected
     and aperiodic.  Strong connectivity: every state is reached from state 0
-    and reaches it (a forward and a backward breadth-first search).  The
-    period is the gcd of ``lev(u) + 1 - lev(v)`` over the edges u -> v, with
-    ``lev`` the distance from state 0 (Denardo 1977).  Frontiers are boolean
-    masks and the gcd is taken a level at a time, from the states the level
-    reaches, so nothing beyond the n x n pattern is held.
+    and reaches it, by a breadth-first search over the bit-packed rows of
+    the positive pattern and over those of its transpose.  A strongly
+    connected graph with a self-loop has period 1.  Without one, the period
+    is the gcd of ``lev(u) + 1 - lev(v)`` over the edges u -> v, with
+    ``lev`` the distance from state 0 (Denardo 1977), taken once over the
+    nonzero pattern.
     """
     b = entries > 0.0
     n = len(b)
-    lev = np.full(n, -1)
-    lev[0] = 0
-    frontier = lev == 0
-    period = 0
-    level = 0
-    while frontier.any():
-        reach = b[frontier].any(axis=0)
-        frontier = reach & (lev < 0)
-        lev[frontier] = level + 1
-        period = math.gcd(period, int(np.gcd.reduce(level + 1 - lev[reach])))
-        level += 1
-    back = np.zeros(n, dtype=bool)
-    back[0] = True
-    frontier = back
-    while frontier.any():
-        frontier = b[:, frontier].any(axis=1) & ~back
-        back = back | frontier
-    pairs = ([(0, int(y)) for y in np.flatnonzero(lev < 0)]
-             + [(int(x), 0) for x in np.flatnonzero(~back)])
-    if not pairs and period == 0:  # a single state without a self-loop
-        pairs = [(0, 0)]
-    if pairs:
-        head = ", ".join(f"{x}->{y}" for x, y in pairs[:8])
-        more = "" if len(pairs) <= 8 else f" (+{len(pairs) - 8} more)"
+    loop = bool(b.diagonal().any())
+    lev = None if loop else [0] * n
+    unseen = _unreached(np.packbits(b, axis=1, bitorder="little"), lev)
+    unreaching = _unreached(np.packbits(np.ascontiguousarray(b.T), axis=1, bitorder="little"))
+    count = unseen.bit_count() + unreaching.bit_count()
+    pairs = [(0, y) for y in _lowest(unseen, 8)]
+    pairs += [(x, 0) for x in _lowest(unreaching, 8 - len(pairs))]
+    if not count and not loop:
+        u, v = divmod(np.flatnonzero(b), n)  # the edges; 2-D nonzero is slower
+        lev = np.array(lev)
+        period = int(np.gcd.reduce(lev[u] + 1 - lev[v]))
+        if period == 0:  # a single state without a self-loop
+            count, pairs = 1, [(0, 0)]
+        elif period > 1:
+            return f"period {period}"
+    if count:
+        head = ", ".join(f"{x}->{y}" for x, y in pairs)
+        more = "" if count <= 8 else f" (+{count - 8} more)"
         return f"unreachable pairs: {head}{more}"
-    return "" if period == 1 else f"period {period}"
+    return ""
 
 
 class SubStochasticKernel:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -22,7 +23,7 @@ from oracles import (
     mp_perron,
     mp_survival_vectors,
 )
-from qsd import estimator, models
+from qsd import cli, estimator, models
 from qsd.cli import main, parse_model_config
 from qsd.kernels import SubStochasticKernel, read_kernel, write_kernel
 from qsd.models import golden_kernel_path
@@ -739,6 +740,36 @@ class TestPinnedRuns:
                              {"sweep": PINNED_RUNS["sweep"] + ["--threads", "2"]})
         assert got["sweep"] == want
         assert multiprocessing.active_children() == []
+
+
+
+class TestCsvRows:
+    """A row formatted at once matches the per-cell rule of ``_fmt``."""
+
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1.5e-310, 0.1, 1 / 3, 1e300, -1.7976931348623157e308,
+             np.float64(-2.5e-320), np.float32(0.1)]
+    INTS = [0, True, 2**53 + 1, -(2**63), 2**70, np.int64(-7), np.uint64(2**64 - 1)]
+
+    def _per_cell(self, rows):
+        return [",".join(cli._fmt(x) for x in row) for row in rows]
+
+    def _written(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), "h", rows, "# end")
+        lines = path.read_text().split("\n")
+        assert lines[0] == "h" and lines[-2:] == ["# end", ""]
+        return lines[1:-2]
+
+    def test_edge_values(self, tmp_path):
+        rows = [self.EDGES, self.INTS, [None, 1.5, None, 3, None], [None], [],
+                (7, math.nan, None, 2**60), [x for x in reversed(self.EDGES + self.INTS)]]
+        assert self._written(tmp_path, rows) == self._per_cell(rows)
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(5).integers(0, 2**64, (2000, 5), dtype=np.uint64)
+        rows = [(i, *row) for i, row in enumerate(bits.view(np.float64))]
+        assert self._written(tmp_path, rows) == self._per_cell(rows)
 
 
 class TestSweepWorkers:

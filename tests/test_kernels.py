@@ -217,7 +217,7 @@ def _closed_walk_lengths(b: np.ndarray, k_max: int) -> list[int]:
 class TestPrimitivityGraphTest:
     """The linear-time graph test against Wielandt's boolean matrix power."""
 
-    @given(st.integers(1, 10), st.sampled_from(["random", "cyclic", "reducible"]),
+    @given(st.integers(1, 10), st.sampled_from(["random", "cyclic", "reducible", "banded"]),
            st.floats(0.05, 0.9), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_wielandt(self, n, kind, density, seed):
@@ -230,6 +230,11 @@ class TestPrimitivityGraphTest:
         elif kind == "reducible" and n > 1:  # no edge from the tail block into the head
             k = int(rng.integers(1, n))
             b[k:, :k] = False
+        elif kind == "banded":  # a long diameter: edges only within the band
+            x, y = np.indices((n, n))
+            b = (np.abs(x - y) <= int(rng.integers(1, 4))) & (rng.random((n, n)) < 0.5 + density / 2)
+            if rng.random() < 0.5:
+                np.fill_diagonal(b, False)
         defect = _primitivity_defect(b * (0.5 / n))
         assert (defect == "") == wielandt_primitive(b)
         # a named pair has no path; a stated period divides every closed walk
@@ -253,6 +258,46 @@ class TestPrimitivityGraphTest:
             for s in steps:
                 b[x, (x + s) % 6] = 0.4
         assert _primitivity_defect(b) == defect
+
+    N_TRI = 2000
+
+    @staticmethod
+    def _tridiagonal(n: int) -> np.ndarray:
+        b = np.zeros((n, n))
+        x = np.arange(n - 1)
+        b[x, x + 1] = 0.4
+        b[x + 1, x] = 0.4
+        return b
+
+    @pytest.mark.parametrize("x", [0, 1234, N_TRI - 1])
+    def test_long_chain_with_one_self_loop_is_primitive(self, x):
+        b = self._tridiagonal(self.N_TRI)
+        b[x, x] = 0.1
+        assert _primitivity_defect(b) == ""
+
+    def test_long_chain_without_self_loop_has_period_two(self):
+        assert _primitivity_defect(self._tridiagonal(self.N_TRI)) == "period 2"
+
+    @pytest.mark.parametrize("k", [0, 700, N_TRI - 9, N_TRI - 3])
+    def test_cut_upward_step_names_states_not_reached(self, k):
+        n = self.N_TRI
+        b = self._tridiagonal(n)
+        np.fill_diagonal(b, 0.1)
+        b[k, k + 1] = 0.0
+        cut = list(range(k + 1, n))
+        head = ", ".join(f"0->{y}" for y in cut[:8])
+        more = f" (+{len(cut) - 8} more)" if len(cut) > 8 else ""
+        assert _primitivity_defect(b) == f"unreachable pairs: {head}{more}"
+
+    @pytest.mark.parametrize("k", [0, 700, N_TRI - 9, N_TRI - 3])
+    def test_cut_downward_step_names_states_not_reaching(self, k):
+        n = self.N_TRI
+        b = self._tridiagonal(n)
+        b[k + 1, k] = 0.0
+        cut = list(range(k + 1, n))
+        head = ", ".join(f"{x}->0" for x in cut[:8])
+        more = f" (+{len(cut) - 8} more)" if len(cut) > 8 else ""
+        assert _primitivity_defect(b) == f"unreachable pairs: {head}{more}"
 
 
 class TestUniformize:
