@@ -25,10 +25,8 @@ from .ergodic import (
 from .estimator import (
     ExtinctionError,
     SweepRow,
-    TradeoffPrediction,
     TrajectoryBatch,
     estimate_beta,
-    predict_tradeoff,
     simulate,
     sweep_error_vs_N,
 )

@@ -12,10 +12,11 @@ count.
 A step samples by exact indexed search (Chen & Asau 1974; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, sec. III.2.4): one gather
 from a guide table addressed by the state and the top bits of the step's
-hash settles nearly every trajectory, and a per-state binary search
-settles the rest.  The table is exact, not approximate: it answers only
-where every hash of a bucket gives the same next state, so the sample is
-the one the comparison ``cum[s, j] <= u`` gives, bit for bit.
+hash settles nearly every trajectory, and one binary search over the
+flattened cumulative rows settles the rest, all states at once.  The
+table is exact, not approximate: it answers only where every hash of a
+bucket gives the same next state, so the sample is the one the
+comparison ``cum[s, j] <= u`` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,19 +37,16 @@ from .spectral import SpectralTriple
 # (2 bytes a trajectory a step, plus per-step arrays) is bounded whatever N
 # is, large enough that numpy's per-call overhead is a small share of a step.
 _BLOCK = 1 << 16
-# Byte budget of the guide table: it stays in cache, and from n = 129 on
-# (32 n > 2**12 buckets a state) it holds fewer than 32 n buckets a state,
-# so more lookups fall back.
+# Byte budget of the guide table: it stays in cache.  A state's buckets
+# shrink as n grows, so more lookups fall back to the binary search.
 _TABLE_BYTES = 1 << 20
 
 __all__ = [
     "ExtinctionError",
     "SweepRow",
-    "TradeoffPrediction",
     "TrajectoryBatch",
     "choose_horizon",
     "estimate_beta",
-    "predict_tradeoff",
     "simulate",
     "sweep_error_vs_N",
 ]
@@ -133,24 +131,27 @@ def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, int]:
     strictly inside that range, every hash of the bucket counts the same
     thresholds, and ``table[(s << k) + b]`` is that count: the next state,
     n for absorption.  Elsewhere it holds the sentinel n + 1 and the step
-    falls back to :func:`_next_states`.  A state gets about 32 n buckets,
-    fewer once that would pass ``_TABLE_BYTES``, and never fewer than 2.
+    falls back to a binary search.  k is the most bits whose table fits
+    ``_TABLE_BYTES``, at most 16.
     """
     n = cum.shape[0]
     dtype = np.min_scalar_type(n + 1)
-    k = min((32 * n - 1).bit_length(), (_TABLE_BYTES // (n * dtype.itemsize)).bit_length() - 1)
-    k = max(k, 1)
+    k = min(16, (_TABLE_BYTES // (n * dtype.itemsize)).bit_length() - 1)
     shift, buckets = 53 - k, 1 << k
     thr = np.ldexp(cum, 53)
     np.ceil(thr, out=thr)
     thr = np.minimum(thr, 2.0 ** 53, out=thr).astype(np.int64)
     # a threshold counts from its own bucket on; that bucket is the sentinel's
     # unless the threshold is its first hash; 2**53 falls in the extra column
-    at = (thr >> shift) + np.arange(0, n * (buckets + 1), buckets + 1)[:, None]
-    table = np.cumsum(np.bincount(at.ravel(), minlength=n * (buckets + 1)).reshape(n, -1),
-                      axis=1, dtype=dtype)
-    table.ravel()[at[(thr & ((1 << shift) - 1)) != 0]] = n + 1
-    return table[:, :buckets].ravel(), k
+    split = (thr & ((1 << shift) - 1)) != 0
+    at = np.right_shift(thr, shift, out=thr)
+    # rows are nondecreasing, so row s is the counts 0 .. n in runs that end
+    # at its thresholds' buckets
+    runs = np.diff(at, axis=1, prepend=0, append=buckets + 1)
+    table = np.repeat(np.tile(np.arange(n + 1, dtype=dtype), n), runs.ravel())
+    at += np.arange(0, n * (buckets + 1), buckets + 1)[:, None]
+    table[at[split]] = n + 1
+    return table.reshape(n, buckets + 1)[:, :buckets].ravel(), k
 
 
 def _advance_block(cum: np.ndarray, table: np.ndarray, k: int, lo: int, hi: int,
@@ -187,43 +188,32 @@ def _advance_block(cum: np.ndarray, table: np.ndarray, k: int, lo: int, hi: int,
 
 def _indexed_next_states(cum: np.ndarray, table: np.ndarray, k: int,
                          states: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Next states for hashes ``h``: one gather from :func:`_guide_table`'s table.
+    """For each i, the count of ``cum[states[i]]`` at or below ``hash_uniforms(h)[i]``.
 
-    Entries that draw the sentinel, a few percent while the table keeps
-    about 32 n buckets a state, go to :func:`_next_states` with their
-    uniforms alone.  The result is the
-    count of ``cum[states[i]]`` at or below ``hash_uniforms(h)[i]`` for
-    every i.
+    One gather from :func:`_guide_table`'s table settles nearly every
+    entry.  The sentinel entries take one vectorized binary search over
+    the flattened rows of ``cum``: each count grows by the powers of two
+    from the largest at most n down, by each one where the entries it
+    adds are at or below the uniform (rows are nondecreasing).  A result
+    of n means absorption.
     """
+    n = cum.shape[0]
     idx = (h >> np.uint64(64 - k)).view(np.int64)
     idx += np.left_shift(states, k, dtype=np.int64)
     nxt = table[idx]
-    miss = np.flatnonzero(nxt > cum.shape[0])
+    miss = np.flatnonzero(nxt > n)
     if miss.size:
-        nxt[miss] = _next_states(cum, states[miss], hash_uniforms(h[miss]))
-    return nxt
-
-
-def _next_states(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each i, how many entries of ``cum[states[i]]`` are at or below ``u[i]``.
-
-    The exact search behind the guide table's sentinel entries.
-    Trajectories are grouped by state with a stable sort and each group is
-    looked up with one ``searchsorted`` in its nondecreasing ``cum`` row:
-    the same count as comparing ``u`` with the whole row, without an N x n
-    temporary.  A result of n means absorption.
-    """
-    order = np.argsort(states, kind="stable")
-    counts = np.bincount(states, minlength=cum.shape[0])
-    u_sorted = u[order]
-    nxt_sorted = np.empty_like(states)
-    start = 0
-    for s in np.flatnonzero(counts).tolist():
-        end = start + int(counts[s])
-        nxt_sorted[start:end] = np.searchsorted(cum[s], u_sorted[start:end], side="right")
-        start = end
-    nxt = np.empty_like(states)
-    nxt[order] = nxt_sorted
+        u = hash_uniforms(h[miss])
+        flat = cum.ravel()
+        row = np.multiply(states[miss], n, dtype=np.int64) - 1  # flat[row + j] is cum[s, j-1]
+        count = np.zeros(miss.size, dtype=np.int64)
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            wider = count + step
+            np.add(count, step, out=count,
+                   where=(wider <= n) & (flat[np.minimum(wider, n) + row] <= u))
+            step >>= 1
+        nxt[miss] = count
     return nxt
 
 
@@ -250,72 +240,32 @@ def estimate_beta(batch: TrajectoryBatch, f, plan: SamplingPlan) -> tuple[float,
     return estimate, stderr
 
 
-@dataclass(frozen=True)
-class TradeoffPrediction:
-    """Error exponent and optimal horizon for the N-vs-T tradeoff.
-
-    zeta = g g' / (2 g g' + lambda0 (g + g')) is the power of N in the
-    best achievable error; T_star the matching horizon; N_star the sample
-    count matched to a given horizon.
-    """
-
-    zeta: float
-    T_star: float
-    N_star: float
-    predicted_error: float
-
-
-def predict_tradeoff(
-    lambda0: float,
-    gamma: float,
-    gamma_prime: float,
-    N: float | None = None,
-    T: float | None = None,
-) -> TradeoffPrediction:
-    """Balance the sampling error against the conditioning bias.
-
-    With the per-sample survival cost e^(lambda0 T), the stochastic error
-    scales like e^(lambda0 T / 2)/sqrt(N) while the bias at the optimal
-    observation time scales like e^(-g g' T/(g+g')).  Given N, the two
-    balance at T_star = ln N / (lambda0 + 2 g g'/(g+g')) with error of
-    order N^(-zeta); given T, at N_star = e^((lambda0 + 2 g g'/(g+g')) T).
-    """
-    if not (lambda0 > 0 and gamma > 0 and gamma_prime > 0):
-        raise ValueError("all rates must be positive")
-    if (N is None) == (T is None):
-        raise ValueError("give exactly one of N or T")
-    gbar = 2.0 * gamma * gamma_prime / (gamma + gamma_prime)
-    zeta = gamma * gamma_prime / (2.0 * gamma * gamma_prime + lambda0 * (gamma + gamma_prime))
-    denom = lambda0 + gbar
-    if N is not None:
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        T_star = math.log(N) / denom
-        return TradeoffPrediction(zeta=zeta, T_star=T_star, N_star=float(N),
-                                  predicted_error=float(N) ** (-zeta))
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    N_star = math.exp(denom * T)
-    return TradeoffPrediction(zeta=zeta, T_star=float(T), N_star=N_star,
-                              predicted_error=math.exp(-0.5 * gbar * T))
-
-
 def choose_horizon(
     lambda0: float, gamma: float, gamma_prime: float, N: int, T: int | None = None
 ) -> tuple[int, int, float]:
-    """(T, t0, predicted error) for N samples.
+    """(T, t0, predicted error) for N samples: the sampling error against the bias.
 
-    T defaults to the predicted optimal horizon rounded to a step, and t0
-    is the envelope-optimal observation time for T.  With an infinite
-    fitted rate the chain conditions in one step and any horizon works:
-    T defaults to 1, t0 is 0 and the predicted error N^(-1/2).
+    With the per-sample survival cost e^(lambda0 T), the stochastic error
+    scales like e^(lambda0 T / 2)/sqrt(N) while the bias at the optimal
+    observation time scales like e^(-g g' T/(g+g')).  The two balance at
+    T_star = ln N / (lambda0 + 2 g g'/(g+g')), with error N^(-zeta) for
+    zeta = g g' / (2 g g' + lambda0 (g + g')).  T defaults to T_star
+    rounded to a step, and t0 is the envelope-optimal observation time for
+    T.  With an infinite fitted rate the chain conditions in one step and
+    any horizon works: T defaults to 1, t0 is 0 and the predicted error
+    N^(-1/2).
     """
     if not (math.isfinite(gamma) and math.isfinite(gamma_prime)):
         return (1 if T is None else T), 0, float(N) ** -0.5
-    pred = predict_tradeoff(lambda0, gamma, gamma_prime, N=N)
+    if not (lambda0 > 0 and gamma > 0 and gamma_prime > 0):
+        raise ValueError("all rates must be positive")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    zeta = gamma * gamma_prime / (2.0 * gamma * gamma_prime + lambda0 * (gamma + gamma_prime))
     if T is None:
-        T = max(1, int(math.floor(pred.T_star + 0.5)))
-    return T, optimal_t0(gamma, gamma_prime, T), pred.predicted_error
+        gbar = 2.0 * gamma * gamma_prime / (gamma + gamma_prime)
+        T = max(1, int(math.floor(math.log(N) / (lambda0 + gbar) + 0.5)))
+    return T, optimal_t0(gamma, gamma_prime, T), float(N) ** (-zeta)
 
 
 @dataclass(frozen=True)

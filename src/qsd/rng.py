@@ -4,7 +4,8 @@ Every variate is a pure function of (key, index, step), so a batch of
 trajectories can be simulated in any partitioning, on any number of
 workers, and still produce bit-identical output.  The mixer is the
 splitmix64 finalizer (three xor-shift/multiply rounds), applied once per
-counter component.
+counter component, in place on a fresh uint64 array with one scratch
+array.  :func:`uniform_field` hashes a whole matrix in one pass.
 """
 
 from __future__ import annotations
@@ -18,26 +19,25 @@ _INV53 = 2.0 ** -53
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array (wrapping arithmetic)."""
-    with np.errstate(over="ignore"):
-        z = (z + _GOLDEN).astype(np.uint64, copy=False)
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
+    """splitmix64 finalizer, in place on a uint64 array, which it returns.
+
+    uint64 array arithmetic wraps modulo 2**64 without a warning.
+    """
+    z += _GOLDEN
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= _MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= _MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
-
-
-def _mix_scalar(z: int) -> int:
-    return int(mix64(np.array([np.uint64(z & 0xFFFFFFFFFFFFFFFF)]))[0])
 
 
 def derive_key(*parts: int) -> int:
     """Fold integers into one 64-bit key; order-sensitive."""
     acc = 0
     for p in parts:
-        acc = _mix_scalar(acc ^ (p & 0xFFFFFFFFFFFFFFFF))
+        acc = int(mix64(np.array([(acc ^ p) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))[0])
     return acc
 
 
@@ -82,8 +82,10 @@ def counter_uniforms(key: int, index: np.ndarray, step: int) -> np.ndarray:
 
 
 def uniform_field(key: int, rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) matrix of uniforms keyed by (key, row, col)."""
-    out = np.empty((rows, cols))
-    for i in range(rows):
-        out[i] = counter_uniforms(derive_key(key, i), np.arange(cols), 0)
-    return out
+    """A (rows, cols) matrix of uniforms keyed by (key, row, col).
+
+    Row i is ``counter_uniforms(derive_key(key, i), np.arange(cols), 0)``;
+    all rows are hashed at once.
+    """
+    row_keys = mix64(trajectory_keys(key, np.arange(rows)))  # mix64(derive_key(key, i))
+    return step_uniforms(mix64(row_keys[:, None] ^ np.arange(cols, dtype=np.uint64)), 0)

@@ -230,6 +230,31 @@ class TestVerifySubcommand:
         assert main(["estimate", "--kernel", str(kf), "--out", str(tmp_path / "est"),
                      "--f", "1,0", "--N", "200"]) == 0
 
+    def test_vacuous_envelope_not_certified(self, tmp_path, capsys):
+        # bd200's eta collapses in scale: eta_bound's constant is inf or its
+        # rate nan, depending on the BLAS, and either certifies nothing
+        kf = tmp_path / "bd200.txt"
+        write_kernel(models.birth_death(200, birth=0.3), kf)
+        out = tmp_path / "v"
+        with np.errstate(all="ignore"):
+            code = main(["verify", "--kernel", str(kf), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        trailer = read_lines(out / "eta_bound.csv").splitlines()[-1]
+        constant, rate = (trailer.split(f" {key}=")[1].split()[0] for key in ("constant", "rate"))
+        assert f"vacuous envelope: eta_bound constant={constant} rate={rate}" in err
+        assert not (math.isfinite(float(constant)) and float(rate) > 0)
+
+    def test_single_state_kernel_certified(self, tmp_path, capsys):
+        # [[0.5]] mixes exactly: constant 0 and rate inf are a real certificate
+        kf = tmp_path / "half.txt"
+        kf.write_text("n 1 time_unit 1\n0.5\n")
+        out = tmp_path / "v"
+        assert main(["verify", "--kernel", str(kf), "--out", str(out)]) == 0
+        assert "vacuous" not in capsys.readouterr().err
+        for name in ("eta_bound.csv", "qproc_approx.csv", "q_mixing.csv"):
+            assert "constant=0 rate=inf" in read_lines(out / name).splitlines()[-1]
+
     def test_one_lag_is_usage_error(self, tmp_path, w3_file, capsys):
         # a single lag would be validated on the very point that fitted it
         code = main(["verify", "--kernel", w3_file, "--out", str(tmp_path / "v"),

@@ -7,22 +7,36 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import counter_uniform_reference, enum_bridge, enum_survival, simulate_reference
+from oracles import (
+    counter_uniform_reference,
+    enum_bridge,
+    enum_survival,
+    simulate_reference,
+    splitmix64,
+)
 from qsd import estimator, models
 from qsd.deflation import Deflation
-from qsd.ergodic import SamplingPlan, conditional_functional
+from qsd.ergodic import SamplingPlan, conditional_functional, optimal_t0
 from qsd.estimator import (
     _TABLE_BYTES,
     ExtinctionError,
     _guide_table,
     _indexed_next_states,
     _usable_cpus,
+    choose_horizon,
     estimate_beta,
-    predict_tradeoff,
     simulate,
     sweep_error_vs_N,
 )
-from qsd.rng import counter_uniforms, derive_key, step_uniforms, trajectory_keys
+from qsd.rng import (
+    counter_uniforms,
+    derive_key,
+    hash_uniforms,
+    mix64,
+    step_uniforms,
+    trajectory_keys,
+    uniform_field,
+)
 from qsd.spectral import compute_spectral
 
 # simulate only reads ``entries`` and ``n``; a row of zeros (immediate
@@ -61,6 +75,19 @@ class TestRng:
 
     def test_derive_key_order_sensitive(self):
         assert derive_key(1, 2) != derive_key(2, 1)
+
+    @pytest.mark.parametrize("z", [0, 1, 0x9E3779B97F4A7C15, 2**63, 2**64 - 1])
+    def test_mix64_matches_splitmix64(self, z):
+        assert int(mix64(np.array([z], dtype=np.uint64))[0]) == splitmix64(z)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (500, 500)], ids=["1x1", "3x5", "500x500"])
+    def test_uniform_field_rows_are_counter_uniforms(self, shape):
+        rows, cols = shape
+        want = np.array([counter_uniforms(derive_key(11, i), np.arange(cols), 0)
+                         for i in range(rows)])
+        got = uniform_field(11, rows, cols)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("key", [0, 7, derive_key(3, 4), 2**64 - 1])
     def test_split_matches_one_line_formula(self, key):
@@ -215,11 +242,21 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("kernel", ["w3", "sparse", "rs64", "rs255"])
+    @pytest.mark.parametrize(
+        "kernel", ["w3", "sparse", "rs64", "rs255", "half", "rs256", "zero-runs"])
     def test_table_exact_at_every_threshold(self, request, kernel):
         # hashes whose top 53 bits sit on, just below and just above each
         # threshold thr = ceil(cum * 2**53), with random low bits
-        if kernel.startswith("rs"):
+        if kernel == "half":  # n = 1
+            K = SimpleNamespace(entries=np.array([[0.5]]), n=1)
+        elif kernel == "zero-runs":
+            # runs of zero entries repeat non-dyadic cumulative values inside
+            # sentinel buckets: the binary search must count every copy
+            entries = models.random_substochastic(64, 5).entries.copy()
+            entries[7, 10:30] = 0.0
+            entries[9, ::2] = 0.0
+            K = SimpleNamespace(entries=entries, n=64)
+        elif kernel.startswith("rs"):  # rs256: uint16 states and table
             K = models.random_substochastic(int(kernel[2:]), 5)
         else:
             K = SPARSE if kernel == "sparse" else request.getfixturevalue(kernel)
@@ -235,14 +272,30 @@ class TestSimulate:
             want = (cum[s] <= (m * 2.0**-53)[:, None]).sum(axis=1)
             np.testing.assert_array_equal(_indexed_next_states(cum, table, k, states, h), want)
 
+    def test_random_hashes_match_full_comparison(self):
+        # on rs64 about 0.4% of random hashes draw a sentinel, spread over
+        # every state, so one call searches many rows at once
+        K = models.random_substochastic(64, 5)
+        cum = np.cumsum(K.entries, axis=1)
+        table, k = _guide_table(cum)
+        gen = np.random.default_rng(3)
+        for _ in range(10):
+            states = gen.integers(0, K.n, 20_000).astype(np.uint8)
+            h = gen.integers(0, 2**64 - 1, states.size, dtype=np.uint64, endpoint=True)
+            bucket = (states.astype(np.int64) << k) + (h >> np.uint64(64 - k)).astype(np.int64)
+            assert np.unique(states[table[bucket] > K.n]).size >= 20
+            want = (cum[states] <= hash_uniforms(h)[:, None]).sum(axis=1)
+            np.testing.assert_array_equal(_indexed_next_states(cum, table, k, states, h), want)
+
     @pytest.mark.parametrize("n", [1, 3, 64, 128, 129, 181, 200, 255, 300, 1000])
     def test_table_bytes_bounded(self, n):
         cum = np.cumsum(np.full((n, n), 0.9 / n), axis=1)
         table, k = _guide_table(cum)
         assert table.nbytes <= _TABLE_BYTES == 2**20
         assert table.size == n << k
-        # at least 32 n buckets a state until the byte cap binds, from n = 129
-        # on, where 32 n passes the 2**12 buckets that fit
+        # the byte budget alone sets k, up to 16 bits; up to n = 128 that is
+        # at least 32 n buckets a state, from n = 129 on fewer
+        assert k == 16 or 2 * table.nbytes > _TABLE_BYTES
         assert ((1 << k) >= 32 * n) == (n <= 128)
         assert (1 << k) >= 32 * n or 2 * table.nbytes > _TABLE_BYTES
 
@@ -295,60 +348,61 @@ class TestEstimateBeta:
     def test_w3_optimal_plan_within_predicted_envelope(self, w3, w3_triple):
         # at the matched horizon and observation time, the realized error
         # stays within 5x the predicted N^-zeta in at least 95 of 100 seeds
-        from qsd.ergodic import optimal_t0
         from qsd.qprocess import fitted_rates
 
         gamma, gamma_prime = fitted_rates(Deflation(w3, w3_triple))
         N = 10_000
-        pred = predict_tradeoff(w3_triple.lambda0, gamma, gamma_prime, N=N)
-        T = max(1, round(pred.T_star))
-        t0 = optimal_t0(gamma, gamma_prime, T)
+        T, t0, predicted = choose_horizon(w3_triple.lambda0, gamma, gamma_prime, N)
         f = np.array([1.0, 0.0, 0.0])
         exact = float(w3_triple.beta @ f)
         hits = 0
         for s in range(100):
             batch = simulate(w3, 0, T, N, seed=derive_key(1234, s))
             est, _ = estimate_beta(batch, f, SamplingPlan.dirac(t0, T))
-            if abs(est - exact) <= 5.0 * pred.predicted_error:
+            if abs(est - exact) <= 5.0 * predicted:
                 hits += 1
         assert hits >= 95
 
 
+def _zeta(lambda0, gamma, gamma_prime):
+    """The error exponent g g' / (2 g g' + lambda0 (g + g'))."""
+    return gamma * gamma_prime / (2 * gamma * gamma_prime + lambda0 * (gamma + gamma_prime))
+
+
 class TestPredictTradeoff:
+    """choose_horizon's balance of the sampling error against the bias."""
+
     def test_equal_rates_quarter(self):
-        p = predict_tradeoff(1.0, 1.0, 1.0, N=100)
-        assert p.zeta == pytest.approx(0.25)
+        _, _, predicted = choose_horizon(1.0, 1.0, 1.0, 100)
+        assert predicted == pytest.approx(100 ** -0.25)
 
     def test_no_killing_limit_half(self):
-        p = predict_tradeoff(1e-12, 1.0, 1.0, N=100)
-        assert p.zeta == pytest.approx(0.5, abs=1e-9)
+        _, _, predicted = choose_horizon(1e-12, 1.0, 1.0, 100)
+        assert predicted == pytest.approx(100 ** -0.5, rel=1e-9)
 
     def test_given_N_formulas(self):
-        lam0, g, gp, N = 0.2, 0.8, 0.6, 10_000.0
-        p = predict_tradeoff(lam0, g, gp, N=N)
+        lam0, g, gp, N = 0.2, 0.8, 0.6, 10_000
+        T, t0, predicted = choose_horizon(lam0, g, gp, N)
         gbar = 2 * g * gp / (g + gp)
-        assert p.T_star == pytest.approx(math.log(N) / (lam0 + gbar))
-        assert p.predicted_error == pytest.approx(N ** (-p.zeta))
-
-    def test_given_T_formulas(self):
-        lam0, g, gp, T = 0.2, 0.8, 0.6, 25.0
-        p = predict_tradeoff(lam0, g, gp, T=T)
-        gbar = 2 * g * gp / (g + gp)
-        assert p.N_star == pytest.approx(math.exp((lam0 + gbar) * T))
-        assert p.predicted_error == pytest.approx(math.exp(-0.5 * gbar * T))
+        assert T == round(math.log(N) / (lam0 + gbar))
+        assert t0 == optimal_t0(g, gp, T)
+        assert predicted == pytest.approx(N ** -_zeta(lam0, g, gp))
+        # a given horizon keeps its T and its prediction
+        assert choose_horizon(lam0, g, gp, N, 25) == (25, optimal_t0(g, gp, 25), predicted)
 
     def test_zeta_in_open_interval(self):
         for lam0, g, gp in [(0.1, 0.5, 0.9), (2.0, 0.3, 0.3), (0.01, 3.0, 1.0)]:
-            z = predict_tradeoff(lam0, g, gp, N=10).zeta
-            assert 0.0 < z < 0.5
+            _, _, predicted = choose_horizon(lam0, g, gp, 10)
+            assert predicted == pytest.approx(10 ** -_zeta(lam0, g, gp))
+            assert 10 ** -0.5 < predicted < 1.0
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            predict_tradeoff(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            predict_tradeoff(1.0, 1.0, 1.0, N=10, T=5)
-        with pytest.raises(ValueError):
-            predict_tradeoff(-1.0, 1.0, 1.0, N=10)
+        with pytest.raises(ValueError, match="positive"):
+            choose_horizon(-1.0, 1.0, 1.0, 10)
+        with pytest.raises(ValueError, match="positive"):
+            choose_horizon(1.0, 0.0, 1.0, 10, 5)
+        with pytest.raises(ValueError, match="N must be"):
+            choose_horizon(1.0, 1.0, 1.0, 0)
 
 
 class TestSweep:
@@ -369,7 +423,7 @@ class TestSweep:
     def test_rows_shape_and_prediction(self, t3, t3_triple):
         g = math.log(7.0)
         rows = sweep_error_vs_N(t3, t3_triple, [1.0, 0.0], [100, 1000, 10_000], 8, 3, g, g)
-        zeta = predict_tradeoff(t3_triple.lambda0, g, g, N=100).zeta
+        zeta = _zeta(t3_triple.lambda0, g, g)
         for r in rows:
             assert r.predicted == pytest.approx(r.N ** (-zeta))
             assert r.T >= 1 and 0 <= r.t0 <= r.T
@@ -393,7 +447,7 @@ class TestSweep:
     def test_t3_slope_tracks_exponent(self, t3, t3_triple):
         # closed-form rates: gamma = gamma' = ln 7, so zeta is exact
         g = math.log(7.0)
-        zeta = predict_tradeoff(t3_triple.lambda0, g, g, N=10).zeta
+        zeta = _zeta(t3_triple.lambda0, g, g)
         rows = sweep_error_vs_N(
             t3, t3_triple, [1.0, 0.0], [100, 1_000, 10_000, 100_000], 24, 77, g, g
         )
