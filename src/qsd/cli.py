@@ -5,7 +5,9 @@ atomically (temp file + rename) plus a manifest recording the config
 hash, seed, and library version, and exits with 0 on success, 1 on
 runtime errors, 2 on usage/config errors, and 3 when a certification or
 bound verification fails.  All numbers are serialized with 17 significant
-digits, so reruns diff exactly.  ``sweep --threads N`` runs its
+digits, so reruns diff exactly.  An input file is read once, as a stream:
+its bytes are hashed for the manifest as the parser reads them, and a
+kernel file is parsed a block at a time.  ``sweep --threads N`` runs its
 replications on up to N forked worker processes (processes, because the
 sampler's numpy gathers hold the GIL), and its output is byte-identical
 for every N.  ``estimate`` and every other subcommand run in one process
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import __version__, converse, ergodic, estimator, models, qprocess, spectral
 from .deflation import Deflation
-from .kernels import read_kernel, write_kernel
+from .kernels import _Forward, read_kernel, write_kernel
 from .spectral import MinorizationRefused, PowerIterationError
 
 EXIT_OK = 0
@@ -99,23 +101,13 @@ _NOT_HASHED = {"kernel", "config", "out", "threads", "subcommand"}
 _SEEDED = {"model", "estimate", "sweep"}
 
 
-def _read_input(path, split) -> tuple[list[str], str]:
-    """The lines ``split`` cuts from an input file's text, decoded as
-    ``open(path)`` decodes it, and the SHA-256 of its bytes, from one read.
-
-    Only the lines outlive the call: a kernel file at n = 500 is 4.5 MB.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
-    text = io.TextIOWrapper(io.BytesIO(data)).read()
-    del data
-    return split(text), digest
-
-
-def _config_lines(text: str) -> list[str]:
-    """A config file's lines, as iterating over the open file yields them."""
-    return text.split("\n")
+def _read_hashed(path, parse):
+    """(``parse(path, text)``, SHA-256 of the file's bytes): ``text`` is the
+    file decoded as ``open(path)`` decodes it, and every byte the parser
+    reads, to the end of the file, is hashed as it is read."""
+    digest = hashlib.sha256()
+    with open(path, "rb", buffering=0) as fh:
+        return parse(path, io.TextIOWrapper(_Forward(fh, digest))), digest.hexdigest()
 
 
 def _config_hash(args, input_sha256: str) -> str:
@@ -159,17 +151,20 @@ def _int_value(key: str, value: str) -> int:
 def parse_model_config(path: str) -> models.ModelSpec:
     """Line-oriented config: ``kind``, ``n``, ``seed``, ``params.<name>``."""
     with open(path) as fh:
-        return _parse_config(path, _config_lines(fh.read()))
+        return _parse_config(path, fh)
 
 
-def _parse_config(path, lines: list[str]) -> models.ModelSpec:
-    """The model config in ``lines``, those of the file ``path``."""
+def _parse_config(path, text) -> models.ModelSpec:
+    """The model config in ``text``, the file ``path`` open in text mode.
+
+    A config is a few lines, so it is read whole, and a decode error names
+    its position in the file."""
     kind = None
     n = None
     seed = None
     params: dict = {}
     param_lines: dict = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.read().split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -208,11 +203,10 @@ def _load_kernel(args):
     """(kernel, SHA-256 of the input file's bytes), from one read of the
     ``--kernel`` or ``--config`` file."""
     if getattr(args, "kernel", None):
-        lines, digest = _read_input(args.kernel, str.splitlines)
-        return read_kernel(args.kernel, lines), digest
+        return _read_hashed(args.kernel, read_kernel)
     if getattr(args, "config", None):
-        lines, digest = _read_input(args.config, _config_lines)
-        return models.build(_parse_config(args.config, lines)), digest
+        spec, digest = _read_hashed(args.config, _parse_config)
+        return models.build(spec), digest
     raise ValueError("give --kernel FILE or --config FILE")
 
 
@@ -292,8 +286,7 @@ def _report_csv(out_path: str, report) -> None:
 
 
 def cmd_model(args) -> int:
-    lines, digest = _read_input(args.config, _config_lines)
-    spec = _parse_config(args.config, lines)
+    spec, digest = _read_hashed(args.config, _parse_config)
     if args.seed is not None:
         spec = models.ModelSpec(kind=spec.kind, n=spec.n, seed=args.seed,
                                 params=spec.params)

@@ -247,6 +247,7 @@ class Deflation:
     # -- observables (natural logs) ------------------------------------------
     # Each takes one step and returns a float, or a stack of steps and
     # returns a list.
+    @np.errstate(divide="ignore", invalid="ignore")  # a zero mass gives inf or nan
     def _conditioned(self, D: Deviation) -> np.ndarray:
         """Row x: (law of X_t | X_0 = x, survival to t) - alpha, over 2**D.exp.
 
@@ -277,10 +278,12 @@ class Deflation:
         return _log_pair_half_l1(D.exp, D.hat * self.eta)
 
     @_per_step(1)
+    @np.errstate(divide="ignore")  # where eta_t underflowed to 0 the defect is inf
     def eta_defect(self, e: Deviation):
         """ln sup_x |eta_t(x) - eta(x)| / eta_t(x), with eta_t = eta + e_t."""
         return _logs(np.max(np.abs(e.hat) / (self.eta + e.value), axis=-1), e.exp)
 
+    @np.errstate(divide="ignore", invalid="ignore")  # a zero mass gives inf or nan
     def _gap_block(self, Dv: np.ndarray, P: np.ndarray, E: Deviation) -> list[float]:
         """ln :meth:`bridge_gap` of one step's rows ``Dv`` = D_t, with
         ``P = alpha + Dv``, against each e_lag of the stack ``E``: one
@@ -418,8 +421,9 @@ class Deflation:
             c_hat, c_exp = const[pos]
             k = max(int(exp[pos]), c_exp)
             e_T = surv[plans[i].T]
-            num = np.ldexp(hat[pos] / self.eta, int(exp[pos]) - k) + math.ldexp(c_hat, c_exp - k)
-            out[i] = Deviation(k, num / (1.0 + e_T.value / self.eta))
+            with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan where eta is 0
+                num = np.ldexp(hat[pos] / self.eta, int(exp[pos]) - k) + math.ldexp(c_hat, c_exp - k)
+                out[i] = Deviation(k, num / (1.0 + e_T.value / self.eta))
         return out
 
     def plan_errors(self, f: np.ndarray, plans) -> list[tuple[float, float]]:

@@ -138,20 +138,24 @@ def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, int]:
     dtype = np.min_scalar_type(n + 1)
     k = min(16, (_TABLE_BYTES // (n * dtype.itemsize)).bit_length() - 1)
     shift, buckets = 53 - k, 1 << k
-    thr = np.ldexp(cum, 53)
-    np.ceil(thr, out=thr)
-    thr = np.minimum(thr, 2.0 ** 53, out=thr).astype(np.int64)
-    # a threshold counts from its own bucket on; that bucket is the sentinel's
-    # unless the threshold is its first hash; 2**53 falls in the extra column
-    split = (thr & ((1 << shift) - 1)) != 0
-    at = np.right_shift(thr, shift, out=thr)
-    # rows are nondecreasing, so row s is the counts 0 .. n in runs that end
-    # at its thresholds' buckets
-    runs = np.diff(at, axis=1, prepend=0, append=buckets + 1)
-    table = np.repeat(np.tile(np.arange(n + 1, dtype=dtype), n), runs.ravel())
-    at += np.arange(0, n * (buckets + 1), buckets + 1)[:, None]
-    table[at[split]] = n + 1
-    return table.reshape(n, buckets + 1)[:, :buckets].ravel(), k
+    table = np.empty((n, buckets), dtype)
+    rows = max(1, _TABLE_BYTES // (8 * (n + 2)))  # a block's int64 arrays fit the budget
+    for lo in range(0, n, rows):
+        thr = np.ldexp(cum[lo:lo + rows], 53)
+        np.ceil(thr, out=thr)
+        thr = np.minimum(thr, 2.0 ** 53, out=thr).astype(np.int64)
+        # a threshold counts from its own bucket on; that bucket is the sentinel's
+        # unless the threshold is its first hash; 2**53 falls in the extra column
+        split = (thr & ((1 << shift) - 1)) != 0
+        at = np.right_shift(thr, shift, out=thr)
+        # rows are nondecreasing, so row s is the counts 0 .. n in runs that end
+        # at its thresholds' buckets
+        runs = np.diff(at, axis=1, prepend=0, append=buckets + 1)
+        block = np.repeat(np.tile(np.arange(n + 1, dtype=dtype), len(at)), runs.ravel())
+        at += np.arange(0, len(at) * (buckets + 1), buckets + 1)[:, None]
+        block[at[split]] = n + 1
+        table[lo:lo + rows] = block.reshape(len(at), buckets + 1)[:, :buckets]
+    return table.ravel(), k
 
 
 def _advance_block(cum: np.ndarray, table: np.ndarray, k: int, lo: int, hi: int,

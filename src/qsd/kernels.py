@@ -19,6 +19,7 @@ inputs, so values are safe to share across threads.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -353,74 +354,110 @@ def write_kernel(K: SubStochasticKernel, path) -> None:
             fh.write(row_format % tuple(row.tolist()))
 
 
-def read_kernel(path, raw: list[str] | None = None) -> SubStochasticKernel:
+_BLOCK_CHARS = 2**20  # text a kernel read takes at once, like deflation.CHUNK_BYTES
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines cuts
+
+
+class _Forward(io.RawIOBase):
+    """The binary file ``fh`` read forward only, so a text wrapper keeps no
+    snapshot of its chunks; every byte read is hashed into ``digest``, if given."""
+
+    def __init__(self, fh, digest=None):
+        self.fh, self.digest, self.tell = fh, digest, fh.tell
+
+    def readable(self):
+        return True
+
+    def read(self, size=-1):
+        data = self.fh.read(size)
+        if self.digest:
+            self.digest.update(data)
+        return data
+
+
+def read_kernel(path, lines=None) -> SubStochasticKernel:
     """Parse the plain-text kernel format; rejects NaN and negative entries.
 
-    ``raw`` is the file's text cut by ``str.splitlines``, for a caller that
-    has read the file already; by default the file is read here.  The body
-    is parsed in one C pass (``np.loadtxt``) over the same non-blank lines
-    the header check counted.  When that pass raises, finds another shape
-    than n x n, or meets a NaN or negative entry, the lines are parsed
-    again one at a time, and the first bad one names itself.
+    ``lines`` is the file open in text mode; by default it is opened here.
+    The text is read ``_BLOCK_CHARS`` at a time and cut in C as
+    ``str.splitlines`` cuts the whole text, so a read holds the rows parsed
+    so far and one block.  Each block's non-blank lines go through one C
+    pass (``np.loadtxt``); a block it refuses, or with another width than n,
+    a NaN or a negative entry, is parsed again line by line.  Errors come in
+    a whole-file read's order: header, row count, first bad line, then the
+    constructor's checks.
     """
-    if raw is None:
-        with open(path) as fh:
-            raw = fh.read().splitlines()
-    lines = [(i + 1, s) for i, s in enumerate(raw) if s.strip()]
-    if not lines:
+    if lines is None:
+        with open(path, "rb", buffering=0) as fh:  # decoded as open(path) decodes
+            return read_kernel(path, io.TextIOWrapper(_Forward(fh)))
+    n, found, parts, bad, base, carry, more = None, 0, [], None, 0, "", True
+    while more:
+        try:
+            block = lines.read(_BLOCK_CHARS)
+        except UnicodeDecodeError as exc:  # placed in the file, as a whole-file decode does
+            at = lines.buffer.tell() - len(exc.object)
+            raise UnicodeDecodeError(exc.encoding, bytes(at) + exc.object, at + exc.start,
+                                     at + exc.end, exc.reason) from None
+        more = len(block) == _BLOCK_CHARS  # a text read comes back short only at the end
+        pieces = block.splitlines() or [""]
+        pieces[0] = carry + pieces[0]  # the line the last block ended in
+        carry = pieces.pop() if more and block[-1] not in _BREAKS else ""
+        rows = list(filter(str.strip, pieces))  # the non-blank lines
+        head = n is None and len(rows) > 0  # the block holds the header
+        if head:  # every line before it is blank
+            lineno, tok = base + 1 + pieces.index(rows[0]), rows.pop(0).split()
+            if len(tok) != 4 or tok[0] != "n" or tok[2] != "time_unit":
+                raise ValueError(f"{path}:{lineno}: expected 'n <int> time_unit <float>'")
+            try:
+                n, time_unit = int(tok[1]), float(tok[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad header values: {exc}") from None
+            if n <= 0:
+                raise ValueError(f"{path}:{lineno}: n must be positive")
+            if not (time_unit > 0 and math.isfinite(time_unit)):
+                raise ValueError(f"{path}:{lineno}: time_unit must be a positive real")
+        if rows and bad is None and found + len(rows) <= n:
+            try:
+                entries = np.loadtxt(rows, comments=None, ndmin=2, max_rows=len(rows))
+            except ValueError:
+                entries = None
+            if entries is None or entries.shape != (len(rows), n) or not (entries >= 0.0).all():
+                numbered = [(base + i, s) for i, s in enumerate(pieces, 1) if s.strip()]
+                try:
+                    entries = _parse_rows(path, n, numbered[head:])
+                except ValueError as exc:  # reported after the row count
+                    bad = exc
+            parts.append(entries)
+        found += len(rows)
+        base += len(pieces)
+        del block, pieces, rows  # one block of text is alive at a time
+    if n is None:
         raise ValueError(f"{path}: empty kernel file")
-    lineno, header = lines[0]
-    tok = header.split()
-    if len(tok) != 4 or tok[0] != "n" or tok[2] != "time_unit":
-        raise ValueError(f"{path}:{lineno}: expected 'n <int> time_unit <float>'")
-    try:
-        n = int(tok[1])
-        time_unit = float(tok[3])
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: bad header values: {exc}") from None
-    if n <= 0:
-        raise ValueError(f"{path}:{lineno}: n must be positive")
-    if not (time_unit > 0 and math.isfinite(time_unit)):
-        raise ValueError(f"{path}:{lineno}: time_unit must be a positive real")
-    if len(lines) - 1 != n:
-        raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    try:
-        entries = np.loadtxt([s for _, s in lines[1:]], comments=None, ndmin=2, max_rows=n)
-    except ValueError:
-        entries = None
-    if entries is None or entries.shape != (n, n) or not (entries >= 0.0).all():
-        entries = _parse_rows(path, n, lines[1:])
+    if found != n:
+        raise ValueError(f"{path}: expected {n} rows, found {found}")
+    if bad is not None:
+        raise bad
+    entries = parts.pop() if len(parts) == 1 else np.concatenate(parts)
+    del parts  # before the constructor copies the matrix
     return SubStochasticKernel(entries, time_unit=time_unit)
 
 
 def _parse_rows(path, n: int, lines) -> np.ndarray:
-    """The kernel body line by line; raises at the first bad line."""
-    entries = np.empty((n, n))
-    for r, (lineno, s) in enumerate(lines):
+    """Kernel rows token by token, as Python's ``float`` reads them; raises
+    at the first bad line, before any n-wide row is allocated."""
+    rows = []
+    for lineno, s in lines:
         parts = s.split()
         if len(parts) != n:
             raise ValueError(f"{path}:{lineno}: expected {n} entries, found {len(parts)}")
-        try:
-            row = np.array(parts, dtype=float)
-        except ValueError:
-            row = None
-        if row is None or not (row >= 0.0).all():  # a bad token, NaN or a negative entry
-            row = _parse_tokens(path, lineno, parts)
-        entries[r] = row
-    return entries
-
-
-def _parse_tokens(path, lineno: int, parts: list[str]) -> list[float]:
-    """One kernel row token by token; raises at the first bad token."""
-    row = []
-    for p in parts:
-        try:
-            v = float(p)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: not a number: {p!r}") from None
-        if math.isnan(v):
-            raise ValueError(f"{path}:{lineno}: NaN entry")
-        if v < 0:
-            raise ValueError(f"{path}:{lineno}: negative entry {p!r}")
-        row.append(v)
-    return row
+        rows.append(row := [])
+        for p in parts:
+            try:
+                row.append(v := float(p))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {p!r}") from None
+            if math.isnan(v):
+                raise ValueError(f"{path}:{lineno}: NaN entry")
+            if v < 0:
+                raise ValueError(f"{path}:{lineno}: negative entry {p!r}")
+    return np.array(rows)

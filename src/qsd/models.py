@@ -135,12 +135,15 @@ def random_substochastic(
         raise ValueError("n must be >= 1")
     if not 0 < min_absorb < 1 or not 0 < min_row_sum < 1 - min_absorb:
         raise ValueError("need 0 < min_row_sum < 1 - min_absorb < 1")
-    raw = 0.1 + 0.9 * uniform_field(derive_key(seed, 1), n, n)
+    raw = uniform_field(derive_key(seed, 1), n, n)
+    raw *= 0.9
+    raw += 0.1
     sums = min_row_sum + (1.0 - min_absorb - min_row_sum) * counter_uniforms(
         derive_key(seed, 2), np.arange(n), 0
     )
-    entries = raw / raw.sum(axis=1, keepdims=True) * sums[:, None]
-    return SubStochasticKernel(entries)
+    raw /= raw.sum(axis=1, keepdims=True)  # scaled and normalized in place
+    raw *= sums[:, None]
+    return SubStochasticKernel(raw)
 
 
 def linear_bd_truncated(n: int, birth: float = 0.5, death: float = 0.55) -> SubStochasticKernel:

@@ -85,7 +85,8 @@ def uniform_field(key: int, rows: int, cols: int) -> np.ndarray:
     """A (rows, cols) matrix of uniforms keyed by (key, row, col).
 
     Row i is ``counter_uniforms(derive_key(key, i), np.arange(cols), 0)``;
-    all rows are hashed at once.
+    all rows are hashed at once, in place (step 0's xor is the identity).
     """
     row_keys = mix64(trajectory_keys(key, np.arange(rows)))  # mix64(derive_key(key, i))
-    return step_uniforms(mix64(row_keys[:, None] ^ np.arange(cols, dtype=np.uint64)), 0)
+    h = mix64(mix64(row_keys[:, None] ^ np.arange(cols, dtype=np.uint64)))
+    return np.right_shift(h, np.uint64(11), out=h) * _INV53

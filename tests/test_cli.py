@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,19 @@ class TestVerifySubcommand:
             assert lines[-1].startswith("# name=")
 
 
+    def test_config_decode_error_names_its_file_position(self, tmp_path, capsys):
+        # past the first 8 KB, as a whole-file decode gives it
+        data = b"kind w3\n" + b"# pad\n" * 3000 + b"# \xff\n"
+        cfg = tmp_path / "m.cfg"
+        cfg.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode()
+        with pytest.raises(ValueError) as got:
+            parse_model_config(str(cfg))
+        assert str(got.value) == str(exc.value)
+        assert main(["model", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
     def test_one_step_mixing_kernel(self, tmp_path):
         # rank one, eta = (1, 1): every conditioned series is exactly 0 from t = 1
         kf = tmp_path / "r1.txt"
@@ -232,11 +246,13 @@ class TestVerifySubcommand:
 
     def test_vacuous_envelope_not_certified(self, tmp_path, capsys):
         # bd200's eta collapses in scale: eta_bound's constant is inf or its
-        # rate nan, depending on the BLAS, and either certifies nothing
+        # rate nan, depending on the BLAS, and either certifies nothing; the
+        # inf and nan come without a numpy warning beside the diagnostics
         kf = tmp_path / "bd200.txt"
         write_kernel(models.birth_death(200, birth=0.3), kf)
         out = tmp_path / "v"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["verify", "--kernel", str(kf), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err.splitlines()
@@ -244,6 +260,28 @@ class TestVerifySubcommand:
         constant, rate = (trailer.split(f" {key}=")[1].split()[0] for key in ("constant", "rate"))
         assert f"vacuous envelope: eta_bound constant={constant} rate={rate}" in err
         assert not (math.isfinite(float(constant)) and float(rate) > 0)
+
+    def test_bd200_ergodic_stderr_is_the_diagnostic_alone(self, tmp_path):
+        # with one BLAS thread, bd200's plan deviations divide by an eta that
+        # underflowed to 0: the envelope fails to validate, and stderr holds
+        # that one line, no numpy warning (a warning would be an error here)
+        kf = tmp_path / "bd200.txt"
+        write_kernel(models.birth_death(200, birth=0.3), kf)
+        f = ",".join(repr((x % 3) / 2) for x in range(200))
+        script = (
+            "import sys, warnings\n"
+            "from qsd.cli import main\n"
+            "warnings.simplefilter('error')\n"
+            f"sys.exit(main(['ergodic', '--kernel', {str(kf)!r}, '--out', {str(tmp_path / 'o')!r},\n"
+            f"               '--f', {f!r}, '--T-grid', '10:200:10']))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (
+            3, "bound violated on validation grid: ergodic_theorem\n")
 
     def test_single_state_kernel_certified(self, tmp_path, capsys):
         # [[0.5]] mixes exactly: constant 0 and rate inf are a real certificate

@@ -287,6 +287,18 @@ class TestSimulate:
             want = (cum[states] <= hash_uniforms(h)[:, None]).sum(axis=1)
             np.testing.assert_array_equal(_indexed_next_states(cum, table, k, states, h), want)
 
+    def test_table_built_in_bounded_memory(self):
+        # rows go through in blocks: at rs1000 the table is 0.98 MiB from a
+        # 7.6 MiB cum, and a whole-matrix build peaked at 24.8 MiB
+        cum = np.cumsum(models.random_substochastic(1000, 7).entries, axis=1)
+        tracemalloc.start()
+        try:
+            table, _ = _guide_table(cum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 6 * _TABLE_BYTES
+
     @pytest.mark.parametrize("n", [1, 3, 64, 128, 129, 181, 200, 255, 300, 1000])
     def test_table_bytes_bounded(self, n):
         cum = np.cumsum(np.full((n, n), 0.9 / n), axis=1)

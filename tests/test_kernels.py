@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -398,8 +400,31 @@ class TestKernelFile:
 
 def _token_parse(path):
     """The body of a kernel file, one Python ``float`` per token."""
-    lines = [s for s in open(path).read().splitlines() if s.strip()][1:]
+    with open(path) as fh:
+        lines = [s for s in fh.read().splitlines() if s.strip()][1:]
     return np.array([[float(tok) for tok in s.split()] for s in lines])
+
+
+_WIDE = 450  # rows of 450 tokens of 0.001: 1.2 MB of text, two read blocks
+_WIDE_ROW = " ".join(["0.001"] * _WIDE)
+
+
+def _wide_text(rows=_WIDE, bad_row=None, sep="\n"):
+    """A kernel file longer than one read block; row ``bad_row`` (from 0,
+    on line ``bad_row + 2``) ends in the token 'x'."""
+    body = [_WIDE_ROW] * rows
+    if bad_row is not None:
+        body[bad_row] = _WIDE_ROW[:-5] + "x"
+    return sep.join([f"n {_WIDE} time_unit 1"] + body) + sep
+
+
+def _decode_error(data: bytes) -> str:
+    """The message of a whole-file decode of ``data``."""
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    raise AssertionError("data decodes")
 
 
 _PARSE_KERNELS = {
@@ -450,6 +475,29 @@ class TestOnePassParse:
                       "{path}: expected 2 rows, found 3"),
         "form_feed": ("n 2 time_unit 1\n0.1\f0.2\n0.2 0.3\n", "{path}: expected 2 rows, found 3"),
         "infinite": ("n 2 time_unit 1\ninf 0.2\n0.2 0.3\n", "kernel has non-finite entries"),
+        "cr_only": ("n 2 time_unit 1\r0.1 0.2\r0.2 0.3 0.4\r", "{path}:3: expected 2 entries, found 3"),
+        "nel": ("n 2 time_unit 1\n0.1 0.2\x85nan 0.3\n", "{path}:3: NaN entry"),
+        "line_separator": ("n 2 time_unit 1\n0.1\u20280.2\n0.2 0.3\n",
+                           "{path}: expected 2 rows, found 3"),
+        "no_final_newline": ("n 2 time_unit 1\n0.1 0.2\n0.2 -0.3", "{path}:3: negative entry '-0.3'"),
+        "bad_utf8": (b"n 2 time_unit 1\n0.1 0.2\n0.2 \xff\n",
+                     "'utf-8' codec can't decode byte 0xff in position 28: invalid start byte"),
+        "bad_utf8_bad_header": (b"n 2 time_unit\n0.1 0.2\n0.2 \xff\n",
+                                "'utf-8' codec can't decode byte 0xff in position 26: invalid start byte"),
+        "huge_n": ("n 1000000000000 time_unit 1\n0.1 0.2\n",
+                   "{path}: expected 1000000000000 rows, found 1"),
+        # bodies longer than one read block
+        "wide_bad_token": (_wide_text(bad_row=400), "{path}:402: not a number: 'x'"),
+        "wide_bad_token_extra_row": (_wide_text(rows=_WIDE + 1, bad_row=400),
+                                     "{path}: expected 450 rows, found 451"),
+        "wide_early_bad_token_extra_row": (_wide_text(rows=_WIDE + 1, bad_row=3),
+                                           "{path}: expected 450 rows, found 451"),
+        "wide_bad_token_crlf_nel": (_wide_text(bad_row=300, sep="\r\n\x85"),
+                                    "{path}:603: not a number: 'x'"),
+        "wide_bad_utf8": (_wide_text().encode()[:-9] + b"\xff\n",
+                          _decode_error(_wide_text().encode()[:-9] + b"\xff\n")),
+        "wide_truncated_utf8": (_wide_text().encode() + b"\xe2\x82",
+                                _decode_error(_wide_text().encode() + b"\xe2\x82")),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -458,7 +506,7 @@ class TestOnePassParse:
 
         text, message = self.MALFORMED[case]
         p = tmp_path / "k.txt"
-        p.write_bytes(text.encode())
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ValueError) as exc:
             read_kernel(p)
         assert str(exc.value) == message.format(path=p)
@@ -471,8 +519,39 @@ class TestOnePassParse:
         "n 2 time_unit 1\n0.1 0.2\f\n0.2 0.3\n",  # a form feed that leaves a blank line
         "n 2 time_unit 1\n0.1_5 0.1\n0.2 0.3\n",  # an underscore Python's float takes
         "n 2 time_unit 1\n０.1 0.2\n0.2 0.3\n",  # a full-width digit
-    ], ids=["blank_lines", "tabs_crlf", "form_feed_blank", "underscore", "full_width"])
+        "n 2 time_unit 1\r0.1 0.2\r\r0.2 0.3\r",  # CR-only line ends
+        "n 2 time_unit 1\x850.1 0.2\u20280.2 0.3\u2029",  # NEL and Unicode separators
+        "n 2 time_unit 1\n0.1 0.2\n0.2 0.3",  # no final newline
+        _wide_text(sep="\r\n"),  # CRLF across read blocks
+        _wide_text(sep="\u2028\n"),  # a blank line after each row, over two blocks
+        "\n" * (2**20 + 3) + "n 2 time_unit 1\n0.1 0.2\n0.2 0.3",  # the header in block two
+    ], ids=["blank_lines", "tabs_crlf", "form_feed_blank", "underscore", "full_width", "cr_only",
+            "nel_separators", "no_final_newline", "wide_crlf", "wide_separators", "late_header"])
     def test_odd_but_accepted_file_keeps_token_bits(self, text, tmp_path):
+        from qsd import cli
+
         p = tmp_path / "k.txt"
         p.write_bytes(text.encode())
         assert read_kernel(p).entries.tobytes() == _token_parse(p).tobytes()
+        K, digest = cli._load_kernel(argparse.Namespace(kernel=str(p)))
+        assert K.entries.tobytes() == _token_parse(p).tobytes()
+        assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+
+    def test_read_holds_the_matrix_twice_and_one_block(self, tmp_path):
+        # a read takes the 5.3 MB of rs500 text a block at a time: its peak
+        # is the constructor's two copies of the 1.9 MiB matrix, and near
+        # them one block of text (a whole-file read peaked at 10.6 MiB)
+        from qsd import cli
+
+        n = 500
+        p = tmp_path / "k.txt"
+        write_kernel(models.random_substochastic(n, 7), p)
+        for read in (lambda: read_kernel(p),
+                     lambda: cli._load_kernel(argparse.Namespace(kernel=str(p)))):
+            tracemalloc.start()
+            try:
+                read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * 8 * n * n + 2 * 2**20

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,32 @@ class TestRandomSubstochastic:
     def test_rejects_bad_band(self):
         with pytest.raises(ValueError):
             random_substochastic(4, seed=1, min_absorb=0.7, min_row_sum=0.5)
+
+    @pytest.mark.parametrize("n, seed, digest", [
+        (1, 5, "0e1b46e29ba61d8b089a05f280ed33d8bf61089085b4bf3e2fd120551e1df05c"),
+        (8, 3, "d9fd8bf0b4711bbc2b265b1aecb6589a199d58ffba2089a9103849c253d93d8a"),
+        (37, 2, "15a5ed8dbe5e003abdf0689576694cf05268d84e54cd8345cb67b1a509b34de9"),
+        (64, 5, "b9cf812118c7b09987110b7a2298ed81f37538f51246674977d70e5988f96599"),
+        (500, 7, "85227babd22444d6053d0c11441cf1a0b78115b2c6108904ca8989e11f1a7345"),
+        (1000, 7, "e47324370c3aaeb92fdef643007a643239ef866691f43005ae908c5972b5d1c6"),
+    ])
+    def test_entry_bits_pinned(self, n, seed, digest):
+        # recorded from the out-of-place build, before it scaled and
+        # normalized one array in place
+        entries = random_substochastic(n, seed).entries
+        assert hashlib.sha256(entries.tobytes()).hexdigest() == digest
+
+    def test_build_holds_the_matrix_about_twice(self):
+        # the field, scaled and normalized in place, and the constructor's
+        # copy; at n = 500 an out-of-place build peaked at 4 matrices
+        n = 500
+        tracemalloc.start()
+        try:
+            random_substochastic(n, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n
 
 
 class TestContinuousKinds:
