@@ -8,19 +8,13 @@ Monte Carlo estimation, and empirical certificates for the exponential
 convergence bounds tying all of these together.
 """
 
-from .converse import (
-    ContractionReport,
-    HypothesisReport,
-    certify_converse,
-    hypothesis_check,
-)
+from .converse import ContractionReport, certify_converse
 from .deflation import Deflation
 from .ergodic import (
     SamplingPlan,
     conditional_functional,
     optimal_t0,
     verify_ergodic_theorem,
-    verify_general_bound,
 )
 from .estimator import (
     ExtinctionError,
@@ -53,11 +47,8 @@ from .qprocess import (
 )
 from .spectral import (
     DecayFit,
-    MinorizationCert,
-    MinorizationRefused,
     PowerIterationError,
     SpectralTriple,
-    certify_minorization,
     compute_spectral,
     conditioned_tv_rate,
     fit_decay,

@@ -22,14 +22,9 @@ import numpy as np
 from .deflation import Deflation
 from .kernels import HorizonTooLarge, SubStochasticKernel, _backward, _forward, _max_pair_tv
 from .qprocess import build_q_kernel
-from .spectral import compute_spectral, fit_decay
+from .spectral import compute_spectral
 
-__all__ = [
-    "ContractionReport",
-    "HypothesisReport",
-    "certify_converse",
-    "hypothesis_check",
-]
+__all__ = ["ContractionReport", "certify_converse"]
 
 
 @dataclass
@@ -135,66 +130,3 @@ def certify_converse(
         v <= report.envelope(T) * (1.0 + 1e-9) for T, v in decay_curve
     )
     return report
-
-
-@dataclass
-class HypothesisReport:
-    """Decay curves behind the converse certification's two hypotheses.
-
-    ``marginal_curve``: per horizon T, the worst TV distance (over states
-    and probed lags) between the conditioned-forever marginal and the
-    bridge marginal.  ``coupling_curve``: per lag t, the worst pair TV
-    distance between conditioned-forever marginals.  Both must vanish for
-    the converse machinery to apply; fitted rates are reported when the
-    curves carry signal.
-    """
-
-    marginal_curve: list
-    coupling_curve: list
-    marginal_decays: bool
-    coupling_decays: bool
-    marginal_rate: float | None = None
-    coupling_rate: float | None = None
-
-
-def hypothesis_check(core: Deflation, t_grid, T_grid) -> HypothesisReport:
-    """Evaluate the two decay curves the converse certification rests on.
-
-    The marginal curve at horizon T takes the supremum over probed lags
-    t <= T (so ``t_grid`` should stay well below the horizons in
-    ``T_grid``); the coupling curve is indexed by the lag alone.  Both
-    come from one walk of the deflated rows D_t and are flagged if they
-    fail to decay.
-    """
-    ts = sorted({int(t) for t in t_grid})
-    Ts = sorted({int(T) for T in T_grid})
-    if not ts or not Ts or ts[0] < 1 or Ts[0] < 1:
-        raise ValueError("grids must contain integers >= 1")
-    walked = core.bridge_gaps([(t, T) for t in ts for T in Ts if t <= T], pair_ts=ts)
-    coupling_curve = [(t, math.exp(walked[t])) for t in ts]
-    marginal_curve = [(T, math.exp(max((walked[(t, T)] for t in ts if t <= T),
-                                       default=-math.inf)))
-                      for T in Ts]
-
-    def decays(curve):
-        head = curve[0][1]
-        tail = curve[-1][1]
-        return tail == 0.0 or tail <= 0.5 * head
-
-    def rate(curve):
-        pos = [(t, v) for t, v in curve if v > 0]
-        if len(pos) < 3:
-            return None
-        try:
-            return fit_decay(pos).gamma
-        except ValueError:
-            return None
-
-    return HypothesisReport(
-        marginal_curve=marginal_curve,
-        coupling_curve=coupling_curve,
-        marginal_decays=decays(marginal_curve),
-        coupling_decays=decays(coupling_curve),
-        marginal_rate=rate(marginal_curve),
-        coupling_rate=rate(coupling_curve),
-    )

@@ -126,11 +126,6 @@ def _log_half_l1(exps: np.ndarray, rows: np.ndarray) -> list[float]:
     return _logs(0.5 * np.abs(rows).sum(axis=-1).max(axis=-1), exps)
 
 
-def _log_pair_half_l1(exps: np.ndarray, rows: np.ndarray) -> list[float]:
-    """Per step, ln of the largest half-L1 distance between two rows of ``rows * 2**exp``."""
-    return _logs(_max_pair_tv(rows), exps)
-
-
 def _refine_triple(K: np.ndarray, triple):
     """(alpha, rho, eta) refined by up to three steps of inverse iteration
     with a Rayleigh shift.
@@ -265,17 +260,12 @@ class Deflation:
     @_per_step(2)
     def conditioned_pair_tv(self, D: Deviation):
         """ln sup_{x,y} TV between the conditioned laws from x and from y."""
-        return _log_pair_half_l1(D.exp, self._conditioned(D))
+        return _logs(_max_pair_tv(self._conditioned(D)), D.exp)
 
     @_per_step(2)
     def q_tv(self, D: Deviation):
         """ln sup_x TV(Q^t(x, .), beta); Q^t(x, .) - beta = D_t[x] * eta."""
         return _log_half_l1(D.exp, D.hat * self.eta)
-
-    @_per_step(2)
-    def q_pair_tv(self, D: Deviation):
-        """ln sup_{x,y} TV(Q^t(x, .), Q^t(y, .))."""
-        return _log_pair_half_l1(D.exp, D.hat * self.eta)
 
     @_per_step(1)
     @np.errstate(divide="ignore")  # where eta_t underflowed to 0 the defect is inf
@@ -309,15 +299,14 @@ class Deflation:
         Dv = D.value
         return self._gap_block(Dv, self.alpha + Dv, Deviation(np.array([e.exp]), e.hat[None]))[0]
 
-    def bridge_gaps(self, pairs, pair_ts=()) -> dict:
+    def bridge_gaps(self, pairs) -> dict:
         """:meth:`bridge_gap` per (t, T) pair, keyed by the pair, from one walk
         of D_t.
 
         The gaps of all lags at one t are batched, :data:`CHUNK_BYTES` of
         n x n blocks at a time, against the core's survival walk.  At t = 0
         both laws are the point mass at the start, so those pairs are
-        exactly 0 (-inf).  With ``pair_ts`` the same walk also gives
-        :meth:`q_pair_tv` at each of those t, keyed by t.
+        exactly 0 (-inf).
         """
         by_t = defaultdict(list)
         for t, T in pairs:
@@ -325,14 +314,9 @@ class Deflation:
         surv = self.survivals(max((T - t for t, T in pairs), default=0))
         size = _chunk(len(self.eta))
         out = {(0, T): -math.inf for T in by_t.pop(0, ())}  # at t = 0 the lag is T
-        pair_ts = set(pair_ts)
-        for ts, D in self.blocks(set(by_t) | pair_ts):
-            at = [k for k, t in enumerate(ts) if t in pair_ts]
-            if at:
-                out.update(zip([ts[k] for k in at],
-                               self.q_pair_tv(Deviation(D.exp[at], D.hat[at]))))
+        for ts, D in self.blocks(by_t):
             for k, t in enumerate(ts):
-                lags = by_t.get(t, [])
+                lags = by_t[t]
                 Dv = np.ldexp(D.hat[k], int(D.exp[k]))
                 P = self.alpha + Dv
                 for i in range(0, len(lags), size):

@@ -26,7 +26,6 @@ __all__ = [
     "optimal_t0",
     "plan_envelope",
     "verify_ergodic_theorem",
-    "verify_general_bound",
 ]
 
 
@@ -111,60 +110,6 @@ def optimal_t0(gamma: float, gamma_prime: float, T: int) -> int:
         raise ValueError("rates must be positive")
     t0 = gamma * T / (gamma + gamma_prime)
     return min(max(int(math.floor(t0 + 0.5)), 0), T)
-
-
-def verify_general_bound(
-    core: Deflation,
-    reports,
-    f,
-    fit_plans,
-    validation_plans,
-) -> BoundReport:
-    """Envelope constant a3 for plan-averaged conditional expectations.
-
-    Checks sup_x |E_x(f against plan | survival past T) - beta(f)| against
-    a3 ||f||_inf * sum_atoms w (e^(-gamma' t) + e^(-gamma (T-t))), with the
-    rates taken from the supplied (eta-bound, mixing) report pair.  The
-    constant is fitted on ``fit_plans`` and validated on
-    ``validation_plans``.
-
-    Both the expectation and the reference beta(f) come from the deflated
-    propagation of :mod:`qsd.deflation`, with the same refined spectral
-    pair: the point of the report is the conditioning error alone, which
-    on a deep grid sits far below the double-precision spectral residual.
-    """
-    eta_report, mixing_report = reports
-    gamma = eta_report.rate
-    gamma_prime = mixing_report.rate
-    f = _test_vector(core, f)
-    fit_plans = list(fit_plans)
-    validation_plans = list(validation_plans)
-    if not fit_plans or not validation_plans:
-        raise ValueError("need both fit and validation plans")
-    f_inf = float(np.max(np.abs(f)))
-
-    plans = fit_plans + validation_plans
-    observed = core.plan_errors(f, plans)
-
-    details = {"gamma": gamma, "gamma_prime": gamma_prime}
-    fit_Ts = [p.T for p in fit_plans]
-    rate = min(gamma, gamma_prime)
-
-    if not (math.isfinite(gamma) and math.isfinite(gamma_prime)):
-        rows = [(_plan_time(p), p.T, obs, 0.0, 0.0) for p, (obs, _) in zip(plans, observed)]
-        return BoundReport("general_bound", constant=0.0, rate=rate, grid=fit_Ts,
-                           max_violation=0.0, rows=rows, details=details)
-
-    points = [(i, _plan_time(p), p.T, obs, v,
-               _log(f_inf * plan_envelope(gamma, gamma_prime, p)))
-              for i, (p, (obs, v)) in enumerate(zip(plans, observed))]
-    n_fit = len(fit_plans)
-    return _fit_validate("general_bound", rate, fit_Ts, points, set(range(n_fit)),
-                         set(range(n_fit, len(plans))), details)
-
-
-def _plan_time(plan: SamplingPlan):
-    return plan.atoms[0][0] if plan.kind == "dirac" else None
 
 
 def verify_ergodic_theorem(core: Deflation, f, T_grid) -> BoundReport:

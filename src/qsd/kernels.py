@@ -3,13 +3,14 @@
 A chain on survivor states E = {0..n-1} plus one absorbing cemetery state
 is represented by its killed transition matrix: the n-by-n block of
 transition probabilities among survivors.  Row deficits (1 - row sum) are
-the per-step absorption probabilities.  All long-horizon products go
-through one stepwise core: a forward pass of renormalized rows and a
-backward pass of rescaled survival vectors, each renormalized at every
-step, so horizons in the thousands never underflow.  A bridge law (the
-law of X_t given survival past T) is a forward row reweighted by the
-survival vector at lag T - t; the contraction search in ``converse``
-forms it that way.
+the per-step absorption probabilities.  The bound reports propagate
+deviations in deflated form (:mod:`qsd.deflation`).  Two stepwise passes
+serve the rest: a forward pass of renormalized rows and a backward pass of
+rescaled survival vectors, each renormalized at every step, so horizons in
+the thousands never underflow.  :func:`conditioned_evolve` reads the
+forward pass, and the bridge search of ``converse.certify_converse`` both:
+a bridge law (the law of X_t given survival past T) is a forward row
+reweighted by the survival vector at lag T - t.
 
 Distributions over survivor states are plain 1-D numpy arrays; use
 :func:`as_distribution` to validate one.  Kernel and generator entries are
@@ -384,20 +385,15 @@ def read_kernel(path, lines=None) -> SubStochasticKernel:
     so far and one block.  Each block's non-blank lines go through one C
     pass (``np.loadtxt``); a block it refuses, or with another width than n,
     a NaN or a negative entry, is parsed again line by line.  Errors come in
-    a whole-file read's order: header, row count, first bad line, then the
-    constructor's checks.
+    a whole-file read's order: a decode error anywhere in the file, the
+    header, row count, first bad line, then the constructor's checks.
     """
     if lines is None:
         with open(path, "rb", buffering=0) as fh:  # decoded as open(path) decodes
             return read_kernel(path, io.TextIOWrapper(_Forward(fh)))
     n, found, parts, bad, base, carry, more = None, 0, [], None, 0, "", True
     while more:
-        try:
-            block = lines.read(_BLOCK_CHARS)
-        except UnicodeDecodeError as exc:  # placed in the file, as a whole-file decode does
-            at = lines.buffer.tell() - len(exc.object)
-            raise UnicodeDecodeError(exc.encoding, bytes(at) + exc.object, at + exc.start,
-                                     at + exc.end, exc.reason) from None
+        block = _read_block(lines)
         more = len(block) == _BLOCK_CHARS  # a text read comes back short only at the end
         pieces = block.splitlines() or [""]
         pieces[0] = carry + pieces[0]  # the line the last block ended in
@@ -406,16 +402,12 @@ def read_kernel(path, lines=None) -> SubStochasticKernel:
         head = n is None and len(rows) > 0  # the block holds the header
         if head:  # every line before it is blank
             lineno, tok = base + 1 + pieces.index(rows[0]), rows.pop(0).split()
-            if len(tok) != 4 or tok[0] != "n" or tok[2] != "time_unit":
-                raise ValueError(f"{path}:{lineno}: expected 'n <int> time_unit <float>'")
             try:
-                n, time_unit = int(tok[1]), float(tok[3])
+                n, time_unit = _header(tok)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad header values: {exc}") from None
-            if n <= 0:
-                raise ValueError(f"{path}:{lineno}: n must be positive")
-            if not (time_unit > 0 and math.isfinite(time_unit)):
-                raise ValueError(f"{path}:{lineno}: time_unit must be a positive real")
+                while more:  # a decode error further on comes first, as in a whole-file read
+                    more = len(_read_block(lines)) == _BLOCK_CHARS
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         if rows and bad is None and found + len(rows) <= n:
             try:
                 entries = np.loadtxt(rows, comments=None, ndmin=2, max_rows=len(rows))
@@ -440,6 +432,32 @@ def read_kernel(path, lines=None) -> SubStochasticKernel:
     entries = parts.pop() if len(parts) == 1 else np.concatenate(parts)
     del parts  # before the constructor copies the matrix
     return SubStochasticKernel(entries, time_unit=time_unit)
+
+
+def _read_block(lines) -> str:
+    """The next ``_BLOCK_CHARS`` of the text ``lines``; a decode error is
+    placed in the file, as a whole-file decode places it."""
+    try:
+        return lines.read(_BLOCK_CHARS)
+    except UnicodeDecodeError as exc:
+        at = lines.buffer.tell() - len(exc.object)
+        raise UnicodeDecodeError(exc.encoding, bytes(at) + exc.object, at + exc.start,
+                                 at + exc.end, exc.reason) from None
+
+
+def _header(tok) -> tuple[int, float]:
+    """(n, time_unit) from the tokens of the header line."""
+    if len(tok) != 4 or tok[0] != "n" or tok[2] != "time_unit":
+        raise ValueError("expected 'n <int> time_unit <float>'")
+    try:
+        n, time_unit = int(tok[1]), float(tok[3])
+    except ValueError as exc:
+        raise ValueError(f"bad header values: {exc}") from None
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if not (time_unit > 0 and math.isfinite(time_unit)):
+        raise ValueError("time_unit must be a positive real")
+    return n, time_unit
 
 
 def _parse_rows(path, n: int, lines) -> np.ndarray:

@@ -6,9 +6,8 @@ capacity eta (right Perron vector, scaled so alpha . eta = 1), and the
 tilted measure beta = eta * alpha, which is the invariant law of the
 chain conditioned to survive forever.
 
-Also certifies the one-shot minorization / survival-comparison condition
-(nu, c1, c2) and provides the log-linear decay fitter used by every
-convergence report.
+Also fits the log-linear decay rates (:func:`fit_decay`,
+:func:`conditioned_tv_rate`) that the convergence reports use.
 """
 
 from __future__ import annotations
@@ -18,22 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    Distribution,
-    SubStochasticKernel,
-    _backward,
-    _eigen_residual,
-    _forward,
-    _shifted_solve,
-)
+from .kernels import Distribution, SubStochasticKernel, _eigen_residual, _shifted_solve
 
 __all__ = [
     "DecayFit",
-    "MinorizationCert",
-    "MinorizationRefused",
     "PowerIterationError",
     "SpectralTriple",
-    "certify_minorization",
     "compute_spectral",
     "fit_decay",
     "fit_log_decay",
@@ -46,10 +35,6 @@ class PowerIterationError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-class MinorizationRefused(RuntimeError):
-    """The minorization condition could not be certified at any probed t0."""
 
 
 @dataclass(frozen=True)
@@ -199,109 +184,6 @@ def compute_spectral(
     beta = a * eta
     return SpectralTriple(alpha=a, rho=rho, eta=eta, beta=beta, residual=residual,
                           iterations=steps, power_steps=power_steps)
-
-
-@dataclass(frozen=True)
-class MinorizationCert:
-    """Certified constants for the one-shot minorization condition.
-
-    Every conditioned t0-step law dominates c1 * nu, and nu's survival
-    probability dominates c2 times any state's, over the probed horizon
-    with an eigenvector-sandwich tail bound beyond it.
-    """
-
-    t0: int
-    nu: Distribution
-    c1: float
-    c2: float
-    horizon: int
-
-
-def _pilot_gamma(K: SubStochasticKernel, triple: SpectralTriple) -> float:
-    """Crude conditioned-TV decay rate from a short double-precision run."""
-    series = []
-    steps = _forward(K, np.eye(K.n), 25)
-    next(steps)  # t = 0: the start rows themselves
-    for t, rows in enumerate(steps, start=1):
-        worst = 0.5 * float(np.abs(rows - triple.alpha).sum(axis=1).max())
-        if worst < 1e-12:
-            break
-        series.append((t, worst))
-    if len(series) < 3:
-        return 1.0
-    return max(fit_decay(series).gamma, 1e-3)
-
-
-def certify_minorization(
-    K: SubStochasticKernel, t0: int = 1, horizon: int | None = None
-) -> MinorizationCert:
-    """Construct (nu, c1, c2) witnessing the minorization condition.
-
-    nu is the entrywise minimum of the conditioned t0-step laws
-    (renormalized), c1 its total mass.  c2 is the worst ratio of nu's
-    survival probability to the best state's, probed for t <= horizon;
-    the tail beyond the horizon is bounded through the eigenvector
-    sandwich (survival ratios converge to eta ratios at the conditioned
-    TV decay rate).
-
-    If c1 = 0 at the given t0, t0 is incremented up to max(t0, n^2)
-    before the condition is reported as not satisfied.  On a primitive
-    kernel some t0 <= n^2 always works.
-    """
-    if t0 < 1:
-        raise ValueError("t0 must be >= 1")
-    triple = compute_spectral(K)
-    gamma_hat = _pilot_gamma(K, triple)
-    if horizon is None:
-        horizon = int(math.ceil(20.0 / gamma_hat))
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-
-    n = K.n
-    limit = max(t0, n * n)
-    t0_used = None
-    for cand, rows in enumerate(_forward(K, np.eye(n), limit)):
-        if cand < t0:
-            continue
-        mins = rows.min(axis=0)
-        c1 = float(mins.sum())
-        if c1 > 0.0:
-            t0_used = cand
-            break
-    if t0_used is None:
-        raise MinorizationRefused(
-            f"entrywise minimum of conditioned laws is zero for every t0 from {t0} to {limit}"
-        )
-    nu = mins / c1
-
-    # Survival-ratio curve: P_nu(t < absorption) / max_x P_x(t < absorption),
-    # read off the max-rescaled survival shapes.
-    ratios = [1.0] + [float(nu @ v) for t, v in enumerate(_backward(K, horizon)) if t]
-    probe_min = min(ratios)
-
-    # Tail beyond the horizon: survival ratios converge to the eta ratio
-    # r_inf = nu(eta)/max eta, with relative deviation <= 2 a e^(-g t)/(1 - a e^(-g t)).
-    r_inf = float(nu @ triple.eta) / float(triple.eta.max())
-    a_loc = 0.0
-    for t in range(1, horizon + 1):
-        dev = abs(ratios[t] / r_inf - 1.0)
-        if dev < 1e-12:
-            continue
-        # dev <= 2 a q / (1 - a q) with q = e^(-g t)  =>  a >= dev / (q (2 + dev))
-        q = math.exp(-gamma_hat * t)
-        a_loc = max(a_loc, dev / (q * (2.0 + dev)))
-    q_h = math.exp(-gamma_hat * horizon)
-    if a_loc * q_h < 1.0:
-        tail = r_inf * (1.0 - 2.0 * a_loc * q_h / (1.0 - a_loc * q_h))
-    else:
-        tail = 0.0
-    c2 = min(probe_min, max(tail, 0.0))
-    if c2 <= 0.0:
-        raise MinorizationRefused(
-            f"survival-comparison constant vanished at t0={t0_used}, horizon={horizon}; "
-            "probe a longer horizon"
-        )
-    return MinorizationCert(t0=t0_used, nu=nu, c1=c1, c2=c2, horizon=horizon)
 
 
 @dataclass(frozen=True)

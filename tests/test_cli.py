@@ -24,7 +24,7 @@ from oracles import (
     mp_perron,
     mp_survival_vectors,
 )
-from qsd import cli, estimator, models
+from qsd import cli, estimator, models, qprocess
 from qsd.cli import main, parse_model_config
 from qsd.kernels import SubStochasticKernel, read_kernel, write_kernel
 from qsd.models import golden_kernel_path
@@ -411,6 +411,21 @@ class TestErgodicSubcommand:
         assert [int(r[0]) for r in rows] == [2, 4, 6]
         for row in rows:
             assert all(np.isfinite(float(v)) for v in row[1:])
+
+    @pytest.mark.parametrize("rates", [(-0.0123, 0.5), (0.5, 0.0), (math.nan, 0.5)],
+                             ids=["negative", "zero", "nan"])
+    def test_dirac_plan_without_decay_exits_three(self, tmp_path, w3_file, capsys,
+                                                  monkeypatch, rates):
+        # a fitted rate that is NaN or <= 0 bounds nothing, as in verify
+        monkeypatch.setattr(qprocess, "fitted_rates", lambda core: rates)
+        out = tmp_path / "e"
+        code = main(["ergodic", "--kernel", w3_file, "--out", str(out),
+                     "--f", "1,0,0", "--T-grid", "10:30:10", "--plan", "dirac:5"])
+        assert code == 3
+        gamma, gamma_prime = (format(r, ".17g") for r in rates)
+        assert capsys.readouterr().err == (
+            f"vacuous envelope: dirac plan gamma={gamma} gamma_prime={gamma_prime}\n")
+        assert len(read_lines(out / "ergodic.csv").splitlines()) == 1 + 3
 
     def test_uniform_plan_exactly_zero_on_one_state_kernel(self, tmp_path):
         # f is constant on one state: the time average is beta(f) exactly

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import enum_pair_tv
-from qsd import converse, deflation
-from qsd.converse import certify_converse, hypothesis_check
-from qsd.deflation import Deflation
+from qsd import converse
+from qsd.converse import certify_converse
 from qsd.kernels import tv_distance
 from qsd.spectral import compute_spectral, fit_decay
 
@@ -123,47 +122,6 @@ class TestCertifyConverse:
             )
         gamma = fit_decay(series).gamma
         assert gamma >= 0.9 * math.log(2.0) / rep.t1
-
-
-class TestHypothesisCheck:
-    def test_t3_first_curve_zero_second_closed_form(self, t3, t3_triple):
-        rep = hypothesis_check(Deflation(t3, t3_triple), range(1, 11), range(5, 51, 5))
-        assert all(v == 0.0 for _, v in rep.marginal_curve)
-        for t, v in rep.coupling_curve:
-            assert v == pytest.approx(7.0 ** (-t), rel=1e-9)
-        assert rep.marginal_decays and rep.coupling_decays
-        assert rep.coupling_rate == pytest.approx(math.log(7.0), rel=1e-6)
-
-    def test_single_state_both_zero(self, single):
-        S = compute_spectral(single)
-        rep = hypothesis_check(Deflation(single, S), range(1, 6), range(2, 21, 2))
-        assert all(v == 0.0 for _, v in rep.marginal_curve)
-        assert all(v == 0.0 for _, v in rep.coupling_curve)
-
-    def test_walks_the_rows_once(self, monkeypatch, w3, w3_triple):
-        core = Deflation(w3, w3_triple)
-        count = 0
-        rows = deflation.Deflation.rows
-
-        def counting_rows(self, t_max):
-            nonlocal count
-            for D in rows(self, t_max):
-                count += 1
-                yield D
-
-        monkeypatch.setattr(deflation.Deflation, "rows", counting_rows)
-        hypothesis_check(core, range(1, 9), range(12, 61, 4))
-        assert count == 9  # D_0 .. D_8, for both curves
-
-    def test_w3_rates_match_fitted_pair(self, w3, w3_triple):
-        from qsd.qprocess import fitted_rates
-
-        core = Deflation(w3, w3_triple)
-        rep = hypothesis_check(core, range(1, 9), range(12, 61, 4))
-        gamma, gamma_prime = fitted_rates(core)
-        assert rep.marginal_decays and rep.coupling_decays
-        assert rep.marginal_rate == pytest.approx(gamma, rel=0.05)
-        assert rep.coupling_rate == pytest.approx(gamma_prime, rel=0.05)
 
 
 class TestEndToEnd:

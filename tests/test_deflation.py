@@ -24,7 +24,7 @@ from oracles import (
     second_eigenvalue_magnitude,
 )
 from qsd import deflation, models
-from qsd.converse import certify_converse, hypothesis_check
+from qsd.converse import certify_converse
 from qsd.deflation import Deflation
 from qsd.ergodic import SamplingPlan
 from qsd.kernels import SubStochasticKernel
@@ -51,7 +51,6 @@ def _core_series(K, t_max, f):
         out[("conditioned_tv", t)] = core.conditioned_tv(D[t])
         out[("conditioned_pair_tv", t)] = core.conditioned_pair_tv(D[t])
         out[("q_tv", t)] = core.q_tv(D[t])
-        out[("q_pair_tv", t)] = core.q_pair_tv(D[t])
         out[("eta_defect", t)] = core.eta_defect(e[t])
         for s in BRIDGE_TS:
             if s <= t:
@@ -78,7 +77,6 @@ def _oracle_series(K, t_max, f, dps):
         for t, rows in mp_h_rows(M, rho, eta, t_max):
             qrows[t] = [r[:] for r in rows]
             out[("q_tv", t)] = max(mp_tv(r, beta) for r in rows)
-            out[("q_pair_tv", t)] = _pair_sup(rows)
         for t in range(t_max + 1):
             s = surv[t]
             scale = sum(a * v for a, v in zip(alpha, s))
@@ -228,7 +226,6 @@ def _reference(K, t_max=200):
         "eta_defect": [_ln(float(np.max(np.abs(v.hat) / (core.eta + np.ldexp(v.hat, v.exp)))),
                            v.exp) for v in e],
         "conditioned_pair_tv": [_ref_pair(d.exp, _ref_conditioned(core, d)) for d in D],
-        "q_pair_tv": [_ref_pair(d.exp, d.hat * core.eta) for d in D],
         "bridge_gaps": [_ref_gap(core, D[t], e[T - t]) if t else -math.inf
                         for t, T in GAP_PAIRS],
     }
@@ -242,13 +239,12 @@ def _reference(K, t_max=200):
 def _batched(K, t_max=200):
     core = Deflation(K, compute_spectral(K))
     tvs, q_tvs, errs = core.series(t_max)
-    pair, q_pair = [], []
+    pair = []
     for _, D in core.blocks(range(t_max + 1)):
         pair += core.conditioned_pair_tv(D)
-        q_pair += core.q_pair_tv(D)
     gaps = core.bridge_gaps(GAP_PAIRS)
     out = {"conditioned_tv": tvs, "q_tv": q_tvs, "eta_defect": errs,
-           "conditioned_pair_tv": pair, "q_pair_tv": q_pair,
+           "conditioned_pair_tv": pair,
            "bridge_gaps": [gaps[p] for p in GAP_PAIRS],
            "decay_curve": [v for _, v in certify_converse(K).decay_curve]}
     return {k: [v.hex() for v in vals] for k, vals in out.items()}
@@ -270,12 +266,9 @@ def test_stacked_observables_equal_one_step_at_a_time(name):
 def test_chunk_size_changes_no_value(monkeypatch, name, steps):
     K = BATCH_KERNELS[name]()
     want = _batched(K)
-    S = compute_spectral(K)
-    hyp = hypothesis_check(Deflation(K, S), range(1, 9), range(12, 61, 4))
     monkeypatch.setattr(deflation, "CHUNK_BYTES", steps * 8 * K.n ** 2)
     assert deflation._chunk(K.n) == steps
     assert _batched(K) == want
-    assert hypothesis_check(Deflation(K, S), range(1, 9), range(12, 61, 4)) == hyp
 
 
 def test_blocks_stack_the_steps_asked_for(monkeypatch):

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,9 +24,7 @@ from qsd.ergodic import (
     conditional_functional,
     optimal_t0,
     verify_ergodic_theorem,
-    verify_general_bound,
 )
-from qsd.qprocess import q_mixing_report, verify_eta_bound
 from qsd.spectral import compute_spectral
 
 
@@ -79,6 +76,18 @@ class TestConditionalFunctional:
         want = enum_functional(w3.entries, 0, [0.0, 0.0, 1.0], plan.atoms, 10)
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_t3_dirac_error_closed_form(self, t3, t3_triple):
+        # error at dirac(t) is exactly (1/7)^t * |f alpha-gap|
+        f = [1.0, -1.0]
+        T = 30
+        beta_f = float(t3_triple.beta @ f)
+        for t in (1, 3, 6, 10):
+            err = abs(
+                conditional_functional(Deflation(t3, compute_spectral(t3)), 0, f,
+                                       SamplingPlan.dirac(t, T)) - beta_f
+            )
+            assert err == pytest.approx(7.0 ** (-t), rel=1e-6)
+
     def test_dirac_matches_bridge_marginal(self, w3):
         f = np.array([0.3, -1.2, 2.0])
         core = Deflation(w3, compute_spectral(w3))
@@ -128,53 +137,6 @@ class TestAllStatesAgainstOracle:
         for (_, T, obs, _, _) in together.rows:
             alone = verify_ergodic_theorem(Deflation(K, S), f, [T]).rows[0][2]
             assert obs == pytest.approx(alone, rel=1e-14, abs=0.0)
-
-
-@pytest.fixture(scope="module")
-def reports(w3, w3_triple):
-    core = Deflation(w3, w3_triple)
-    eta_rep = verify_eta_bound(core, range(1, 101))
-    mix_rep = q_mixing_report(core, range(1, 61))
-    return eta_rep, mix_rep
-
-
-class TestGeneralBound:
-    def test_constant_f_zero_error(self, w3, w3_triple, reports):
-        rep = verify_general_bound(
-            Deflation(w3, w3_triple), reports, [1.0, 1.0, 1.0],
-            [SamplingPlan.dirac(t, 30) for t in range(31)],
-            [SamplingPlan.dirac(t, 40) for t in range(41)],
-        )
-        assert all(row[2] <= 1e-25 for row in rep.rows)
-
-    def test_w3_fit_and_validate(self, w3, w3_triple, reports):
-        f = [1.0, -1.0, 0.5]
-        fit = [SamplingPlan.dirac(t, 60) for t in range(61)] + [SamplingPlan.uniform(60)]
-        val = [SamplingPlan.dirac(t, 80) for t in range(81)] + [SamplingPlan.uniform(80)]
-        rep = verify_general_bound(Deflation(w3, w3_triple), reports, f, fit, val)
-        assert 0 < rep.constant < math.inf
-        assert rep.max_violation <= 1.0 + 1e-9
-
-    def test_t3_dirac_tracks_mixing_envelope(self, t3, t3_triple):
-        # error at dirac(t) is exactly (1/7)^t * |f alpha-gap|; envelope rate ln 7
-        core = Deflation(t3, t3_triple)
-        eta_rep = verify_eta_bound(core, range(1, 41))
-        mix_rep = q_mixing_report(core, range(1, 41))
-        f = [1.0, -1.0]
-        T = 30
-        beta_f = float(t3_triple.beta @ f)
-        for t in (1, 3, 6, 10):
-            err = abs(
-                conditional_functional(Deflation(t3, compute_spectral(t3)), 0, f,
-                                       SamplingPlan.dirac(t, T)) - beta_f
-            )
-            assert err == pytest.approx(7.0 ** (-t), rel=1e-6)
-        rep = verify_general_bound(
-            core, (eta_rep, mix_rep), f,
-            [SamplingPlan.dirac(t, 20) for t in range(21)],
-            [SamplingPlan.dirac(t, 28) for t in range(29)],
-        )
-        assert rep.max_violation <= 1.0 + 1e-9
 
 
 class TestStreamedPlanErrors:
@@ -243,21 +205,20 @@ class TestStreamedPlanErrors:
                     - beta_f) for x in range(3))
                 assert math.expm1(log_err - float(mp.log(want))) == pytest.approx(0.0, abs=1e-10)
 
-    def test_general_bound_memory_flat_in_horizon(self):
+    def test_plan_errors_memory_flat_in_horizon(self):
         # rows D_t are n x n: listing all 151 of them took 47 MiB here
         K = models.random_substochastic(200, 3)
         S = compute_spectral(K)
-        reports = (SimpleNamespace(rate=0.5), SimpleNamespace(rate=0.6))  # only rates are read
         f = (np.arange(K.n) % 3) / 2.0
         tracemalloc.start()
         try:
-            rep = verify_general_bound(Deflation(K, S), reports, f, [SamplingPlan.uniform(100)],
-                                       [SamplingPlan.uniform(150)])
+            errors = Deflation(K, S).plan_errors(f, [SamplingPlan.uniform(100),
+                                                     SamplingPlan.uniform(150)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert [T for (_, T, _, _, _) in rep.rows] == [100, 150]
+        assert len(errors) == 2
 
 
 class TestErgodicTheorem:

@@ -418,6 +418,11 @@ def _wide_text(rows=_WIDE, bad_row=None, sep="\n"):
     return sep.join([f"n {_WIDE} time_unit 1"] + body) + sep
 
 
+# 1,215,018 bytes: header 'n 450 time_unit', a 0xff byte at position 1,215,016
+_WIDE_BAD_HEADER = _wide_text().replace(f"n {_WIDE} time_unit 1", f"n {_WIDE} time_unit",
+                                        1).encode() + b"\xff\n"
+
+
 def _decode_error(data: bytes) -> str:
     """The message of a whole-file decode of ``data``."""
     try:
@@ -498,6 +503,8 @@ class TestOnePassParse:
                           _decode_error(_wide_text().encode()[:-9] + b"\xff\n")),
         "wide_truncated_utf8": (_wide_text().encode() + b"\xe2\x82",
                                 _decode_error(_wide_text().encode() + b"\xe2\x82")),
+        # the decode error, in the second block, comes before the header's
+        "wide_bad_utf8_bad_header": (_WIDE_BAD_HEADER, _decode_error(_WIDE_BAD_HEADER)),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

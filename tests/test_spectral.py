@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dense_perron, eig_triple, power_c1, second_eigenvalue_magnitude
+from oracles import dense_perron, eig_triple, second_eigenvalue_magnitude
 from qsd import models
 from qsd.deflation import Deflation
 from qsd.kernels import SubStochasticKernel, conditioned_evolve, tv_distance
@@ -12,7 +12,6 @@ from qsd.spectral import (
     HANDOFF_WINDOW,
     WARMUP_STEPS,
     PowerIterationError,
-    certify_minorization,
     compute_spectral,
     conditioned_tv_rate,
     fit_decay,
@@ -209,79 +208,6 @@ class TestSlowMixingSolve:
         assert S.rho == pytest.approx(rho, abs=1e-13)
         np.testing.assert_allclose(S.eta, eta, rtol=1e-9)
         np.testing.assert_allclose(S.beta, beta, rtol=0, atol=1e-10)
-
-
-class TestMinorization:
-    def test_t3_closed_form(self, t3):
-        cert = certify_minorization(t3, t0=1)
-        np.testing.assert_allclose(cert.nu, [0.5, 0.5], atol=1e-14)
-        assert cert.c1 == pytest.approx(6 / 7, abs=1e-13)
-        assert cert.c2 == pytest.approx(1.0, abs=1e-9)
-
-    def test_single_state(self, single):
-        cert = certify_minorization(single, t0=1)
-        assert cert.nu.tolist() == [1.0]
-        assert cert.c1 == 1.0
-        assert cert.c2 == 1.0
-
-    def test_w3_certificate_invariants(self, w3):
-        cert = certify_minorization(w3, t0=2, horizon=200)
-        assert 0 < cert.c1 <= 1
-        assert 0 < cert.c2 <= 1
-        # entrywise domination of every conditioned t0-step law
-        rows = np.eye(3)
-        for _ in range(cert.t0):
-            rows = rows @ w3.entries
-            rows /= rows.sum(axis=1, keepdims=True)
-        assert np.all(rows >= cert.c1 * cert.nu - 1e-12)
-        # survival comparison on the probed horizon
-        v = np.ones(3)
-        for _ in range(cert.horizon):
-            v = w3.entries @ v
-            assert cert.nu @ v >= cert.c2 * v.max() * (1 - 1e-12)
-
-    def test_w3_certificate_against_path_enumeration(self, w3):
-        from oracles import enum_bridge, enum_survival
-
-        cert = certify_minorization(w3, t0=2, horizon=200)
-        laws = np.stack([enum_bridge(w3.entries, x, 2, 2) for x in range(3)])
-        mins = laws.min(axis=0)
-        assert cert.c1 == pytest.approx(mins.sum(), abs=1e-12)
-        np.testing.assert_allclose(cert.nu, mins / mins.sum(), atol=1e-12)
-        for t in range(1, 7):
-            surv = np.array([enum_survival(w3.entries, x, t) for x in range(3)])
-            assert float(cert.nu @ surv) >= cert.c2 * surv.max() * (1 - 1e-12)
-
-    def test_w3_one_step_mass(self, w3):
-        # only the middle column survives the entrywise minimum at t0=1
-        cert = certify_minorization(w3, t0=1)
-        assert cert.t0 == 1
-        assert cert.c1 == pytest.approx(1 / 3, abs=1e-12)
-        np.testing.assert_allclose(cert.nu, [0.0, 1.0, 0.0], atol=1e-12)
-
-    def test_search_advances_past_zero_mass_t0(self):
-        # near-cyclic kernel: the one-step conditioned laws have disjoint
-        # zero patterns, so c1(1) = 0 and the search must move to t0 >= 2
-        K = SubStochasticKernel(
-            [[0.1, 0.6, 0.0], [0.0, 0.1, 0.6], [0.6, 0.0, 0.1]]
-        )
-        cert = certify_minorization(K, t0=1)
-        assert cert.t0 >= 2
-        assert cert.c1 > 0
-
-    def test_t0_above_n_squared_is_searched(self, t3):
-        cert = certify_minorization(t3, t0=5)
-        assert cert.t0 == 5
-        assert cert.c1 == pytest.approx(power_c1(t3.entries, 5), rel=1e-14)
-
-    def test_single_state_above_n_squared(self, single):
-        cert = certify_minorization(single, t0=2)
-        assert cert.t0 == 2
-        assert cert.c1 == 1.0
-
-    def test_horizon_recorded(self, t3):
-        cert = certify_minorization(t3, t0=1, horizon=37)
-        assert cert.horizon == 37
 
 
 class TestFitDecay:
