@@ -7,11 +7,11 @@ runtime errors, 2 on usage/config errors, and 3 when a certification or
 bound verification fails.  All numbers are serialized with 17 significant
 digits, so reruns diff exactly.  An input file is read once, as a stream:
 its bytes are hashed for the manifest as the parser reads them, and a
-kernel file is parsed a block at a time.  ``sweep --threads N`` runs its
-replications on up to N forked worker processes (processes, because the
-sampler's numpy gathers hold the GIL), and its output is byte-identical
-for every N.  ``estimate`` and every other subcommand run in one process
-and accept ``--threads`` without using it.
+kernel file is parsed a block at a time.  ``--seed`` exists where the
+output depends on it: ``model`` (over the config's ``seed``), ``estimate``
+and ``sweep``.  ``sweep --threads N`` runs the replications on up to N
+forked worker processes (processes, because the sampler's numpy gathers
+hold the GIL), and its output is byte-identical for every N.
 """
 
 from __future__ import annotations
@@ -96,8 +96,6 @@ def _write_csv(path: str, header: str, rows, trailer: str | None = None) -> None
 # output live, and --threads, which only sets sweep's worker count.  The
 # input file's bytes are hashed instead of its path.
 _NOT_HASHED = {"kernel", "config", "out", "threads", "subcommand"}
-# Subcommands whose output depends on --seed.
-_SEEDED = {"model", "estimate", "sweep"}
 
 
 def _read_hashed(path, parse):
@@ -110,14 +108,13 @@ def _read_hashed(path, parse):
 
 
 def _config_hash(args, input_sha256: str) -> str:
-    skip = _NOT_HASHED if args.subcommand in _SEEDED else _NOT_HASHED | {"seed"}
-    config = {k: v for k, v in vars(args).items() if k not in skip}
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_HASHED}
     payload = json.dumps({"subcommand": args.subcommand, "input_sha256": input_sha256,
                           "args": config}, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _manifest(args, input_sha256: str, seed, **records) -> None:
+def _manifest(args, input_sha256: str, seed=None, **records) -> None:
     manifest = {
         "subcommand": args.subcommand,
         "config_hash": _config_hash(args, input_sha256),
@@ -303,7 +300,7 @@ def cmd_spectral(args) -> int:
               f"residual={_fmt(S.residual)}\nstate,alpha,eta,beta")
     rows = [(x, S.alpha[x], S.eta[x], S.beta[x]) for x in range(K.n)]
     _write_csv(os.path.join(args.out, "spectral.csv"), header, rows)
-    _manifest(args, digest, args.seed,
+    _manifest(args, digest,
               perron_solve={"iterations": S.iterations, "power_steps": S.power_steps,
                             "residual": S.residual})
     return EXIT_OK
@@ -331,7 +328,7 @@ def cmd_verify(args) -> int:
     _report_csv(os.path.join(args.out, "eta_bound.csv"), eta_rep)
     _report_csv(os.path.join(args.out, "qproc_approx.csv"), q_rep)
     _report_csv(os.path.join(args.out, "q_mixing.csv"), mix_rep)
-    _manifest(args, digest, args.seed)
+    _manifest(args, digest)
     reports = (eta_rep, q_rep, mix_rep)
     # an infinite constant or a rate that does not decay bounds nothing;
     # exact mixing (constant 0, rate inf) is a real certificate
@@ -355,26 +352,28 @@ def cmd_ergodic(args) -> int:
     S = spectral.compute_spectral(K)
     f = _read_f(args.f, K.n)
     core = Deflation(K, S)
-    violated = vacuous = False
+    violated, vacuous = False, None  # vacuous: why the envelope bounds nothing
     if t0 is None:
         rep = ergodic.verify_ergodic_theorem(core, f, Ts)
         rows = [(T, obs, bound, ratio) for (_, T, obs, bound, ratio) in rep.rows]
         violated = not rep.valid
+        if not math.isfinite(rep.constant):  # a 1/T envelope: its rate is 0 by design
+            vacuous = f"{rep.name} constant={_fmt(rep.constant)} rate={_fmt(rep.rate)}"
     else:
         plans = [ergodic.SamplingPlan.dirac(t0, T) for T in Ts]  # rejects t0 > T
         gamma, gamma_prime = qprocess.fitted_rates(core)
         # a rate that does not decay bounds nothing; infinite rates are exact mixing
-        vacuous = not (gamma > 0 and gamma_prime > 0)
+        if not (gamma > 0 and gamma_prime > 0):
+            vacuous = f"dirac plan gamma={_fmt(gamma)} gamma_prime={_fmt(gamma_prime)}"
         f_inf = float(np.max(np.abs(f))) or 1.0
         rows = []
         for plan, (err, _) in zip(plans, core.plan_errors(f, plans)):
             env = f_inf * ergodic.plan_envelope(gamma, gamma_prime, plan)
             rows.append((plan.T, err, env, err / env if env > 0 else 0.0))
     _write_csv(os.path.join(args.out, "ergodic.csv"), "time,error,bound,ratio", rows)
-    _manifest(args, digest, args.seed)
+    _manifest(args, digest)
     if vacuous:
-        print(f"vacuous envelope: dirac plan gamma={_fmt(gamma)} gamma_prime={_fmt(gamma_prime)}",
-              file=sys.stderr)
+        print(f"vacuous envelope: {vacuous}", file=sys.stderr)
     if violated:
         print("bound violated on validation grid: ergodic_theorem", file=sys.stderr)
     return EXIT_NOT_CERTIFIED if vacuous or violated else EXIT_OK
@@ -442,7 +441,7 @@ def cmd_converse(args) -> int:
                f"delta={_fmt(rep.delta)}")
     _write_csv(os.path.join(args.out, "converse.csv"), "T,sup_pair_tv,envelope",
                rows, trailer)
-    _manifest(args, digest, args.seed)
+    _manifest(args, digest)
     if not rep.certified:
         print("contraction not certified within the search limits", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
@@ -474,15 +473,11 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--kernel", help="kernel file (plain-text format)")
             sp.add_argument("--config", help="model config file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker processes for sweep's replications, at most "
-                             "the usable CPUs; the output is the same for any value. "
-                             "Every other subcommand runs in one process")
 
     sp = sub.add_parser("model", help="build a kernel from a config file")
     sp.add_argument("--config", required=True)
     common(sp, kernel=False)
+    sp.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
 
     sp = sub.add_parser("spectral", help="quasi-stationary law and eigenvalue")
     common(sp)
@@ -508,6 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=int, default=None)
     sp.add_argument("--t0", type=int, default=None)
     sp.add_argument("--x0", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("sweep", help="error-versus-N tradeoff sweep")
     common(sp)
@@ -516,6 +512,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated increasing sample counts")
     sp.add_argument("--reps", type=_positive_int, default=32)
     sp.add_argument("--x0", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--threads", type=_positive_int, default=1,
+                    help="worker processes, at most the usable CPUs; any value "
+                         "gives the same output")
 
     sp = sub.add_parser("converse", help="bridge contraction certification")
     common(sp)

@@ -21,16 +21,16 @@ returned as its natural logarithm (``-inf`` for an exact zero), so grids
 far past ``e^-700`` stay representable; a plan's signed per-state
 deviation is returned with its binary scale as a :class:`Deviation`.
 
-Observables take one step or a stack of consecutive steps (a
-:class:`Deviation` whose ``hat`` has a leading step axis and whose ``exp``
-is an integer array, one exponent per step).  :meth:`Deflation.blocks`
-walks D_t once and stacks the steps a caller asks for in chunks of at most
-:data:`CHUNK_BYTES` (never less than one step), so the per-step work of
-the series, the bridge gaps and the pair suprema is a few numpy calls per
-chunk, not per step.  A stack's values are bit for bit those of its steps
-taken one at a time: every reduction runs along the contiguous last axis,
-the bridge gaps of a step take one matrix-vector product per lag, and each
-log is one ``math.log`` of one scalar.
+Observables take a stack of steps: a :class:`Deviation` whose ``hat`` has
+a leading step axis and whose ``exp`` is an integer array, one exponent
+per step.  :meth:`Deflation.blocks` walks D_t once and stacks the steps a
+caller asks for in chunks of at most :data:`CHUNK_BYTES` (never less than
+one step), and :meth:`Deflation.survivals` stacks e_t, so the per-step
+work of the series, the bridge gaps and the pair suprema is a few numpy
+calls per chunk, not per step.  A step's value does not depend on the
+steps stacked with it: every reduction runs along the contiguous last
+axis, the bridge gaps of a step take one matrix-vector product per lag,
+and each log is one ``math.log`` of one scalar.
 
 A command builds one :class:`Deflation` and hands it to every report, so
 the triple is refined once.  :meth:`Deflation.series` keeps its longest
@@ -40,7 +40,6 @@ and the core keeps its longest survival walk the same way.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -71,8 +70,8 @@ def _log(x: float) -> float:
 class Deviation:
     """The array ``hat * 2**exp``; propagated ones have ``max |hat|`` in [1/2, 1) or 0.
 
-    A stack of steps carries an integer array ``exp``, one exponent per
-    index of ``hat``'s leading axis.
+    ``exp`` is an int for one step, and an integer array for a stack of
+    steps, one exponent per index of ``hat``'s leading axis.
     """
 
     exp: int | np.ndarray
@@ -81,9 +80,8 @@ class Deviation:
     @property
     def value(self) -> np.ndarray:
         """The deviation itself (entries below ~1e-308 underflow to 0)."""
-        if isinstance(self.exp, int):
-            return np.ldexp(self.hat, self.exp)
-        return _ldexp(self.hat, self.exp.reshape(self.exp.shape + (1,) * (self.hat.ndim - 1)))
+        exp = np.asarray(self.exp)
+        return _ldexp(self.hat, exp.reshape(exp.shape + (1,) * (self.hat.ndim - exp.ndim)))
 
 
 def _ldexp(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
@@ -93,19 +91,6 @@ def _ldexp(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
     range gives the 0 or inf it gives at the end of the range.
     """
     return np.ldexp(x, np.clip(exp, -2**31, 2**31 - 1).astype(np.intc))
-
-
-def _per_step(ndim: int):
-    """Let an observable of a stack of steps (a list of values) also take one
-    step, whose ``hat`` has ``ndim`` axes, and return its one value."""
-    def wrap(observable):
-        @functools.wraps(observable)
-        def either(self, d: Deviation):
-            if d.hat.ndim == ndim:
-                return observable(self, Deviation(np.array([d.exp]), d.hat[None]))[0]
-            return observable(self, d)
-        return either
-    return wrap
 
 
 def _rescaled(v: np.ndarray, exp: int) -> Deviation:
@@ -240,8 +225,7 @@ class Deflation:
         return tuple(s[:t_max + 1] for s in self._series)
 
     # -- observables (natural logs) ------------------------------------------
-    # Each takes one step and returns a float, or a stack of steps and
-    # returns a list.
+    # Each takes a stack of steps and returns a list, one value per step.
     @np.errstate(divide="ignore", invalid="ignore")  # a zero mass gives inf or nan
     def _conditioned(self, D: Deviation) -> np.ndarray:
         """Row x: (law of X_t | X_0 = x, survival to t) - alpha, over 2**D.exp.
@@ -252,22 +236,18 @@ class Deflation:
         mass = 1.0 + D.value.sum(axis=-1)
         return (D.hat - D.hat.sum(axis=-1)[..., None] * self.alpha) / mass[..., None]
 
-    @_per_step(2)
     def conditioned_tv(self, D: Deviation):
         """ln sup_x TV(law of X_t | survival, alpha)."""
         return _log_half_l1(D.exp, self._conditioned(D))
 
-    @_per_step(2)
     def conditioned_pair_tv(self, D: Deviation):
         """ln sup_{x,y} TV between the conditioned laws from x and from y."""
         return _logs(_max_pair_tv(self._conditioned(D)), D.exp)
 
-    @_per_step(2)
     def q_tv(self, D: Deviation):
         """ln sup_x TV(Q^t(x, .), beta); Q^t(x, .) - beta = D_t[x] * eta."""
         return _log_half_l1(D.exp, D.hat * self.eta)
 
-    @_per_step(1)
     @np.errstate(divide="ignore")  # where eta_t underflowed to 0 the defect is inf
     def eta_defect(self, e: Deviation):
         """ln sup_x |eta_t(x) - eta(x)| / eta_t(x), with eta_t = eta + e_t."""
@@ -275,8 +255,11 @@ class Deflation:
 
     @np.errstate(divide="ignore", invalid="ignore")  # a zero mass gives inf or nan
     def _gap_block(self, Dv: np.ndarray, P: np.ndarray, E: Deviation) -> list[float]:
-        """ln :meth:`bridge_gap` of one step's rows ``Dv`` = D_t, with
-        ``P = alpha + Dv``, against each e_lag of the stack ``E``: one
+        """ln sup_x TV(law of X_t | survival past t + lag, Q^t(x, .)) for the
+        rows ``Dv`` = D_t, with ``P = alpha + Dv``, and each e_lag in ``E``.
+
+        With d = D_t[x] and e = e_lag the gap is
+        [(alpha + d) e - (d . e)(alpha + d) eta] / (1 + d . e): one
         matrix-vector product per lag (a matrix-matrix product's columns
         move in the last bits with their count)."""
         r = np.matmul(Dv, E.hat[:, :, None])[..., 0]
@@ -288,25 +271,14 @@ class Deflation:
         gap /= (1.0 + _ldexp(r, E.exp[:, None]))[..., None]
         return _log_half_l1(E.exp, gap)
 
-    def bridge_gap(self, D: Deviation, e: Deviation) -> float:
-        """ln sup_x TV(law of X_t | survival past t + lag, Q^t(x, .)).
-
-        With d = D_t[x] and e = e_lag the bridge law minus Q^t(x, .) is
-        [(alpha + d) e - (d . e)(alpha + d) eta] / (1 + d . e).
-        At t = 0 both laws are the point mass at x and this formula returns
-        rounding noise in place of the exact 0.
-        """
-        Dv = D.value
-        return self._gap_block(Dv, self.alpha + Dv, Deviation(np.array([e.exp]), e.hat[None]))[0]
-
     def bridge_gaps(self, pairs) -> dict:
-        """:meth:`bridge_gap` per (t, T) pair, keyed by the pair, from one walk
-        of D_t.
+        """ln sup_x TV(law of X_t | survival past T, Q^t(x, .)) per (t, T)
+        pair, keyed by the pair, from one walk of D_t.
 
         The gaps of all lags at one t are batched, :data:`CHUNK_BYTES` of
         n x n blocks at a time, against the core's survival walk.  At t = 0
         both laws are the point mass at the start, so those pairs are
-        exactly 0 (-inf).
+        exactly 0 (-inf), where the closed form would give rounding noise.
         """
         by_t = defaultdict(list)
         for t, T in pairs:
@@ -358,8 +330,8 @@ class Deflation:
             for t, w in plan.atoms:
                 at[t] = at.get(t, 0.0) + w
             merged.append(at)
-        surv = list(self.survival(max(plan.T for plan in plans)))
-        e_hat, e_exp = np.array([e.hat for e in surv]), np.array([e.exp for e in surv])
+        surv = self.survivals(max(plan.T for plan in plans))
+        e_hat, e_exp = surv.hat, surv.exp
         # proj(g_lag) for every lag: the e_lag part only matters where it is
         # representable next to eta f, so it enters at its plain value
         g = self.eta * f + np.ldexp(e_hat, e_exp[:, None]) * (f - beta_f)
@@ -404,10 +376,10 @@ class Deflation:
         for pos, i in enumerate(order):
             c_hat, c_exp = const[pos]
             k = max(int(exp[pos]), c_exp)
-            e_T = surv[plans[i].T]
+            e_T = np.ldexp(e_hat[plans[i].T], int(e_exp[plans[i].T]))
             with np.errstate(divide="ignore", invalid="ignore"):  # inf or nan where eta is 0
                 num = np.ldexp(hat[pos] / self.eta, int(exp[pos]) - k) + math.ldexp(c_hat, c_exp - k)
-                out[i] = Deviation(k, num / (1.0 + e_T.value / self.eta))
+                out[i] = Deviation(k, num / (1.0 + e_T / self.eta))
         return out
 
     def plan_errors(self, f: np.ndarray, plans) -> list[tuple[float, float]]:

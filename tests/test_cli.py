@@ -54,6 +54,22 @@ class TestModelSubcommand:
         K = read_kernel(out / "kernel.txt")
         assert K.n == 4
 
+    def test_config_seed_kept_unless_seed_given(self, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("kind random_substochastic\nn 4\nseed 7\n")
+        for seed, argv in ((7, []), (3, ["--seed", "3"])):
+            out = tmp_path / f"m{seed}"
+            assert main(["model", "--config", str(cfg), "--out", str(out)] + argv) == 0
+            K = read_kernel(out / "kernel.txt")
+            assert np.array_equal(K.entries, models.random_substochastic(4, seed).entries)
+            assert json.loads(read_lines(out / "manifest.json"))["seed"] == seed
+        # spectral --config builds the kernel that model writes
+        assert main(["spectral", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        assert main(["spectral", "--kernel", str(tmp_path / "m7" / "kernel.txt"),
+                     "--out", str(tmp_path / "k")]) == 0
+        assert read_lines(tmp_path / "c" / "spectral.csv") == \
+            read_lines(tmp_path / "k" / "spectral.csv")
+
     def test_config_error_has_line_number(self, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text("kind w3\nn three\n")
@@ -121,6 +137,7 @@ class TestSpectralSubcommand:
         manifest = json.loads(read_lines(out / "manifest.json"))
         assert manifest["subcommand"] == "spectral"
         assert "config_hash" in manifest and "timestamp" in manifest
+        assert manifest["seed"] is None  # spectral draws no random numbers
         solve = manifest["perron_solve"]
         assert (solve["power_steps"], solve["iterations"]) == (61, 61)
 
@@ -146,26 +163,31 @@ class TestSpectralSubcommand:
         assert manifests[0] == manifests[1]
 
 
-    def _config_hash(self, kernel, out, threads="1"):
-        assert main(["spectral", "--kernel", str(kernel), "--out", str(out),
-                     "--threads", threads]) == 0
+    def _config_hash(self, kernel, out):
+        assert main(["spectral", "--kernel", str(kernel), "--out", str(out)]) == 0
         return json.loads(read_lines(out / "manifest.json"))["config_hash"]
 
     def test_config_hash_ignores_path_out_and_threads(self, tmp_path, w3):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         write_kernel(w3, a)
         write_kernel(w3, b)
-        hashes = {self._config_hash(a, tmp_path / "o1", "1"),
-                  self._config_hash(b, tmp_path / "o2", "4")}
+        hashes = {self._config_hash(a, tmp_path / "o1"), self._config_hash(b, tmp_path / "o2")}
         assert len(hashes) == 1
+        # sweep, the one subcommand with --threads, hashes its arguments without it
+        parse = cli._build_parser().parse_args
+        sweep = ["sweep", "--kernel", "k", "--out", "o", "--f", "1", "--N-list", "10"]
+        assert (cli._config_hash(parse(sweep + ["--threads", "1"]), "") ==
+                cli._config_hash(parse(sweep + ["--threads", "4"]), "") !=
+                cli._config_hash(parse(sweep + ["--seed", "1"]), ""))
 
     @pytest.mark.parametrize("argv, digest", [
         (["spectral", "--kernel", "{dir}/w3.txt"],
          "4572f5e17ff51e7836ae746a64d0c1351f8dfd3f3b322b939df65696727b0cb2"),
         (["spectral", "--config", "{dir}/m.cfg"],
          "b022312ac0b80f0bbe810eccf8e353226b31a9457947507f4c283161dc5e3e9a"),
+        # seed null: model reads the config's seed, which this config leaves out
         (["model", "--config", "{dir}/m.cfg"],
-         "c1a984c30a143148d8746335a91b9f9d64c207dd49855b256f1af95188042ed9"),
+         "67e2de3f67d0eec6d400d9000f16babb477c5850a8b98e8477b4893a6677b2a1"),
     ], ids=["kernel", "config", "model"])
     def test_input_read_once_and_hash_kept(self, tmp_path, w3, monkeypatch, argv, digest):
         # the digests were recorded before the input file was read only once
@@ -261,13 +283,14 @@ class TestVerifySubcommand:
         assert f"vacuous envelope: eta_bound constant={constant} rate={rate}" in err
         assert not (math.isfinite(float(constant)) and float(rate) > 0)
 
-    def test_bd200_ergodic_stderr_is_the_diagnostic_alone(self, tmp_path):
-        # with one BLAS thread, bd200's plan deviations divide by an eta that
-        # underflowed to 0: the envelope fails to validate, and stderr holds
-        # that one line, no numpy warning (a warning would be an error here)
-        kf = tmp_path / "bd200.txt"
-        write_kernel(models.birth_death(200, birth=0.3), kf)
-        f = ",".join(repr((x % 3) / 2) for x in range(200))
+    @staticmethod
+    def _ergodic_on_one_blas_thread(tmp_path, n, f):
+        """(exit code, stderr) of the uniform-plan ergodic on birth_death(n,
+        birth=0.3) over 10:200:10, run in a process with one BLAS thread and
+        numpy warnings as errors."""
+        kf = tmp_path / f"bd{n}.txt"
+        write_kernel(models.birth_death(n, birth=0.3), kf)
+        f = ",".join(repr(f(x)) for x in range(n))
         script = (
             "import sys, warnings\n"
             "from qsd.cli import main\n"
@@ -280,8 +303,21 @@ class TestVerifySubcommand:
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert (done.returncode, done.stderr) == (
+        return done.returncode, done.stderr
+
+    def test_bd200_ergodic_stderr_is_the_diagnostic_alone(self, tmp_path):
+        # with one BLAS thread, bd200's plan deviations divide by an eta that
+        # underflowed to 0: the envelope fails to validate, and stderr holds
+        # that one line, no numpy warning (a warning would be an error here)
+        assert self._ergodic_on_one_blas_thread(tmp_path, 200, lambda x: (x % 3) / 2) == (
             3, "bound violated on validation grid: ergodic_theorem\n")
+
+    def test_bd165_ergodic_infinite_constant_is_vacuous(self, tmp_path):
+        # with one BLAS thread, bd165's errors for an f in [0, 1] reach inf:
+        # a4 is inf, so every bound is inf and every ratio 0, and that
+        # envelope bounds nothing
+        assert self._ergodic_on_one_blas_thread(tmp_path, 165, lambda x: x / 164) == (
+            3, "vacuous envelope: ergodic_theorem constant=inf rate=0\n")
 
     def test_single_state_kernel_certified(self, tmp_path, capsys):
         # [[0.5]] mixes exactly: constant 0 and rate inf are a real certificate
@@ -484,25 +520,21 @@ class TestEstimateAndSweep:
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"t{threads}"
-            main(["estimate", "--kernel", w3_file, "--out", str(out),
-                  "--f", "0,1,0", "--N", "4000", "--seed", "11",
-                  "--threads", threads])
-            main(["sweep", "--kernel", w3_file, "--out", str(out),
-                  "--f", "0,1,0", "--N-list", "50,500", "--reps", "3",
-                  "--seed", "11", "--threads", threads])
-            outs.append(
-                read_lines(out / "estimate.csv") + read_lines(out / "sweep.csv")
-            )
+            assert main(["sweep", "--kernel", w3_file, "--out", str(out),
+                         "--f", "0,1,0", "--N-list", "50,500", "--reps", "3",
+                         "--seed", "11", "--threads", threads]) == 0
+            outs.append(read_lines(out / "sweep.csv"))
         assert outs[0] == outs[1]
 
     def test_manifest_records_simulation(self, tmp_path, w3_file):
         runs = {}
         for threads in ("1", "4"):
             for sub, extra in (("estimate", ["--N", "4000"]),
-                               ("sweep", ["--N-list", "50,500", "--reps", "3"])):
+                               ("sweep", ["--N-list", "50,500", "--reps", "3",
+                                          "--threads", threads])):
                 out = tmp_path / f"{sub}{threads}"
                 assert main([sub, "--kernel", w3_file, "--out", str(out), "--f", "0,1,0",
-                             "--seed", "11", "--threads", threads] + extra) == 0
+                             "--seed", "11"] + extra) == 0
                 manifest = json.loads(read_lines(out / "manifest.json"))
                 runs[sub, threads] = (manifest["config_hash"],
                                       read_lines(out / f"{sub}.csv"), manifest["simulation"])
@@ -585,13 +617,30 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "--out", "x"]) == 2
 
+    # the arguments each subcommand requires besides --out
+    REQUIRED = {"model": ["--config", "m.cfg"], "spectral": [], "verify": [],
+                "ergodic": ["--f", "1", "--T-grid", "1:2"], "estimate": ["--f", "1", "--N", "1"],
+                "sweep": ["--f", "1", "--N-list", "1"], "converse": []}
+
     @pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5"])
-    @pytest.mark.parametrize("sub", ["model", "spectral", "verify", "ergodic", "estimate",
-                                     "sweep", "converse"])
+    @pytest.mark.parametrize("sub", list(REQUIRED))
     def test_threads_must_be_positive(self, tmp_path, capsys, sub, threads):
-        assert main([sub, "--out", str(tmp_path / "x"), "--threads", threads]) == 2
+        # sweep refuses the value; every other subcommand refuses the option
+        argv = [sub, "--out", str(tmp_path / "x")] + self.REQUIRED[sub]
+        assert main(argv + ["--threads", threads]) == 2
         err = capsys.readouterr().err
         assert "--threads" in err and len(err.strip().splitlines()) == 1
+        assert ("must be a positive integer" in err) == (sub == "sweep")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("sub, option", [
+        (sub, "--seed") for sub in ("spectral", "verify", "ergodic", "converse")] + [
+        (sub, "--threads") for sub in ("model", "spectral", "verify", "ergodic", "estimate",
+                                       "converse")])
+    def test_option_that_changes_nothing_is_refused(self, tmp_path, capsys, sub, option):
+        argv = [sub, "--out", str(tmp_path / "x")] + self.REQUIRED[sub] + [option, "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"qsd: error: unrecognized arguments: {option} 2\n"
         assert not (tmp_path / "x").exists()
 
     def test_no_kernel_source(self, tmp_path, capsys):
@@ -700,9 +749,21 @@ class TestParserBuiltOnce:
         parser = cli._build_parser()
         assert cli._build_parser() is parser
         subparsers = [a for a in parser._actions if a.choices and isinstance(a.choices, dict)]
+        options = {name: [o for a in p._actions if a.dest != "help" for o in a.option_strings]
+                   for sp in subparsers for name, p in sp.choices.items()}
+        source = ["--kernel", "--config", "--out"]
+        assert options == {
+            "model": ["--config", "--out", "--seed"],
+            "spectral": source + ["--tol"],
+            "verify": source + ["--t-max", "--pair-t-max", "--pair-lag-max"],
+            "ergodic": source + ["--f", "--T-grid", "--plan"],
+            "estimate": source + ["--f", "--N", "--T", "--t0", "--x0", "--seed"],
+            "sweep": source + ["--f", "--N-list", "--reps", "--x0", "--seed", "--threads"],
+            "converse": source + ["--t1-max", "--T-max"],
+        }
+        assert sum(map(len, options.values())) == 42
         defaults = [(name, a.dest, a.default) for sp in subparsers
                     for name, p in sp.choices.items() for a in p._actions]
-        assert len(defaults) > 50
         for name, dest, value in defaults:
             assert value is None or isinstance(value, (bool, int, float, str)), (name, dest)
 
@@ -712,10 +773,10 @@ class TestParserBuiltOnce:
         seen = []
         monkeypatch.setattr(cli, "cmd_converse", lambda args: seen.append(vars(args)) or 0)
         base = ["converse", "--kernel", w3_file, "--out", str(tmp_path / "o")]
-        assert main(base + ["--T-max", "7", "--seed", "4"]) == 0
+        assert main(base + ["--T-max", "7", "--t1-max", "4"]) == 0
         assert main(["spectral", "--tol", "nan", "--out", str(tmp_path / "x")]) == 2
         assert main(base) == 0
-        assert [(a["T_max"], a["seed"], a["t1_max"]) for a in seen] == [(7, 4, None), (200, 0, None)]
+        assert [(a["T_max"], a["t1_max"]) for a in seen] == [(7, 4), (200, None)]
 
 
 class TestWithoutMpmath:
@@ -953,8 +1014,9 @@ class TestOneCorePerCommand:
     def counts(self, monkeypatch):
         from qsd import deflation
 
-        counts = {"refine": 0, "rows": 0}
+        counts = {"refine": 0, "rows": 0, "survival": 0}
         refine, rows = deflation._refine_triple, deflation.Deflation.rows
+        survival = deflation.Deflation.survival
 
         def counting_refine(*args):
             counts["refine"] += 1
@@ -965,8 +1027,13 @@ class TestOneCorePerCommand:
                 counts["rows"] += 1
                 yield D
 
+        def counting_survival(self, t_max):
+            counts["survival"] += 1
+            return survival(self, t_max)
+
         monkeypatch.setattr(deflation, "_refine_triple", counting_refine)
         monkeypatch.setattr(deflation.Deflation, "rows", counting_rows)
+        monkeypatch.setattr(deflation.Deflation, "survival", counting_survival)
         return counts
 
     def test_verify_refines_once_and_walks_once(self, tmp_path, w3_file, counts):
@@ -979,12 +1046,14 @@ class TestOneCorePerCommand:
     def test_verify_batches_the_bridge_gaps(self, tmp_path, monkeypatch, kernel):
         from qsd import deflation
 
-        calls = {"_gap_block": 0, "bridge_gap": 0}
-        for name in calls:
-            def counting(self, *args, _name=name, _fn=getattr(deflation.Deflation, name)):
-                calls[_name] += 1
-                return _fn(self, *args)
-            monkeypatch.setattr(deflation.Deflation, name, counting)
+        calls = {"_gap_block": 0}
+        gap_block = deflation.Deflation._gap_block
+
+        def counting(self, *args):
+            calls["_gap_block"] += 1
+            return gap_block(self, *args)
+
+        monkeypatch.setattr(deflation.Deflation, "_gap_block", counting)
         K = models.w3() if kernel == "w3" else models.random_substochastic(64, 5)
         kf = tmp_path / "k.txt"
         write_kernel(K, kf)
@@ -992,7 +1061,7 @@ class TestOneCorePerCommand:
         # per t = 1 .. pair_t_max, one batched product per chunk of the 50
         # lags (all of them at n = 3), and none per pair
         per_t = -(-50 // deflation._chunk(K.n))
-        assert calls == {"_gap_block": 10 * per_t, "bridge_gap": 0}
+        assert calls == {"_gap_block": 10 * per_t}
         assert per_t == (1 if kernel == "w3" else 2)
 
     @pytest.mark.parametrize("argv", [
@@ -1005,3 +1074,9 @@ class TestOneCorePerCommand:
     def test_command_refines_once(self, tmp_path, w3_file, counts, argv):
         assert main(argv + ["--kernel", w3_file, "--out", str(tmp_path / "o")]) == 0
         assert counts["refine"] == 1
+
+    def test_dirac_plan_walks_survival_once(self, tmp_path, w3_file, counts):
+        # the rate fit's series and the plan deviations read one walk of e_t
+        assert main(["ergodic", "--f", "0,0.5,1", "--T-grid", "5:60:5", "--plan", "dirac:5",
+                     "--kernel", w3_file, "--out", str(tmp_path / "o")]) == 0
+        assert counts["survival"] == 1

@@ -44,17 +44,12 @@ def _pair_sup(rows):
 
 def _core_series(K, t_max, f):
     core = Deflation(K, compute_spectral(K))
-    D = list(core.rows(t_max))
-    e = list(core.survival(t_max))
-    out = {}
-    for t in range(t_max + 1):
-        out[("conditioned_tv", t)] = core.conditioned_tv(D[t])
-        out[("conditioned_pair_tv", t)] = core.conditioned_pair_tv(D[t])
-        out[("q_tv", t)] = core.q_tv(D[t])
-        out[("eta_defect", t)] = core.eta_defect(e[t])
-        for s in BRIDGE_TS:
-            if s <= t:
-                out[("bridge_gap", s, t)] = core.bridge_gap(D[s], e[t - s])
+    series = dict(zip(("conditioned_tv", "q_tv", "eta_defect"), core.series(t_max)))
+    series["conditioned_pair_tv"] = [v for _, D in core.blocks(range(t_max + 1))
+                                     for v in core.conditioned_pair_tv(D)]
+    out = {(key, t): v for key, vals in series.items() for t, v in enumerate(vals)}
+    gaps = core.bridge_gaps([(s, t) for s in BRIDGE_TS for t in range(s, t_max + 1)])
+    out.update((("bridge_gap", s, t), v) for (s, t), v in gaps.items())
     for k, (_, log_err) in enumerate(core.plan_errors(f, PLANS)):
         out[("plan_error", k)] = log_err
     return out
@@ -134,22 +129,24 @@ def test_deflated_series_match_extended_precision(case, random_kernels):
 
 
 @pytest.mark.parametrize("name", ["w3", "rs8", "ou8"])
-def test_streamed_bridge_gaps_match_per_pair(name):
+def test_streamed_bridge_gaps_match_per_pair(monkeypatch, name):
     K = {"w3": models.w3, "rs8": lambda: models.random_substochastic(8, 3),
          "ou8": lambda: models.ou_discretized(8)}[name]()
-    core = Deflation(K, compute_spectral(K))
+    S = compute_spectral(K)
     pairs = [(t, t + lag) for t in range(0, 9) for lag in range(0, 31, 3)]
-    gaps = core.bridge_gaps(pairs)
-    D = list(core.rows(8))
-    e = list(core.survival(30))
+    gaps = Deflation(K, S).bridge_gaps(pairs)
     assert sorted(gaps) == sorted(pairs)
+    # one pair a call, and one step or lag a stack
+    monkeypatch.setattr(deflation, "CHUNK_BYTES", 8 * K.n ** 2)
+    core = Deflation(K, S)
     for t, T in pairs:
-        want = core.bridge_gap(D[t], e[T - t]) if t else -math.inf
+        want = core.bridge_gaps([(t, T)])[(t, T)]
         assert gaps[(t, T)] == want, (t, T)
+        assert (want == -math.inf) == (t == 0), (t, T)  # exact 0 at t = 0 only
 
 
 @pytest.mark.parametrize("name", ["w3", "rs8", "ou8"])
-def test_series_served_from_a_longer_walk_equals_a_fresh_walk(name):
+def test_series_served_from_a_longer_walk_equals_a_fresh_walk(monkeypatch, name):
     K = {"w3": models.w3, "rs8": lambda: models.random_substochastic(8, 3),
          "ou8": lambda: models.ou_discretized(8)}[name]()
     S = compute_spectral(K)
@@ -161,10 +158,9 @@ def test_series_served_from_a_longer_walk_equals_a_fresh_walk(name):
     short = Deflation(K, S)
     short.series(10)
     assert short.series(60) == core.series(60)
-    D = list(core.rows(60))
-    e = list(core.survival(60))
-    assert core.series(60) == ([core.conditioned_tv(d) for d in D], [core.q_tv(d) for d in D],
-                               [core.eta_defect(v) for v in e])
+    # a walk whose stacks hold one step each
+    monkeypatch.setattr(deflation, "CHUNK_BYTES", 8 * K.n ** 2)
+    assert core.series(60) == Deflation(K, S).series(60)
 
 
 # -- stacked steps against one step at a time ----------------------------------

@@ -169,16 +169,13 @@ class TestQprocApprox:
                    "random": [K for K in random_kernels if K.n <= 4]}[name]
         for K in kernels:
             core = Deflation(K, compute_spectral(K))
-            surv = list(core.survival(26))
-            for t, D in enumerate(core.rows(6)):
-                for lag in (1, 2, 5, 20) if t else ():
-                    want = enum_path_tv(K.entries, t, t + lag)
-                    got = core.bridge_gap(D, surv[lag])
-                    if want < 1e-40:  # t3: the laws coincide
-                        assert got == -math.inf, (K.n, t, lag)
-                    else:
-                        assert math.exp(got) == pytest.approx(want, rel=1e-13, abs=0.0), \
-                            (K.n, t, lag)
+            pairs = [(t, t + lag) for t in range(1, 7) for lag in (1, 2, 5, 20)]
+            for (t, T), got in core.bridge_gaps(pairs).items():
+                want = enum_path_tv(K.entries, t, T)
+                if want < 1e-40:  # t3: the laws coincide
+                    assert got == -math.inf, (K.n, t, T)
+                else:
+                    assert math.exp(got) == pytest.approx(want, rel=1e-13, abs=0.0), (K.n, t, T)
 
 
 class TestQMixing:
