@@ -32,7 +32,6 @@ from .kernels import (
     as_distribution,
     conditioned_evolve,
     read_kernel,
-    tv_distance,
     uniformize,
     write_kernel,
 )
@@ -46,12 +45,10 @@ from .qprocess import (
     verify_qproc_approx,
 )
 from .spectral import (
-    DecayFit,
     PowerIterationError,
     SpectralTriple,
     compute_spectral,
     conditioned_tv_rate,
-    fit_decay,
 )
 
 __version__ = "0.1.0"

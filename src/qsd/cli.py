@@ -321,9 +321,7 @@ def cmd_verify(args) -> int:
     pairs = [(t, t + dt) for t in range(1, args.pair_t_max + 1)
              for dt in range(1, args.pair_lag_max + 1)]
     q_rep = qprocess.verify_qproc_approx(
-        core, pairs, gamma=eta_rep.rate if math.isfinite(eta_rep.rate) else None,
-        a1=eta_rep.constant,
-    )
+        core, pairs, gamma=eta_rep.rate if math.isfinite(eta_rep.rate) else None)
     mix_rep = qprocess.q_mixing_report(core, range(1, args.t_max + 1))
     _report_csv(os.path.join(args.out, "eta_bound.csv"), eta_rep)
     _report_csv(os.path.join(args.out, "qproc_approx.csv"), q_rep)
@@ -444,6 +442,9 @@ def cmd_converse(args) -> int:
     _manifest(args, digest)
     if not rep.certified:
         print("contraction not certified within the search limits", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
+    if not rep.envelope_ok:
+        print("decay curve above its geometric envelope", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     return EXIT_OK
 

@@ -35,7 +35,7 @@ and each log is one ``math.log`` of one scalar.
 A command builds one :class:`Deflation` and hands it to every report, so
 the triple is refined once.  :meth:`Deflation.series` keeps its longest
 walk, so reports that read shorter series share one walk of D_t and e_t,
-and the core keeps its longest survival walk the same way.
+and the core keeps one survival walk, which a longer request extends.
 """
 
 from __future__ import annotations
@@ -171,14 +171,6 @@ class Deflation:
             D = self._project_rows(D.hat @ self.step, D.exp)
             yield D
 
-    def survival(self, t_max: int):
-        """Yield e_0 .. e_{t_max}."""
-        e = self._project_survival(1.0 - self.eta, 0)
-        yield e
-        for _ in range(t_max):
-            e = self._project_survival(self.step @ e.hat, e.exp)
-            yield e
-
     def blocks(self, steps):
         """Yield (ts, D): the steps ``steps`` of one walk of D_t, in increasing
         order, stacked ``len(ts)`` at a time.
@@ -201,12 +193,17 @@ class Deflation:
             yield ts, Deviation(exp, hat)
 
     def survivals(self, t_max: int) -> Deviation:
-        """e_0 .. e_{t_max}, stacked.  The core keeps the longest survival walk
-        it has made, so a shorter request is a slice of it."""
-        if len(self._surv.hat) <= t_max:
-            walked = list(self.survival(t_max))
-            self._surv = Deviation(np.array([e.exp for e in walked]),
-                                   np.array([e.hat for e in walked]))
+        """e_0 .. e_{t_max}, stacked.  The core keeps its survival walk: a
+        shorter request is a slice of it, and a longer one extends it."""
+        have = len(self._surv.hat)
+        walked = [] if have else [self._project_survival(1.0 - self.eta, 0)]
+        e = walked[0] if walked else Deviation(int(self._surv.exp[-1]), self._surv.hat[-1])
+        for _ in range(t_max + 1 - have - len(walked)):
+            e = self._project_survival(self.step @ e.hat, e.exp)
+            walked.append(e)
+        if walked:
+            self._surv = Deviation(np.append(self._surv.exp, [e.exp for e in walked]),
+                                   np.concatenate([self._surv.hat, [e.hat for e in walked]]))
         return Deviation(self._surv.exp[:t_max + 1], self._surv.hat[:t_max + 1])
 
     def series(self, t_max: int) -> tuple[list, list, list]:

@@ -33,7 +33,6 @@ __all__ = [
     "as_distribution",
     "conditioned_evolve",
     "read_kernel",
-    "tv_distance",
     "uniformize",
     "write_kernel",
 ]
@@ -64,15 +63,6 @@ def as_distribution(weights, normalized: bool = True) -> Distribution:
     if normalized and abs(w.sum() - 1.0) > _MASS_TOL:
         raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
     return w
-
-
-def tv_distance(mu: Distribution, nu: Distribution) -> float:
-    """Total variation distance, fixed as half the L1 distance."""
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if mu.shape != nu.shape:
-        raise ValueError("distributions have different lengths")
-    return 0.5 * float(np.abs(mu - nu).sum())
 
 
 def _unreached(packed: np.ndarray, lev: list | None = None) -> int:

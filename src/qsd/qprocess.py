@@ -28,13 +28,13 @@ series from the core's one walk (:meth:`~qsd.deflation.Deflation.series`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .deflation import Deflation
 from .kernels import SubStochasticKernel
-from .spectral import SpectralTriple, _tail_rate_fit, conditioned_tv_rate, fit_log_decay
+from .spectral import SpectralTriple, _tail_rate_fit, conditioned_tv_rate
 
 __all__ = [
     "BoundReport",
@@ -63,10 +63,8 @@ class BoundReport:
     name: str
     constant: float
     rate: float
-    grid: list
     max_violation: float
-    rows: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    rows: list
 
     @property
     def valid(self) -> bool:
@@ -110,7 +108,7 @@ def _split_half(values):
     return fit, [v for v in values if v > mid] or fit
 
 
-def _fit_validate(name: str, rate: float, grid, points, fit, val, details) -> BoundReport:
+def _fit_validate(name: str, rate: float, points, fit, val) -> BoundReport:
     """Fit one envelope constant in log space, validate it, build the report.
 
     ``points`` holds (key, t, T, observed, ln observed, ln envelope) per
@@ -135,8 +133,8 @@ def _fit_validate(name: str, rate: float, grid, points, fit, val, details) -> Bo
         if key in val:
             max_violation = max(max_violation, ratio)
         rows.append((t, T, obs, _exp(log_bound), ratio))
-    return BoundReport(name, constant=_exp(log_c), rate=rate, grid=grid,
-                       max_violation=max_violation, rows=rows, details=details)
+    return BoundReport(name, constant=_exp(log_c), rate=rate,
+                       max_violation=max_violation, rows=rows)
 
 
 def _time_grid(t_grid) -> list[int]:
@@ -156,32 +154,19 @@ def verify_eta_bound(core: Deflation, t_grid) -> BoundReport:
     of the grid at the conditioned-TV decay rate; the second half
     validates it.  The two-sided eigenvector sandwich
     (1 -+ a1 e^(-gamma t)) eta_t <= eta <= (1 + a1 e^(-gamma t)) eta_t
-    is re-checked on every grid point.
+    is this envelope rearranged, so it holds on the grid iff the report
+    is ``valid``.
     """
     ts = _time_grid(t_grid)
     tvs, _, errs = core.series(ts[-1])
 
     fit_ts, val_ts = _split_half(ts)
-    details: dict = {"fit_grid": fit_ts, "validation_grid": val_ts,
-                     "rate_source": "conditioned_tv_fit"}
-    gamma_fit = _tail_rate_fit([(t, tvs[t]) for t in fit_ts])
-    gamma = gamma_fit.gamma
-    details["gamma_fit_rms"] = gamma_fit.rms_residual
+    gamma = _tail_rate_fit([(t, tvs[t]) for t in fit_ts])
     points = [(t, t, None, _exp(errs[t]), errs[t], -gamma * t) for t in ts]
-    rep = _fit_validate("eta_bound", gamma, ts, points, set(fit_ts), set(val_ts), details)
-    # the two-sided sandwich (1 -+ a1 e^(-gamma t)) eta_t <= eta <= (...) is
-    # the |.| envelope rearranged; it holds on the grid iff no validation
-    # point violates the envelope (fit points satisfy it by construction)
-    details["sandwich_ok"] = rep.valid
-    return rep
+    return _fit_validate("eta_bound", gamma, points, set(fit_ts), set(val_ts))
 
 
-def verify_qproc_approx(
-    core: Deflation,
-    pairs,
-    gamma: float | None = None,
-    a1: float | None = None,
-) -> BoundReport:
+def verify_qproc_approx(core: Deflation, pairs, gamma: float | None = None) -> BoundReport:
     """Envelope for TV(conditioned-forever law, survival-past-T law).
 
     For every supplied (t, T) pair, compares the conditioned-forever chain
@@ -195,50 +180,28 @@ def verify_qproc_approx(
     marginal TV compared here is also the TV of the path laws.
 
     ``gamma`` defaults to the conditioned-TV decay rate fitted on a fresh
-    grid.  If ``a1`` (from :func:`verify_eta_bound`) is given, pairs below
-    the threshold T - t <= ln(a1)/gamma, where the two-term derivation of
-    the envelope degenerates, are flagged in the report details.
+    grid.
     """
     pts = sorted({(int(t), int(T)) for t, T in pairs})
     if not pts:
         raise ValueError("no (t, T) pairs supplied")
     if any(t < 0 or T < t for t, T in pts):
         raise ValueError("pairs must satisfy 0 <= t <= T")
-    t_max = max(t for t, _ in pts)
     lag_max = max(T - t for t, T in pts)
 
     if gamma is None:
-        gamma = conditioned_tv_rate(core, t_max=max(40, min(120, 4 * lag_max))).gamma
+        gamma = conditioned_tv_rate(core, t_max=max(40, min(120, 4 * lag_max)))
     if not math.isfinite(gamma):
         # conditionally mixed in one step: observed TVs are identically zero
         rows = [(t, T, 0.0, 0.0, 0.0) for t, T in pts]
-        return BoundReport("qproc_approx", constant=0.0, rate=math.inf, grid=pts,
-                           max_violation=0.0, rows=rows,
-                           details={"gamma": math.inf})
+        return BoundReport("qproc_approx", constant=0.0, rate=math.inf,
+                           max_violation=0.0, rows=rows)
 
     observed = core.bridge_gaps(pts)
-
-    lags = sorted({T - t for t, T in pts})
-    fit_lags, val_lags = _split_half(lags)
-    details: dict = {"gamma": gamma, "fit_lags": fit_lags,
-                     "validation_lags": val_lags}
-
-    sup_by_lag = dict.fromkeys(lags, -math.inf)
-    for t, T in pts:
-        sup_by_lag[T - t] = max(sup_by_lag[T - t], observed[(t, T)])
-    positive = [(lag, v) for lag, v in sup_by_lag.items() if v > -math.inf]
-    if len(positive) >= 3:
-        details["fitted_rate"] = fit_log_decay(positive).gamma
-
+    fit_lags, val_lags = _split_half(sorted({T - t for t, T in pts}))
     points = [(T - t, t, T, _exp(observed[(t, T)]), observed[(t, T)], -gamma * (T - t))
               for t, T in pts]
-    rep = _fit_validate("qproc_approx", gamma, pts, points, set(fit_lags), set(val_lags),
-                        details)
-    if a1 is not None and a1 > 0:
-        thr = math.log(a1) / gamma
-        details["proof_threshold_lag"] = thr
-        details["pairs_below_threshold"] = [p for p in pts if p[1] - p[0] <= thr]
-    return rep
+    return _fit_validate("qproc_approx", gamma, points, set(fit_lags), set(val_lags))
 
 
 def q_mixing_report(core: Deflation, t_grid) -> BoundReport:
@@ -254,12 +217,9 @@ def q_mixing_report(core: Deflation, t_grid) -> BoundReport:
     _, series, _ = core.series(ts[-1])
 
     fit_ts, val_ts = _split_half(ts)
-    details: dict = {"fit_grid": fit_ts, "validation_grid": val_ts}
-    fit = _tail_rate_fit([(t, series[t]) for t in fit_ts])
-    details["lsq_C"] = fit.C
-    details["rms_residual"] = fit.rms_residual
-    points = [(t, t, None, _exp(series[t]), series[t], -fit.gamma * t) for t in ts]
-    return _fit_validate("q_mixing", fit.gamma, ts, points, set(fit_ts), set(val_ts), details)
+    gamma = _tail_rate_fit([(t, series[t]) for t in fit_ts])
+    points = [(t, t, None, _exp(series[t]), series[t], -gamma * t) for t in ts]
+    return _fit_validate("q_mixing", gamma, points, set(fit_ts), set(val_ts))
 
 
 def fitted_rates(core: Deflation, t_max: int = 60) -> tuple[float, float]:
@@ -269,5 +229,5 @@ def fitted_rates(core: Deflation, t_max: int = 60) -> tuple[float, float]:
     # built only to refuse a kernel whose h-transform is ill-conditioned
     build_q_kernel(core.kernel, core.triple)
     _, q_tv, _ = core.series(t_max)
-    return (conditioned_tv_rate(core, t_max).gamma,
-            _tail_rate_fit([(t, q_tv[t]) for t in range(1, (1 + t_max) // 2 + 1)]).gamma)
+    return (conditioned_tv_rate(core, t_max),
+            _tail_rate_fit([(t, q_tv[t]) for t in range(1, (1 + t_max) // 2 + 1)]))

@@ -6,7 +6,7 @@ capacity eta (right Perron vector, scaled so alpha . eta = 1), and the
 tilted measure beta = eta * alpha, which is the invariant law of the
 chain conditioned to survive forever.
 
-Also fits the log-linear decay rates (:func:`fit_decay`,
+Also fits the log-linear decay rates (:func:`fit_log_decay`,
 :func:`conditioned_tv_rate`) that the convergence reports use.
 """
 
@@ -20,11 +20,9 @@ import numpy as np
 from .kernels import Distribution, SubStochasticKernel, _eigen_residual, _shifted_solve
 
 __all__ = [
-    "DecayFit",
     "PowerIterationError",
     "SpectralTriple",
     "compute_spectral",
-    "fit_decay",
     "fit_log_decay",
 ]
 
@@ -186,33 +184,13 @@ def compute_spectral(
                           iterations=steps, power_steps=power_steps)
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares fit of log(value) = log(C) - gamma * t."""
+def fit_log_decay(points) -> float:
+    """Rate gamma of a least-squares fit ln value = ln C - gamma t to (t, ln value)
+    pairs, so values past a double's range fit too.
 
-    C: float
-    gamma: float
-    rms_residual: float
-
-
-def _log_value(v) -> float:
-    v = float(v)
-    if v <= 0 or not math.isfinite(v):
-        raise ValueError(f"nonpositive value in decay series: {v!r}")
-    return math.log(v)
-
-
-def fit_decay(series) -> DecayFit:
-    """Fit C e^(-gamma t) to positive samples by least squares in log space.
-
-    Needs at least three points with distinct times; any nonpositive value
-    is rejected.  Decay is not assumed: gamma is simply the negated slope.
+    Needs at least three points with distinct times.  Decay is not
+    assumed: gamma is simply the negated slope.
     """
-    return fit_log_decay([(t, _log_value(v)) for t, v in series])
-
-
-def fit_log_decay(points) -> DecayFit:
-    """:func:`fit_decay` on (t, ln value) pairs, for values past a double's range."""
     pts = [(float(t), float(y)) for t, y in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit a decay rate")
@@ -220,16 +198,11 @@ def fit_log_decay(points) -> DecayFit:
     ys = np.array([y for _, y in pts])
     if float(ts.std()) == 0.0:
         raise ValueError("degenerate series: all samples at the same time")
-    slope, intercept = np.polyfit(ts, ys, 1)
-    resid = ys - (slope * ts + intercept)
-    return DecayFit(
-        C=float(np.exp(intercept)),
-        gamma=float(-slope),
-        rms_residual=float(np.sqrt(np.mean(resid**2))),
-    )
+    slope, _ = np.polyfit(ts, ys, 1)
+    return float(-slope)
 
 
-def _tail_rate_fit(points) -> DecayFit:
+def _tail_rate_fit(points) -> float:
     """Rate fit on the tail half of a (t, ln value) series.
 
     Early times carry subdominant-eigenvalue transients; the envelope
@@ -246,11 +219,11 @@ def _tail_rate_fit(points) -> DecayFit:
     finite = [(t, v) for t, v in points if v > -math.inf]
     tail = [(t, v) for t, v in finite if t > mid]
     if not tail:
-        return DecayFit(C=0.0, gamma=math.inf, rms_residual=0.0)
+        return math.inf
     return fit_log_decay(tail if len(tail) >= 3 else finite)
 
 
-def conditioned_tv_rate(core, t_max: int = 60) -> DecayFit:
+def conditioned_tv_rate(core, t_max: int = 60) -> float:
     """Decay rate of sup_x TV(law of X_t | survival, alpha).
 
     The series comes from the deflated core (a :class:`qsd.deflation.Deflation`;

@@ -60,6 +60,15 @@ def eig_triple(entries, dps: int = 40):
     )
 
 
+def tv_distance(mu, nu) -> float:
+    """Total variation distance, fixed as half the L1 distance."""
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    if mu.shape != nu.shape:
+        raise ValueError("distributions have different lengths")
+    return 0.5 * float(np.abs(mu - nu).sum())
+
+
 def mp_tv(u, v):
     """Half-L1 distance between two mp weight lists."""
     return sum(abs(a - b) for a, b in zip(u, v)) / 2

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ from oracles import (
     mp_perron,
     mp_survival_vectors,
 )
-from qsd import cli, estimator, models, qprocess
+from qsd import cli, converse, estimator, models, qprocess
 from qsd.cli import main, parse_model_config
 from qsd.kernels import SubStochasticKernel, read_kernel, write_kernel
 from qsd.models import golden_kernel_path
@@ -580,6 +581,22 @@ class TestConverseSubcommand:
         assert code == 3
         assert "not certified" in capsys.readouterr().err
 
+    def test_curve_above_envelope_exits_three(self, tmp_path, w3_file, capsys, monkeypatch):
+        search = converse.certify_converse
+
+        def broken(K, **limits):
+            rep = search(K, **limits)
+            curve = [(T, min(1.0, 2.0 * rep.envelope(T))) for T, _ in rep.decay_curve]
+            return dataclasses.replace(rep, decay_curve=curve)
+
+        monkeypatch.setattr(converse, "certify_converse", broken)
+        out = tmp_path / "c"
+        code = main(["converse", "--kernel", w3_file, "--out", str(out), "--T-max", "20"])
+        assert code == 3
+        assert capsys.readouterr().err == "decay curve above its geometric envelope\n"
+        lines = read_lines(out / "converse.csv").splitlines()
+        assert "certified=True" in lines[-1] and len(lines) == 2 + 10
+
 
 class TestPlainNumberMessages:
     """Diagnostics print numbers as plain floats and name the file and line."""
@@ -1016,7 +1033,7 @@ class TestOneCorePerCommand:
 
         counts = {"refine": 0, "rows": 0, "survival": 0}
         refine, rows = deflation._refine_triple, deflation.Deflation.rows
-        survival = deflation.Deflation.survival
+        project = deflation.Deflation._project_survival
 
         def counting_refine(*args):
             counts["refine"] += 1
@@ -1027,13 +1044,13 @@ class TestOneCorePerCommand:
                 counts["rows"] += 1
                 yield D
 
-        def counting_survival(self, t_max):
+        def counting_survival(self, *args):
             counts["survival"] += 1
-            return survival(self, t_max)
+            return project(self, *args)
 
         monkeypatch.setattr(deflation, "_refine_triple", counting_refine)
         monkeypatch.setattr(deflation.Deflation, "rows", counting_rows)
-        monkeypatch.setattr(deflation.Deflation, "survival", counting_survival)
+        monkeypatch.setattr(deflation.Deflation, "_project_survival", counting_survival)
         return counts
 
     def test_verify_refines_once_and_walks_once(self, tmp_path, w3_file, counts):
@@ -1076,7 +1093,10 @@ class TestOneCorePerCommand:
         assert counts["refine"] == 1
 
     def test_dirac_plan_walks_survival_once(self, tmp_path, w3_file, counts):
-        # the rate fit's series and the plan deviations read one walk of e_t
-        assert main(["ergodic", "--f", "0,0.5,1", "--T-grid", "5:60:5", "--plan", "dirac:5",
-                     "--kernel", w3_file, "--out", str(tmp_path / "o")]) == 0
-        assert counts["survival"] == 1
+        # the rate fit's series walks e_0 .. e_60 and the plan deviations read
+        # or extend that one walk: one projected step per e_t
+        for T_max in (60, 100):
+            counts["survival"] = 0
+            assert main(["ergodic", "--f", "0,0.5,1", "--T-grid", f"5:{T_max}:5", "--plan",
+                         "dirac:5", "--kernel", w3_file, "--out", str(tmp_path / "o")]) == 0
+            assert counts["survival"] == T_max + 1

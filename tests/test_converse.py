@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import enum_pair_tv
-from qsd import converse
+from oracles import enum_pair_tv, tv_distance
+from qsd import converse, models
 from qsd.converse import certify_converse
-from qsd.kernels import tv_distance
-from qsd.spectral import compute_spectral, fit_decay
+from qsd.kernels import _max_pair_tv
+from qsd.qprocess import build_q_kernel
+from qsd.spectral import compute_spectral, fit_log_decay
 
 
 def probes(rep):
@@ -36,6 +37,27 @@ class TestDobrushin:
             if T <= 8:
                 assert v == pytest.approx(enum_pair_tv(w3.entries, t1, T), abs=1e-11)
 
+    def test_limit_is_the_q_process_pair_tv(self, monkeypatch, w3, random_kernels):
+        # the T = infinity probe reads P_t1 * eta, never a power of Q
+        kernels = [w3, models.random_substochastic(8, 3)] + random_kernels
+
+        def refuse(*args):
+            raise AssertionError("certify_converse took a matrix power")
+
+        for K in kernels:
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "matrix_power", refuse)
+                rep = certify_converse(K, T_max=64)
+            S = compute_spectral(K)
+            Q = build_q_kernel(K, S)
+            for t1, row in rep.probed.items():
+                T, limit = row[-1]
+                assert T is None
+                want = _max_pair_tv(np.linalg.matrix_power(Q, t1))
+                # equal for an exact eigenvector eta; Q renormalizes every
+                # step and P_t1 * eta once, so they part by eta's residual
+                assert limit == pytest.approx(want, abs=1e-14 + S.residual), (K.n, t1)
+
     def test_range(self, w3, random_kernels):
         for K in (w3, random_kernels[5]):
             rep = certify_converse(K, T_max=200)
@@ -62,7 +84,7 @@ class TestCertifyConverse:
         assert rep.certified
         assert rep.t1 == 2
         assert rep.delta <= 0.5
-        assert rep.details["envelope_ok"]
+        assert rep.envelope_ok
 
     def test_w3_decay_curve_respects_envelope(self, w3):
         rep = certify_converse(w3, T_max=200)
@@ -82,7 +104,7 @@ class TestCertifyConverse:
         assert (rep.t1, rep.T1) == (2, 2)
         assert rep.delta == max(v for _, v in rep.probed[2])
         assert rep.decay_curve == []
-        assert rep.details["envelope_ok"]
+        assert rep.envelope_ok
 
     @pytest.mark.parametrize("kernel", ["w3", "t3"])
     def test_one_forward_and_one_survival_walk(self, request, monkeypatch, kernel):
@@ -120,7 +142,7 @@ class TestCertifyConverse:
             series.append(
                 (t, max(tv_distance(rows[i], w3_triple.alpha) for i in range(3)))
             )
-        gamma = fit_decay(series).gamma
+        gamma = fit_log_decay([(t, math.log(v)) for t, v in series])
         assert gamma >= 0.9 * math.log(2.0) / rep.t1
 
 
@@ -140,5 +162,5 @@ class TestEndToEnd:
                 worst = max(tv_distance(rows[i], S.alpha) for i in range(K.n))
                 if worst > 1e-13:
                     series.append((t, worst))
-            gamma = fit_decay(series).gamma
+            gamma = fit_log_decay([(t, math.log(v)) for t, v in series])
             assert gamma >= 0.9 * math.log(2.0) / rep.t1

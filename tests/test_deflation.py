@@ -161,6 +161,13 @@ def test_series_served_from_a_longer_walk_equals_a_fresh_walk(monkeypatch, name)
     # a walk whose stacks hold one step each
     monkeypatch.setattr(deflation, "CHUNK_BYTES", 8 * K.n ** 2)
     assert core.series(60) == Deflation(K, S).series(60)
+    # the survival walk: a shorter request is a slice, a longer one extends it
+    fresh = Deflation(K, S).survivals(200)
+    grown = Deflation(K, S)
+    for t_max in (0, 1, 7, 60, 200, 60, 0):
+        got = grown.survivals(t_max)
+        assert np.array_equal(got.exp, fresh.exp[:t_max + 1]), t_max
+        assert np.array_equal(got.hat, fresh.hat[:t_max + 1]), t_max
 
 
 # -- stacked steps against one step at a time ----------------------------------
@@ -215,7 +222,8 @@ def _reference(K, t_max=200):
     S = compute_spectral(K)
     core = Deflation(K, S)
     D = list(core.rows(t_max))
-    e = list(core.survival(t_max))
+    surv = core.survivals(t_max)
+    e = [deflation.Deviation(int(x), h) for x, h in zip(surv.exp, surv.hat)]
     out = {
         "conditioned_tv": [_ref_half_l1(d.exp, _ref_conditioned(core, d)) for d in D],
         "q_tv": [_ref_half_l1(d.exp, d.hat * core.eta) for d in D],

@@ -245,9 +245,11 @@ class TestErgodicTheorem:
         f = [1.0, 0.0, 0.0]
         rep = verify_ergodic_theorem(Deflation(w3, w3_triple), f, range(10, 201, 5))
         assert rep.max_violation <= 1.0 + 1e-9
-        assert rep.details["non_increasing_on_validation"]
-        # T * error settles to a plateau: the fitted a4 is attained late
+        # T * error settles to a plateau: the fitted a4 is attained late,
+        # and T * error does not grow on the validation half (T > 105)
         scaled = [T * obs for (_, T, obs, _, _) in rep.rows]
+        late = [v for (_, T, _, _, _), v in zip(rep.rows, scaled) if T > 105]
+        assert all(b <= a + 1e-9 for a, b in zip(late, late[1:]))
         assert scaled[-1] == pytest.approx(rep.constant, rel=1e-3)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enum_pair_tv, power_bridge, power_marginal, wielandt_primitive
+from oracles import enum_pair_tv, power_bridge, power_marginal, tv_distance, wielandt_primitive
 from qsd import models
 from qsd.converse import certify_converse
 from qsd.kernels import (
@@ -16,7 +16,6 @@ from qsd.kernels import (
     as_distribution,
     conditioned_evolve,
     read_kernel,
-    tv_distance,
     uniformize,
     write_kernel,
 )

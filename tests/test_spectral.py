@@ -4,17 +4,16 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dense_perron, eig_triple, second_eigenvalue_magnitude
+from oracles import dense_perron, eig_triple, second_eigenvalue_magnitude, tv_distance
 from qsd import models
 from qsd.deflation import Deflation
-from qsd.kernels import SubStochasticKernel, conditioned_evolve, tv_distance
+from qsd.kernels import SubStochasticKernel, conditioned_evolve
 from qsd.spectral import (
     HANDOFF_WINDOW,
     WARMUP_STEPS,
     PowerIterationError,
     compute_spectral,
     conditioned_tv_rate,
-    fit_decay,
     fit_log_decay,
     _tail_rate_fit,
 )
@@ -232,11 +231,8 @@ class TestThousandStates:
 
 class TestFitDecay:
     def test_exact_log_linear(self):
-        series = [(t, 2.0 * 3.0 ** (-t)) for t in range(1, 11)]
-        fit = fit_decay(series)
-        assert fit.C == pytest.approx(2.0, rel=1e-12)
-        assert fit.gamma == pytest.approx(math.log(3.0), abs=1e-12)
-        assert fit.rms_residual == pytest.approx(0.0, abs=1e-12)
+        series = [(t, math.log(2.0) - t * math.log(3.0)) for t in range(1, 11)]
+        assert fit_log_decay(series) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_t3_conditioned_tv_closed_form(self, t3, t3_triple):
         # two-state diagonalization: TV(law_t from 0, alpha) = (1/7)^t / 2
@@ -246,14 +242,14 @@ class TestFitDecay:
             series.append((t, tv_distance(law, t3_triple.alpha)))
         for t, v in series:
             assert v == pytest.approx(0.5 * 7.0 ** (-t), rel=1e-6)
-        fit = fit_decay(series)
-        assert fit.gamma == pytest.approx(math.log(7.0), rel=1e-8)
+        gamma = fit_log_decay([(t, math.log(v)) for t, v in series])
+        assert gamma == pytest.approx(math.log(7.0), rel=1e-8)
 
     def test_w3_q_mixing_rate_matches_eigen_oracle(self, w3, w3_triple):
-        fit = conditioned_tv_rate(Deflation(w3, w3_triple), t_max=60)
+        gamma = conditioned_tv_rate(Deflation(w3, w3_triple), t_max=60)
         lam2 = second_eigenvalue_magnitude(w3.entries)
         expected = -math.log(lam2 / w3_triple.rho)
-        assert fit.gamma == pytest.approx(expected, rel=0.02)
+        assert gamma == pytest.approx(expected, rel=0.02)
 
     @pytest.mark.parametrize("name", ["w3", "rs8"])
     @pytest.mark.parametrize("t_max", [40, 41])
@@ -266,8 +262,8 @@ class TestFitDecay:
         assert conditioned_tv_rate(core, t_max=t_max) == fit_log_decay(tail)
 
     def test_conditioned_tv_rate_infinite_on_one_state(self, single):
-        fit = conditioned_tv_rate(Deflation(single, compute_spectral(single)), t_max=41)
-        assert fit.gamma == math.inf and fit.C == 0.0
+        core = Deflation(single, compute_spectral(single))
+        assert conditioned_tv_rate(core, t_max=41) == math.inf
 
     def test_conditioned_tv_rate_infinite_on_one_step_mixing(self):
         # rank one with eta = (1, 1): the series is nonzero at t = 0 and
@@ -277,8 +273,7 @@ class TestFitDecay:
         core = Deflation(K, S)
         series = [v for _, D in core.blocks(range(42)) for v in core.conditioned_tv(D)]
         assert series[0] > -math.inf and set(series[1:]) == {-math.inf}
-        fit = conditioned_tv_rate(core, t_max=41)
-        assert fit.gamma == math.inf and fit.C == 0.0
+        assert conditioned_tv_rate(core, t_max=41) == math.inf
 
     def test_tail_rate_rule(self):
         line = [(t, -0.5 * t) for t in range(1, 9)]
@@ -287,23 +282,19 @@ class TestFitDecay:
         zeros = line[:5] + [(t, -math.inf) for t in range(6, 9)]
         assert _tail_rate_fit(zeros) == fit_log_decay(line[:5])
         # a tail with no nonzero point is an infinite rate
-        assert _tail_rate_fit(line[:4] + zeros[5:]).gamma == math.inf
+        assert _tail_rate_fit(line[:4] + zeros[5:]) == math.inf
         # fewer than three nonzero points is too short a window to fit
         with pytest.raises(ValueError, match="3 points"):
             _tail_rate_fit(line[:2])
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="nonpositive"):
-            fit_decay([(1, 1.0), (2, 0.0), (3, 0.5)])
-
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="3 points"):
-            fit_decay([(1, 1.0), (2, 0.5)])
+            fit_log_decay([(1, 0.0), (2, -0.5)])
 
     def test_rejects_degenerate_times(self):
         with pytest.raises(ValueError, match="degenerate"):
-            fit_decay([(2, 1.0), (2, 0.5), (2, 0.25)])
+            fit_log_decay([(2, 0.0), (2, -0.5), (2, -1.0)])
 
     def test_growth_allowed(self):
-        fit = fit_decay([(t, 2.0**t) for t in range(1, 8)])
-        assert fit.gamma == pytest.approx(-math.log(2.0), abs=1e-12)
+        gamma = fit_log_decay([(t, t * math.log(2.0)) for t in range(1, 8)])
+        assert gamma == pytest.approx(-math.log(2.0), abs=1e-12)
