@@ -10,12 +10,7 @@ convergence bounds tying all of these together.
 
 from .converse import ContractionReport, certify_converse
 from .deflation import Deflation
-from .ergodic import (
-    SamplingPlan,
-    conditional_functional,
-    optimal_t0,
-    verify_ergodic_theorem,
-)
+from .ergodic import SamplingPlan, conditional_functional, verify_ergodic_theorem
 from .estimator import (
     ExtinctionError,
     SweepRow,
@@ -25,14 +20,10 @@ from .estimator import (
     sweep_error_vs_N,
 )
 from .kernels import (
-    Distribution,
-    Generator,
     HorizonTooLarge,
     SubStochasticKernel,
-    as_distribution,
     conditioned_evolve,
     read_kernel,
-    uniformize,
     write_kernel,
 )
 from .models import ModelSpec, build
@@ -44,11 +35,6 @@ from .qprocess import (
     verify_eta_bound,
     verify_qproc_approx,
 )
-from .spectral import (
-    PowerIterationError,
-    SpectralTriple,
-    compute_spectral,
-    conditioned_tv_rate,
-)
+from .spectral import PowerIterationError, SpectralTriple, compute_spectral
 
 __version__ = "0.1.0"

@@ -37,13 +37,10 @@ class SamplingPlan:
     weights summing to 1.
     """
 
-    kind: str
     T: int
     atoms: tuple
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "dirac", "custom"):
-            raise ValueError(f"unknown plan kind {self.kind!r}")
         if self.T < 0:
             raise ValueError("T must be >= 0")
         if not self.atoms:
@@ -63,15 +60,15 @@ class SamplingPlan:
         """Average over the steps 0..T-1 (left Riemann discretization)."""
         if T < 1:
             raise ValueError("uniform plan needs T >= 1")
-        return cls("uniform", T, tuple((t, 1.0 / T) for t in range(T)))
+        return cls(T, tuple((t, 1.0 / T) for t in range(T)))
 
     @classmethod
     def dirac(cls, t0: int, T: int) -> "SamplingPlan":
-        return cls("dirac", T, ((int(t0), 1.0),))
+        return cls(T, ((int(t0), 1.0),))
 
     @classmethod
     def custom(cls, atoms, T: int) -> "SamplingPlan":
-        return cls("custom", T, tuple((int(t), float(w)) for t, w in atoms))
+        return cls(T, tuple((int(t), float(w)) for t, w in atoms))
 
 
 def _test_vector(core: Deflation, f) -> np.ndarray:

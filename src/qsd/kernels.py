@@ -12,10 +12,9 @@ forward pass, and the bridge search of ``converse.certify_converse`` both:
 a bridge law (the law of X_t given survival past T) is a forward row
 reweighted by the survival vector at lag T - t.
 
-Distributions over survivor states are plain 1-D numpy arrays; use
-:func:`as_distribution` to validate one.  Kernel and generator entries are
-frozen at construction, and every operation here is a pure function of its
-inputs, so values are safe to share across threads.
+Distributions over survivor states are plain 1-D numpy arrays.  Kernel
+entries are frozen at construction, and every operation here is a pure
+function of its inputs, so values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -26,43 +25,18 @@ import math
 import numpy as np
 
 __all__ = [
-    "Distribution",
-    "Generator",
     "HorizonTooLarge",
     "SubStochasticKernel",
-    "as_distribution",
     "conditioned_evolve",
     "read_kernel",
-    "uniformize",
     "write_kernel",
 ]
-
-#: Distributions are 1-D float arrays over the survivor states.
-Distribution = np.ndarray
 
 _MASS_TOL = 1e-12
 
 
 class HorizonTooLarge(RuntimeError):
     """Survival mass underflowed; the requested horizon is numerically dead."""
-
-
-def as_distribution(weights, normalized: bool = True) -> Distribution:
-    """Validate and return a copy of a weight vector.
-
-    With ``normalized`` the weights must sum to 1 within 1e-12; either way
-    they must be finite and nonnegative.
-    """
-    w = np.asarray(weights, dtype=float).copy()
-    if w.ndim != 1:
-        raise ValueError("distribution must be a 1-D vector")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("distribution has non-finite entries")
-    if np.any(w < 0):
-        raise ValueError("distribution has negative entries")
-    if normalized and abs(w.sum() - 1.0) > _MASS_TOL:
-        raise ValueError(f"weights sum to {float(w.sum())!r}, not 1")
-    return w
 
 
 def _unreached(packed: np.ndarray, lev: list | None = None) -> int:
@@ -271,69 +245,26 @@ def _last(steps):
     return item
 
 
-def conditioned_evolve(K: SubStochasticKernel, mu, t: int) -> Distribution:
+def conditioned_evolve(K: SubStochasticKernel, mu, t: int) -> np.ndarray:
     """Law of X_t given survival to time t, started from mu.
 
-    Computed by stepwise renormalization, so any horizon the chain can
-    numerically survive is fine; a zero-mass step raises
-    :class:`HorizonTooLarge`.
+    ``mu`` must be a length-n vector of finite, nonnegative weights summing
+    to 1 within 1e-12.  Computed by stepwise renormalization, so any
+    horizon the chain can numerically survive is fine; a zero-mass step
+    raises :class:`HorizonTooLarge`.
     """
-    mu = as_distribution(mu)
-    if mu.shape[0] != K.n:
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (K.n,):
         raise ValueError("distribution length does not match kernel size")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("distribution has non-finite entries")
+    if np.any(mu < 0):
+        raise ValueError("distribution has negative entries")
+    if abs(mu.sum() - 1.0) > _MASS_TOL:
+        raise ValueError(f"weights sum to {float(mu.sum())!r}, not 1")
     if t < 0:
         raise ValueError("t must be >= 0")
     return _last(_forward(K, mu[None, :], t))[0]
-
-
-class Generator:
-    """Continuous-time rate matrix with killing.
-
-    Off-diagonal entries are jump rates (>= 0); row sums <= 0, the deficit
-    being the killing rate out of the survivor set.
-    """
-
-    def __init__(self, rates):
-        g = np.asarray(rates, dtype=float).copy()
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("generator must be a square matrix")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("generator has non-finite entries")
-        off = g.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < 0):
-            raise ValueError("off-diagonal rates must be >= 0")
-        if np.any(np.diag(g) > 0):
-            raise ValueError("diagonal entries must be <= 0")
-        if np.any(g.sum(axis=1) > _MASS_TOL):
-            raise ValueError("row sums must be <= 0 (deficit is the killing rate)")
-        g.setflags(write=False)
-        self.rates = g
-        self.n = g.shape[0]
-
-    def __repr__(self) -> str:
-        return f"Generator(n={self.n})"
-
-
-def uniformize(G: Generator, theta: float) -> SubStochasticKernel:
-    """Embed a killed generator as a discrete kernel K = I + G/theta.
-
-    ``theta`` must dominate every diagonal rate magnitude; the returned
-    kernel carries time_unit = 1/theta.  The continuous-time decay rate is
-    recovered from the kernel's survival eigenvalue rho as
-    (1 - rho) / time_unit.
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    max_diag = float(np.max(-np.diag(G.rates))) if G.n else 0.0
-    if theta < max_diag:
-        raise ValueError(
-            f"theta={theta!r} is below the largest diagonal rate {max_diag!r}; "
-            "the embedded kernel would have negative diagonal entries"
-        )
-    K = np.eye(G.n) + G.rates / theta
-    K[K < 0] = 0.0  # clip roundoff at theta == max diagonal
-    return SubStochasticKernel(K, time_unit=1.0 / theta)
 
 
 def write_kernel(K: SubStochasticKernel, path) -> None:

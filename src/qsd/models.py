@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .kernels import Generator, SubStochasticKernel, read_kernel, uniformize
+from .kernels import SubStochasticKernel, read_kernel
 from .rng import counter_uniforms, derive_key, uniform_field
 
 __all__ = [
@@ -146,6 +146,17 @@ def random_substochastic(
     return SubStochasticKernel(raw)
 
 
+def _uniformized(G: np.ndarray) -> SubStochasticKernel:
+    """The kernel K = I + G/theta of a killed generator G, embedded at the
+    clock theta = max_x |G(x, x)|, so one step lasts 1/theta."""
+    if not np.all(np.isfinite(G)):
+        raise ValueError("generator has non-finite entries")
+    theta = float(np.max(-np.diag(G)))
+    K = np.eye(len(G)) + G / theta
+    K[K < 0] = 0.0  # clip roundoff on a diagonal entry whose rate is theta
+    return SubStochasticKernel(K, time_unit=1.0 / theta)
+
+
 def linear_bd_truncated(n: int, birth: float = 0.5, death: float = 0.55) -> SubStochasticKernel:
     """Linear birth-death chain (rates proportional to population),
     truncated at population n and embedded at the uniformization clock.
@@ -168,8 +179,7 @@ def linear_bd_truncated(n: int, birth: float = 0.5, death: float = 0.55) -> SubS
         if i >= 1:
             G[i, i - 1] = down
         G[i, i] = -(up + down)
-    theta = float(np.max(-np.diag(G)))
-    return uniformize(Generator(G), theta)
+    return _uniformized(G)
 
 
 def ou_discretized(n: int, half_width: float = 3.0, sigma: float = 1.0) -> SubStochasticKernel:
@@ -197,8 +207,7 @@ def ou_discretized(n: int, half_width: float = 3.0, sigma: float = 1.0) -> SubSt
         if j >= 1:
             G[j, j - 1] = down
         G[j, j] = -(up + down)
-    theta = float(np.max(-np.diag(G)))
-    return uniformize(Generator(G), theta)
+    return _uniformized(G)
 
 
 _BUILDERS = {

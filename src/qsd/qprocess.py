@@ -191,7 +191,7 @@ def verify_qproc_approx(core: Deflation, pairs, gamma: float | None = None) -> B
 
     if gamma is None:
         gamma = conditioned_tv_rate(core, t_max=max(40, min(120, 4 * lag_max)))
-    if not math.isfinite(gamma):
+    if gamma == math.inf:
         # conditionally mixed in one step: observed TVs are identically zero
         rows = [(t, T, 0.0, 0.0, 0.0) for t, T in pts]
         return BoundReport("qproc_approx", constant=0.0, rate=math.inf,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Distribution, SubStochasticKernel, _eigen_residual, _shifted_solve
+from .kernels import SubStochasticKernel, _eigen_residual, _shifted_solve
 
 __all__ = [
     "PowerIterationError",
@@ -47,10 +47,10 @@ class SpectralTriple:
     these two counts.
     """
 
-    alpha: Distribution
+    alpha: np.ndarray
     rho: float
     eta: np.ndarray
-    beta: Distribution
+    beta: np.ndarray
     residual: float
     iterations: int = 0
     power_steps: int = 0

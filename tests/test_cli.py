@@ -263,7 +263,7 @@ class TestVerifySubcommand:
         assert main(["verify", "--kernel", str(kf), "--out", str(out),
                      "--t-max", "40", "--pair-t-max", "3", "--pair-lag-max", "10"]) == 0
         for name in ("eta_bound.csv", "qproc_approx.csv", "q_mixing.csv"):
-            assert "constant=0" in read_lines(out / name).splitlines()[-1]
+            assert "constant=0 rate=inf" in read_lines(out / name).splitlines()[-1]
         assert main(["estimate", "--kernel", str(kf), "--out", str(tmp_path / "est"),
                      "--f", "1,0", "--N", "200"]) == 0
 
@@ -285,19 +285,18 @@ class TestVerifySubcommand:
         assert not (math.isfinite(float(constant)) and float(rate) > 0)
 
     @staticmethod
-    def _ergodic_on_one_blas_thread(tmp_path, n, f):
-        """(exit code, stderr) of the uniform-plan ergodic on birth_death(n,
-        birth=0.3) over 10:200:10, run in a process with one BLAS thread and
-        numpy warnings as errors."""
+    def _on_one_blas_thread(tmp_path, n, argv):
+        """(exit code, stderr) of ``qsd <argv[0]> --kernel bdN --out DIR
+        <argv[1:]>`` on birth_death(n, birth=0.3), run in a process with one
+        BLAS thread and numpy warnings as errors."""
         kf = tmp_path / f"bd{n}.txt"
         write_kernel(models.birth_death(n, birth=0.3), kf)
-        f = ",".join(repr(f(x)) for x in range(n))
+        argv = [argv[0], "--kernel", str(kf), "--out", str(tmp_path / "o"), *argv[1:]]
         script = (
             "import sys, warnings\n"
             "from qsd.cli import main\n"
             "warnings.simplefilter('error')\n"
-            f"sys.exit(main(['ergodic', '--kernel', {str(kf)!r}, '--out', {str(tmp_path / 'o')!r},\n"
-            f"               '--f', {f!r}, '--T-grid', '10:200:10']))\n"
+            f"sys.exit(main({argv!r}))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
@@ -305,6 +304,11 @@ class TestVerifySubcommand:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         return done.returncode, done.stderr
+
+    def _ergodic_on_one_blas_thread(self, tmp_path, n, f):
+        """The uniform-plan ergodic over 10:200:10 on one BLAS thread."""
+        f = ",".join(repr(f(x)) for x in range(n))
+        return self._on_one_blas_thread(tmp_path, n, ["ergodic", "--f", f, "--T-grid", "10:200:10"])
 
     def test_bd200_ergodic_stderr_is_the_diagnostic_alone(self, tmp_path):
         # with one BLAS thread, bd200's plan deviations divide by an eta that
@@ -319,6 +323,17 @@ class TestVerifySubcommand:
         # envelope bounds nothing
         assert self._ergodic_on_one_blas_thread(tmp_path, 165, lambda x: x / 164) == (
             3, "vacuous envelope: ergodic_theorem constant=inf rate=0\n")
+
+    def test_bd165_nan_bridge_rate_is_vacuous(self, tmp_path):
+        # with one BLAS thread, bd165's conditioned-TV rate is NaN: that is no
+        # one-step mixing, so qproc_approx fits and validates its gaps and
+        # names itself vacuous, where it wrote every bound as 0 at rate inf
+        assert self._on_one_blas_thread(tmp_path, 165, ["verify"]) == (3, (
+            "vacuous envelope: eta_bound constant=0 rate=nan\n"
+            "vacuous envelope: qproc_approx constant=0 rate=nan\n"
+            "bound violated on validation grid: eta_bound, qproc_approx\n"))
+        trailer = read_lines(tmp_path / "o" / "qproc_approx.csv").splitlines()[-1]
+        assert " constant=0 rate=nan " in trailer
 
     def test_single_state_kernel_certified(self, tmp_path, capsys):
         # [[0.5]] mixes exactly: constant 0 and rate inf are a real certificate
@@ -622,11 +637,11 @@ class TestPlainNumberMessages:
         assert err.startswith("error: survival eigenvalue 0.99999999999")
         assert err.endswith(" >= 1: kernel has no absorption\n") and "np." not in err
 
-    def test_weights_that_do_not_sum_to_one(self):
-        from qsd.kernels import as_distribution
+    def test_weights_that_do_not_sum_to_one(self, t3):
+        from qsd.kernels import conditioned_evolve
 
         with pytest.raises(ValueError) as exc:
-            as_distribution(np.array([0.5, 0.25]))
+            conditioned_evolve(t3, np.array([0.5, 0.25]), 1)
         assert str(exc.value) == "weights sum to 0.75, not 1"
 
 

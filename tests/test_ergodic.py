@@ -47,12 +47,8 @@ class TestSamplingPlan:
 
     def test_bad_numpy_weights_print_plain_numbers(self):
         with pytest.raises(ValueError) as exc:
-            SamplingPlan("custom", 2, ((0, np.float64(0.5)), (1, np.float64(0.25))))
+            SamplingPlan(2, ((0, np.float64(0.5)), (1, np.float64(0.25))))
         assert str(exc.value) == "atom weights sum to 0.75, not 1"
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            SamplingPlan("weird", 3, ((0, 1.0),))
 
 
 class TestConditionalFunctional:

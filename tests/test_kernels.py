@@ -10,15 +10,7 @@ from hypothesis import strategies as st
 from oracles import enum_pair_tv, power_bridge, power_marginal, tv_distance, wielandt_primitive
 from qsd import models
 from qsd.converse import certify_converse
-from qsd.kernels import (
-    Generator,
-    SubStochasticKernel,
-    as_distribution,
-    conditioned_evolve,
-    read_kernel,
-    uniformize,
-    write_kernel,
-)
+from qsd.kernels import SubStochasticKernel, conditioned_evolve, read_kernel, write_kernel
 from qsd.kernels import _max_pair_tv, _primitivity_defect
 
 
@@ -75,17 +67,15 @@ class TestConstruction:
 
 
 class TestDistribution:
-    def test_normalized_check(self):
+    """conditioned_evolve's checks on its start law."""
+
+    def test_normalized_check(self, t3):
         with pytest.raises(ValueError, match="sum"):
-            as_distribution([0.5, 0.4])
+            conditioned_evolve(t3, [0.5, 0.4], 1)
 
-    def test_negative_rejected(self):
+    def test_negative_rejected(self, t3):
         with pytest.raises(ValueError, match="negative"):
-            as_distribution([1.2, -0.2])
-
-    def test_unnormalized_allowed_when_flagged(self):
-        v = as_distribution([2.0, 1.0], normalized=False)
-        assert v.tolist() == [2.0, 1.0]
+            conditioned_evolve(t3, [1.2, -0.2], 1)
 
 
 class TestConditionedEvolve:
@@ -302,31 +292,19 @@ class TestPrimitivityGraphTest:
 
 
 class TestUniformize:
-    def test_single_rate(self):
-        K = uniformize(Generator([[-1.0]]), 2.0)
-        assert K.entries[0, 0] == 0.5
-        assert K.time_unit == 0.5
+    """The embedding K = I + G/theta that the generator-built models share,
+    at the clock theta = max |G(x, x)|."""
 
     def test_two_state_arithmetic(self):
-        K = uniformize(Generator([[-2.0, 1.0], [1.0, -2.0]]), 2.5)
-        np.testing.assert_allclose(K.entries, [[0.2, 0.4], [0.4, 0.2]])
+        K = models._uniformized(np.array([[-2.0, 1.0], [1.0, -2.5]]))
+        np.testing.assert_allclose(K.entries, [[0.2, 0.4], [0.4, 0.0]])
         assert K.time_unit == 0.4
 
     def test_two_state_at_exact_clock_is_periodic(self):
         # theta equal to the diagonal rate zeroes every diagonal entry here,
         # producing a two-cycle, which the construction invariant rejects
         with pytest.raises(ValueError, match="reducible or periodic"):
-            uniformize(Generator([[-2.0, 1.0], [1.0, -2.0]]), 2.0)
-
-    def test_rejects_small_theta(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            uniformize(Generator([[-2.0, 1.0], [1.0, -2.0]]), 1.5)
-
-    def test_generator_validation(self):
-        with pytest.raises(ValueError, match="off-diagonal"):
-            Generator([[-1.0, -0.1], [0.2, -0.3]])
-        with pytest.raises(ValueError, match="row sums"):
-            Generator([[-1.0, 1.5], [0.2, -0.3]])
+            models._uniformized(np.array([[-2.0, 1.0], [1.0, -2.0]]))
 
 
 class TestKernelFile:

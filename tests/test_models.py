@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,17 @@ class TestContinuousKinds:
             K = ou_discretized(n)
             vals.append(best_c1(K, 2 * n))
         assert vals[0] > vals[1] > vals[2] > 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: linear_bd_truncated(3, death=float("inf")),
+        lambda: linear_bd_truncated(3, birth=float("nan")),
+        lambda: ou_discretized(3, sigma=float("inf")),
+    ])
+    def test_non_finite_rates_refused_without_warning(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="generator has non-finite entries"):
+                build()
 
     def test_uniformized_decay_rate_matches_generator_eigenvalue(self):
         # theta (1 - rho) equals the slowest decay rate of the generator
