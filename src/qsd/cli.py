@@ -435,7 +435,8 @@ def cmd_converse(args) -> int:
     K, digest = _load_kernel(args)
     rep = converse.certify_converse(K, t1_max=args.t1_max, T_max=args.T_max)
     rows = [(T, v, rep.envelope(T)) for T, v in rep.decay_curve]
-    trailer = (f"# certified={rep.certified} t1={rep.t1} T1={rep.T1} "
+    # T1, where the envelope starts, is t1; the trailer keeps the key for its readers
+    trailer = (f"# certified={rep.certified} t1={rep.t1} T1={rep.t1} "
                f"delta={_fmt(rep.delta)}")
     _write_csv(os.path.join(args.out, "converse.csv"), "T,sup_pair_tv,envelope",
                rows, trailer)

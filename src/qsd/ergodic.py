@@ -66,10 +66,6 @@ class SamplingPlan:
     def dirac(cls, t0: int, T: int) -> "SamplingPlan":
         return cls(T, ((int(t0), 1.0),))
 
-    @classmethod
-    def custom(cls, atoms, T: int) -> "SamplingPlan":
-        return cls(T, tuple((int(t), float(w)) for t, w in atoms))
-
 
 def _test_vector(core: Deflation, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)

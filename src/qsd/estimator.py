@@ -78,10 +78,6 @@ class TrajectoryBatch:
     def N_T(self) -> int:
         return int(self.survivor_indices.size)
 
-    @property
-    def extinct(self) -> bool:
-        return self.N_T == 0
-
 
 def simulate(
     K: SubStochasticKernel, x0: int, T: int, N: int, seed: int, chunks: int = 1
@@ -289,7 +285,6 @@ class SweepRow:
     exact: float
     abs_error: float
     predicted: float
-    extinct_replications: int
     survivors: int
     steps: int
 
@@ -316,8 +311,9 @@ def sweep_error_vs_N(
     time the envelope-optimal one, and the error |estimate - beta(f)| is
     summarized by its median over seeded replications (robust to the heavy
     tail when few trajectories survive).  Replications that go extinct are
-    counted but not resampled: the extinction-versus-horizon tradeoff is
-    the phenomenon under study.  Fully deterministic for a fixed seed.
+    left out of the medians but not resampled: the extinction-versus-horizon
+    tradeoff is the phenomenon under study.  Fully deterministic for a fixed
+    seed.
 
     A replication is one :func:`simulate` then :func:`estimate_beta`.  With
     ``workers > 1`` they run on that many forked worker processes, capped
@@ -355,8 +351,7 @@ def sweep_error_vs_N(
         if not kept:
             rows.append(SweepRow(N=N, T=T, t0=t0, N_T=0.0, estimate=math.nan,
                                  stderr=math.nan, exact=exact, abs_error=math.nan,
-                                 predicted=predicted, extinct_replications=len(reps),
-                                 survivors=total_survivors, steps=steps))
+                                 predicted=predicted, survivors=total_survivors, steps=steps))
             continue
         survivors, _, estimates, stderrs = zip(*kept)
         rows.append(SweepRow(
@@ -367,7 +362,6 @@ def sweep_error_vs_N(
             exact=exact,
             abs_error=float(np.median([abs(est - exact) for est in estimates])),
             predicted=predicted,
-            extinct_replications=len(reps) - len(kept),
             survivors=total_survivors,
             steps=steps,
         ))

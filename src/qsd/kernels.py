@@ -4,13 +4,11 @@ A chain on survivor states E = {0..n-1} plus one absorbing cemetery state
 is represented by its killed transition matrix: the n-by-n block of
 transition probabilities among survivors.  Row deficits (1 - row sum) are
 the per-step absorption probabilities.  The bound reports propagate
-deviations in deflated form (:mod:`qsd.deflation`).  Two stepwise passes
-serve the rest: a forward pass of renormalized rows and a backward pass of
-rescaled survival vectors, each renormalized at every step, so horizons in
-the thousands never underflow.  :func:`conditioned_evolve` reads the
-forward pass, and the bridge search of ``converse.certify_converse`` both:
-a bridge law (the law of X_t given survival past T) is a forward row
-reweighted by the survival vector at lag T - t.
+deviations in deflated form (:mod:`qsd.deflation`).  The stepwise forward
+pass here serves the rest: it renormalizes its rows at every step, so
+horizons in the thousands never underflow.  :func:`conditioned_evolve`
+reads its last step, and the bridge search of ``converse.certify_converse``
+reweights its rows by that module's own backward pass of survival vectors.
 
 Distributions over survivor states are plain 1-D numpy arrays.  Kernel
 entries are frozen at construction, and every operation here is a pure
@@ -156,14 +154,6 @@ class SubStochasticKernel:
         self.n = m.shape[0]
         self.time_unit = float(time_unit)
 
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-    @property
-    def absorption_probabilities(self) -> np.ndarray:
-        return 1.0 - self.row_sums
-
     def __repr__(self) -> str:
         return f"SubStochasticKernel(n={self.n}, time_unit={self.time_unit})"
 
@@ -225,26 +215,6 @@ def _forward(K: SubStochasticKernel, P: np.ndarray, t_max: int):
         yield P
 
 
-def _backward(K: SubStochasticKernel, t_max: int):
-    """Yield v_s for s = 0..t_max: ``K^s 1`` rescaled to ``max v_s = 1``."""
-    v = np.ones(K.n)
-    yield v
-    for _ in range(t_max):
-        v = K.entries @ v
-        top = v.max()
-        if top <= 0.0:
-            raise HorizonTooLarge("all survival probabilities underflowed")
-        v /= top
-        yield v
-
-
-def _last(steps):
-    """The final item of a stepwise generator."""
-    for item in steps:
-        pass
-    return item
-
-
 def conditioned_evolve(K: SubStochasticKernel, mu, t: int) -> np.ndarray:
     """Law of X_t given survival to time t, started from mu.
 
@@ -264,7 +234,9 @@ def conditioned_evolve(K: SubStochasticKernel, mu, t: int) -> np.ndarray:
         raise ValueError(f"weights sum to {float(mu.sum())!r}, not 1")
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _last(_forward(K, mu[None, :], t))[0]
+    for P in _forward(K, mu[None, :], t):
+        pass
+    return P[0]
 
 
 def write_kernel(K: SubStochasticKernel, path) -> None:

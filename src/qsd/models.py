@@ -47,14 +47,14 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
 
-def golden_kernel_path(name: str = "w3"):
-    """Filesystem path of a pinned kernel file shipped with the package."""
-    return resources.files("qsd").joinpath(f"data/{name}.txt")
+def golden_kernel_path():
+    """Filesystem path of the pinned w3 kernel file shipped with the package."""
+    return resources.files("qsd").joinpath("data/w3.txt")
 
 
 def w3() -> SubStochasticKernel:
     """The pinned golden 3-state kernel used across the test corpus."""
-    with resources.as_file(golden_kernel_path("w3")) as p:
+    with resources.as_file(golden_kernel_path()) as p:
         return read_kernel(p)
 
 

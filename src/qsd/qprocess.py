@@ -222,12 +222,12 @@ def q_mixing_report(core: Deflation, t_grid) -> BoundReport:
     return _fit_validate("q_mixing", gamma, points, set(fit_ts), set(val_ts))
 
 
-def fitted_rates(core: Deflation, t_max: int = 60) -> tuple[float, float]:
+def fitted_rates(core: Deflation) -> tuple[float, float]:
     """(gamma, gamma'): the rates :func:`conditioned_tv_rate` and
-    :func:`q_mixing_report` on range(1, t_max + 1) fit (the latter on its fit
-    half, t <= (1 + t_max) / 2), read from the core's series."""
+    :func:`q_mixing_report` on range(1, 61) fit (the latter on its fit
+    half, t <= 30), read from the core's series."""
     # built only to refuse a kernel whose h-transform is ill-conditioned
     build_q_kernel(core.kernel, core.triple)
-    _, q_tv, _ = core.series(t_max)
-    return (conditioned_tv_rate(core, t_max),
-            _tail_rate_fit([(t, q_tv[t]) for t in range(1, (1 + t_max) // 2 + 1)]))
+    _, q_tv, _ = core.series(60)
+    return (conditioned_tv_rate(core, 60),
+            _tail_rate_fit([(t, q_tv[t]) for t in range(1, 31)]))

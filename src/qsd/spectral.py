@@ -223,7 +223,7 @@ def _tail_rate_fit(points) -> float:
     return fit_log_decay(tail if len(tail) >= 3 else finite)
 
 
-def conditioned_tv_rate(core, t_max: int = 60) -> float:
+def conditioned_tv_rate(core, t_max: int) -> float:
     """Decay rate of sup_x TV(law of X_t | survival, alpha).
 
     The series comes from the deflated core (a :class:`qsd.deflation.Deflation`;

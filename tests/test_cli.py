@@ -522,6 +522,16 @@ class TestEstimateAndSweep:
         assert lines[0] == "N,T,t0,N_T,estimate,stderr,exact,abs_error,predicted"
         assert len(lines) == 1 + 2
 
+    def test_sweep_row_extinct_in_every_replication(self, tmp_path, capsys):
+        kf = tmp_path / "half.txt"
+        write_kernel(SubStochasticKernel([[0.5]]), kf)
+        out = tmp_path / "sw"
+        code = main(["sweep", "--kernel", str(kf), "--out", str(out), "--f", "1",
+                     "--N-list", "1,2", "--reps", "3", "--seed", "0"])
+        assert code == 0
+        assert capsys.readouterr().err == "some sweep rows went extinct in every replication\n"
+        assert read_lines(out / "sweep.csv").splitlines()[1] == "1,1,0,0,nan,nan,1,nan,1"
+
     def test_hundred_state_estimate_is_fast(self, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text("kind logistic_bd\nn 100\nparams.birth_step 0.003\n")
@@ -849,7 +859,7 @@ class TestRerunByteIdentical:
         assert texts[0] == texts[1]
 
     def test_golden_kernel_available(self):
-        assert str(golden_kernel_path("w3")).endswith("w3.txt")
+        assert str(golden_kernel_path()).endswith("w3.txt")
 
 
 # Pinned runs: every subcommand that reads the deflated core, on the kernels

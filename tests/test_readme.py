@@ -1,5 +1,8 @@
 """The README against the package: its exports and its Python quick start."""
 
+import ast
+import dataclasses
+import inspect
 import math
 import re
 import types
@@ -25,6 +28,33 @@ def test_every_export_is_named_in_readme_or_used_by_cli():
     unused = [name for name in names
               if not re.search(rf"\b{name}\b", README) and not re.search(rf"\b{name}\b", cli)]
     assert names and unused == []
+
+
+def _members(cls) -> set:
+    """The public fields, properties and methods that ``cls`` itself defines:
+    its own attributes, its dataclass fields and what ``__init__`` sets on self."""
+    names = set(vars(cls))
+    if dataclasses.is_dataclass(cls):
+        names |= {f.name for f in dataclasses.fields(cls)}
+    elif "__init__" in vars(cls):
+        init = ast.parse(inspect.getsource(cls.__init__).strip())
+        names |= {node.attr for node in ast.walk(init) if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_member_of_an_export_is_read_or_named_in_readme():
+    reads = set()
+    for path in [*(ROOT / "src" / "qsd").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        reads |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    classes = [value for name, value in vars(qsd).items()
+               if not name.startswith("_") and isinstance(value, type)]
+    unused = [f"{cls.__name__}.{name}" for cls in classes for name in sorted(_members(cls))
+              if name not in reads and not re.search(rf"\.{name}\b", README)]
+    assert classes
+    assert unused == []
 
 
 def test_python_quick_start_runs():
